@@ -3,8 +3,8 @@
 Subcommands: estimate | sweep | reproduce | design | selftest.
 Configuration comes from a flat key-value file (--config), overridable
 by `--key=value` pairs using the same dotted names, and by the
-LOOISE_-prefixed environment variables LOOISE_SEED, LOOISE_THREADS,
-LOOISE_OUT and LOOISE_FORMAT for the global flags.
+LOOISE_-prefixed environment variables LOOISE_SEED, LOOISE_THREADS
+and LOOISE_OUT for the global flags.
 
 Exit codes: 0 success, 2 configuration/input error, 3 numerical failure.
 """
@@ -199,7 +199,7 @@ def _estimate_payload(cfg: dict) -> dict:
     mixture = _mixture_spec(cfg)
     if mixture is not None:
         kernels, nus = mixture
-        theta, theta_rule = float("nan"), "mixture"
+        theta, theta_rule = None, "mixture"  # no single assumed range
         kern_e = kernels[0]  # trend correction centers under the lead kernel
         bundle = estimators.mixture_bundle(kernels, nus, predictor.loo_operator(),
                                            predictor, design, measure,
@@ -350,7 +350,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--out", help="output directory")
-        p.add_argument("--format", choices=["csv", "json"], default=None)
         if name == "reproduce":
             p.add_argument("experiment", choices=sorted(EXPERIMENTS))
     return parser
@@ -383,7 +382,7 @@ def _split_extras(argv: list[str]) -> tuple[list[str], dict[str, str]]:
 def _apply_env(argv: list[str]) -> list[str]:
     out = list(argv)
     for name, flag in [("LOOISE_SEED", "--seed"), ("LOOISE_THREADS", "--threads"),
-                       ("LOOISE_OUT", "--out"), ("LOOISE_FORMAT", "--format")]:
+                       ("LOOISE_OUT", "--out")]:
         if name in os.environ and not any(a == flag or a.startswith(flag + "=") for a in out):
             out += [flag, os.environ[name]]
     return out

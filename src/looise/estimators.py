@@ -29,11 +29,11 @@ from .errors import (
 )
 from .kernels import KernelSpec, kernel_matrix
 from .moments import (
-    BLOCK,
     MomentBundle,
     build_bundle,
     mixture_bundle,
     pointwise_c_rho,
+    support_blocks,
 )
 
 __all__ = [
@@ -102,28 +102,28 @@ def blp_pointwise(bundle: MomentBundle, eps_loo, x, clamp: bool = True) -> float
     return max(val, 0.0) if clamp else val
 
 
-def _streamed_estimate(bundle: MomentBundle, eps_sq: np.ndarray, mode: str,
-                       clamp: bool, block: int = BLOCK) -> float:
-    """Integral of the (optionally clamped) pointwise estimates against mu."""
+def _constraint(bundle: MomentBundle) -> tuple[np.ndarray, float]:
+    """h = S^{-1} u and q = u^T h of the unbiasedness constraint gamma^T u = J."""
+    h = bundle.solve_S(bundle.u)
+    q = float(bundle.u @ h)
+    if q <= 1e-14:
+        raise DegenerateConstraint("u^T S^{-1} u is numerically zero")
+    return h, q
+
+
+def _streamed_estimate(bundle: MomentBundle, eps_sq: np.ndarray, mode: str) -> float:
+    """Integral of the pointwise estimates, clamped at zero, against mu."""
     g = bundle.solve_S(eps_sq)
     if mode == "blup":
-        h = bundle.solve_S(bundle.u)
-        q = float(bundle.u @ h)
-        if q <= 1e-14:
-            raise DegenerateConstraint("u^T S^{-1} u is numerically zero")
+        h, q = _constraint(bundle)
         ug = float(bundle.u @ g)
     total = 0.0
-    measure = bundle.measure
-    for lo in range(0, measure.size, block):
-        hi = min(lo + block, measure.size)
-        W = bundle.weights.block(lo, hi)
-        c_rows, rho = pointwise_c_rho(bundle, measure.points[lo:hi], W=W)
+    for _, X, mu, W in support_blocks(bundle.measure, bundle.weights):
+        c_rows, rho = pointwise_c_rho(bundle, X, W=W)
         vals = c_rows @ g
         if mode == "blup":
             vals = vals + (rho - c_rows @ h) * (ug / q)
-        if clamp:
-            vals = np.maximum(vals, 0.0)
-        total += float(measure.weights[lo:hi] @ vals)
+        total += float(mu @ np.maximum(vals, 0.0))
     return total
 
 
@@ -138,7 +138,7 @@ def ise_blp(bundle: MomentBundle, eps_loo, clamp: bool = True) -> IseEstimate:
     eps = _check_eps(bundle, eps_loo)
     gamma = bundle.solve_S(bundle.b)
     if clamp:
-        value = _streamed_estimate(bundle, eps * eps, "blp", True)
+        value = _streamed_estimate(bundle, eps * eps, "blp")
         return IseEstimate(value=value, estimator="blp+", gamma=gamma, clamped=True)
     return IseEstimate(value=float(gamma @ (eps * eps)), estimator="blp", gamma=gamma)
 
@@ -147,10 +147,7 @@ def blup_weights(bundle: MomentBundle) -> np.ndarray:
     """Weights of the unbiased variant: the BLP weights plus the
     correction enforcing gamma^T u = J exactly."""
     g_blp = bundle.solve_S(bundle.b)
-    h = bundle.solve_S(bundle.u)
-    q = float(bundle.u @ h)
-    if q <= 1e-14:
-        raise DegenerateConstraint("u^T S^{-1} u is numerically zero")
+    h, q = _constraint(bundle)
     return g_blp + (bundle.J - float(bundle.u @ g_blp)) / q * h
 
 
@@ -159,7 +156,7 @@ def ise_blup(bundle: MomentBundle, eps_loo, clamp: bool = True) -> IseEstimate:
     eps = _check_eps(bundle, eps_loo)
     gamma = blup_weights(bundle)
     if clamp:
-        value = _streamed_estimate(bundle, eps * eps, "blup", True)
+        value = _streamed_estimate(bundle, eps * eps, "blup")
         return IseEstimate(value=value, estimator="blup+", gamma=gamma, clamped=True)
     return IseEstimate(value=float(gamma @ (eps * eps)), estimator="blup", gamma=gamma)
 

@@ -24,13 +24,14 @@ from .designs import Design, IntegrationMeasure
 from .errors import (
     DimensionMismatch,
     FlatLimitSingular,
-    LooiseError,
     NotPositiveDefinite,
     WeightSimplexViolation,
 )
 from .kernels import KernelSpec, cross_matrix, kernel_eval, kernel_matrix
+from .predictors import exact_lookup
 
-BLOCK = 4096
+BLOCK = 4096  # support rows per block of the single integrals
+VN_BLOCK = 512  # rows per block of the O(N^2) V_n double integral
 
 
 class WeightSource:
@@ -43,7 +44,6 @@ class WeightSource:
 
     def __init__(self, source, measure: IntegrationMeasure, n: int):
         self._measure = measure
-        self._n = n
         self._array = None
         self._fn = None
         if hasattr(source, "weights_matrix"):
@@ -57,7 +57,6 @@ class WeightSource:
                     f"weight table has shape {arr.shape}, expected ({measure.size}, {n})"
                 )
             self._array = arr
-            self._index = None
 
     def block(self, lo: int, hi: int) -> np.ndarray:
         if self._array is not None:
@@ -66,14 +65,8 @@ class WeightSource:
 
     def at(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self._array is not None:
-            if self._index is None:
-                self._index = {p.tobytes(): i for i, p in enumerate(self._measure.points)}
-            try:
-                rows = [self._index[p.tobytes()] for p in X]
-            except KeyError:
-                raise LooiseError("array-backed weights can only be evaluated on the support")
-            return self._array[rows]
+        if self._fn is None:
+            self._fn = exact_lookup(self._measure.points, self._array)
         return np.asarray(self._fn(X), dtype=float)
 
     def full(self) -> np.ndarray:
@@ -82,12 +75,26 @@ class WeightSource:
         return self.at(self._measure.points)
 
 
+def support_blocks(measure: IntegrationMeasure, weights: WeightSource | None = None,
+                   size: int = BLOCK):
+    """The one loop over the support, in blocks of `size` rows.
+
+    Yields (rows, X, mu, W): the slice of the block, its points, their
+    measure weights and, when a weight source is given, its weight rows.
+    """
+    for lo in range(0, measure.size, size):
+        hi = min(lo + size, measure.size)
+        W = None if weights is None else weights.block(lo, hi)
+        yield slice(lo, hi), measure.points[lo:hi], measure.weights[lo:hi], W
+
+
 @dataclass(frozen=True)
 class Component:
     """One kernel of the assumed model; kernel None denotes the independent limit."""
 
     nu: float
     kernel: KernelSpec | None
+    K: np.ndarray | None  # the kernel matrix on the design
     u: np.ndarray
     rkr_sq: np.ndarray  # (R^T K R)^{o2}, the variance kernel of eps_loo^{o2}
 
@@ -155,32 +162,42 @@ def t_vector(w, kernel: KernelSpec, design: Design, x) -> np.ndarray:
     return k - K @ w
 
 
-def _loo_matrix(R) -> np.ndarray:
-    return R.matrix if hasattr(R, "matrix") else np.asarray(R, dtype=float)
+def _sources(R, weights, measure: IntegrationMeasure):
+    """The raw LOO matrix and a WeightSource, whatever form they came in."""
+    R = R.matrix if hasattr(R, "matrix") else np.asarray(R, dtype=float)
+    if not isinstance(weights, WeightSource):
+        weights = WeightSource(weights, measure, R.shape[0])
+    return R, weights
 
 
 def _component_for(kernel: KernelSpec | None, nu: float, R: np.ndarray,
                    design: Design) -> Component:
-    if kernel is None:
-        A = R.T @ R
-    else:
-        A = R.T @ kernel_matrix(kernel, design.points) @ R
-    return Component(nu=nu, kernel=kernel, u=np.diag(A).copy(), rkr_sq=A * A)
+    K = None if kernel is None else kernel_matrix(kernel, design.points)
+    A = R.T @ R if K is None else R.T @ K @ R
+    return Component(nu=nu, kernel=kernel, K=K, u=np.diag(A).copy(), rkr_sq=A * A)
 
 
-def _block_rho2_and_G(comp: Component, W: np.ndarray, X: np.ndarray,
-                      design: Design, R: np.ndarray):
-    """Per-block rho^2 values and G = (R^T t(x))^T rows for one component."""
-    if comp.kernel is None:
-        rho = 1.0 + np.sum(W * W, axis=1)
-        G = W @ R
-        return rho, G
-    K = kernel_matrix(comp.kernel, design.points)
-    C = cross_matrix(comp.kernel, design.points, X)
-    KW = W @ K
-    rho = (1.0 + comp.kernel.nugget) - 2.0 * np.sum(W * C, axis=1) + np.sum(KW * W, axis=1)
-    G = (C - KW) @ R
-    return rho, G
+def _c_rho(components, X: np.ndarray, W: np.ndarray, design: Design, R: np.ndarray):
+    """Rows of the mixture c(x) and the mixture rho^2(x) on one block of points.
+
+    Per component, c(x) = rho^2(x) u + 2 G(x)^{o2} with G = (R^T t(x))^T
+    and t(x) = k(x) - K w(x).
+    """
+    C_rows = np.zeros((len(X), R.shape[1]))
+    rho_mix = np.zeros(len(X))
+    for comp in components:
+        if comp.kernel is None:
+            rho = 1.0 + np.sum(W * W, axis=1)
+            G = W @ R
+        else:
+            C = cross_matrix(comp.kernel, design.points, X)
+            KW = W @ comp.K
+            rho = ((1.0 + comp.kernel.nugget) - 2.0 * np.sum(W * C, axis=1)
+                   + np.sum(KW * W, axis=1))
+            G = (C - KW) @ R
+        C_rows += comp.nu * (rho[:, None] * comp.u[None, :] + 2.0 * G * G)
+        rho_mix += comp.nu * rho
+    return C_rows, rho_mix
 
 
 def pointwise_c_rho(bundle: MomentBundle, X, W=None):
@@ -188,44 +205,42 @@ def pointwise_c_rho(bundle: MomentBundle, X, W=None):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if W is None:
         W = bundle.weights.at(X)
-    C_rows = np.zeros((len(X), bundle.n))
-    rho_mix = np.zeros(len(X))
-    for comp in bundle.components:
-        rho, G = _block_rho2_and_G(comp, W, X, bundle.design, bundle.R)
-        C_rows += comp.nu * (rho[:, None] * comp.u[None, :] + 2.0 * G * G)
-        rho_mix += comp.nu * rho
-    return C_rows, rho_mix
+    return _c_rho(bundle.components, X, W, bundle.design, bundle.R)
 
 
-def _vn_component(kernel: KernelSpec | None, W: np.ndarray, design: Design,
-                  measure: IntegrationMeasure, block: int = 512) -> float:
+def _sum_to_one_defect(mu: np.ndarray, W: np.ndarray) -> float:
+    """One block's share of int (1 - w(x)^T 1)^2 dmu."""
+    return float(mu @ (1.0 - W.sum(axis=1)) ** 2)
+
+
+def _vn_component(comp: Component, W: np.ndarray, design: Design,
+                  measure: IntegrationMeasure) -> float:
     """Double integral of rho^4(x, x') against the measure, for one kernel."""
-    pts = measure.points
     mu = measure.weights
-    if kernel is None:
+    if comp.kernel is None:
         # limit case: rho2_cross(x,x') = w(x)^T w(x') off the diagonal, 1 + ||w||^2 on it
         cross_base = W @ W.T
         diag = 1.0 + np.sum(W * W, axis=1)
         sq = cross_base * cross_base
         np.fill_diagonal(sq, diag * diag)
         return float(mu @ sq @ mu)
-    K = kernel_matrix(kernel, design.points)
+    kernel = comp.kernel
+    pts = measure.points
     C = cross_matrix(kernel, design.points, pts)
-    P = W @ K
+    P = W @ comp.K
     total = 0.0
-    for lo in range(0, len(pts), block):
-        hi = min(lo + block, len(pts))
-        Kxx = cross_matrix(kernel, pts, pts[lo:hi])
+    for rows, X, mu_rows, _ in support_blocks(measure, size=VN_BLOCK):
+        Kxx = cross_matrix(kernel, pts, X)
         if kernel.nugget:
-            for r in range(lo, hi):
-                Kxx[r - lo, r] += kernel.nugget
-        cross = Kxx - W[lo:hi] @ C.T - C[lo:hi] @ W.T + P[lo:hi] @ W.T
-        total += float(mu[lo:hi] @ (cross * cross) @ mu)
+            cols = np.arange(rows.start, rows.stop)
+            Kxx[cols - rows.start, cols] += kernel.nugget
+        cross = Kxx - W[rows] @ C.T - C[rows] @ W.T + P[rows] @ W.T
+        total += float(mu_rows @ (cross * cross) @ mu)
     return total
 
 
-def _assemble(components, R, weights, design: Design, measure: IntegrationMeasure,
-              compute_Vn: bool, block: int = BLOCK) -> MomentBundle:
+def _assemble(components, R, weights: WeightSource, design: Design,
+              measure: IntegrationMeasure, compute_Vn: bool) -> MomentBundle:
     n = design.n
     u = np.zeros(n)
     S = np.zeros((n, n))
@@ -237,44 +252,32 @@ def _assemble(components, R, weights, design: Design, measure: IntegrationMeasur
     b = np.zeros(n)
     J = 0.0
     defect = 0.0
-    pts = measure.points
-    mu = measure.weights
-    for lo in range(0, measure.size, block):
-        hi = min(lo + block, measure.size)
-        W = weights.block(lo, hi)
-        X = pts[lo:hi]
-        wts = mu[lo:hi]
-        defect += float(wts @ (1.0 - W.sum(axis=1)) ** 2)
-        for comp in components:
-            rho, G = _block_rho2_and_G(comp, W, X, design, R)
-            c_rows = rho[:, None] * comp.u[None, :] + 2.0 * G * G
-            b += comp.nu * (wts @ c_rows)
-            J += comp.nu * float(wts @ rho)
+    for _, X, mu, W in support_blocks(measure, weights):
+        defect += _sum_to_one_defect(mu, W)
+        C_rows, rho = _c_rho(components, X, W, design, R)
+        b += mu @ C_rows
+        J += float(mu @ rho)
 
     V = None
     if compute_Vn:
         W_full = weights.full()
-        V = sum(
-            comp.nu * _vn_component(comp.kernel, W_full, design, measure)
-            for comp in components
-        )
+        V = sum(comp.nu * _vn_component(comp, W_full, design, measure)
+                for comp in components)
     return MomentBundle(u=u, S=S, b=b, J=J, V=V, R=R, design=design, measure=measure,
                         components=list(components), weights=weights,
                         sum_to_one_defect=defect)
 
 
 def build_bundle(R, weights, kernel_e: KernelSpec, design: Design,
-                 measure: IntegrationMeasure, compute_Vn: bool = False,
-                 block: int = BLOCK) -> MomentBundle:
+                 measure: IntegrationMeasure, compute_Vn: bool = False) -> MomentBundle:
     """Moment bundle for a single assumed kernel.
 
     `R` is the LOO operator (or its raw matrix), `weights` the predictor
     weights over the measure support (predictor, callable or array).
     """
-    R = _loo_matrix(R)
-    ws = weights if isinstance(weights, WeightSource) else WeightSource(weights, measure, design.n)
+    R, ws = _sources(R, weights, measure)
     comp = _component_for(kernel_e, 1.0, R, design)
-    return _assemble([comp], R, ws, design, measure, compute_Vn, block)
+    return _assemble([comp], R, ws, design, measure, compute_Vn)
 
 
 def mixture_components(kernels, nu, R, design: Design) -> list[Component]:
@@ -287,22 +290,20 @@ def mixture_components(kernels, nu, R, design: Design) -> list[Component]:
 
 
 def mixture_bundle(kernels, nu, R, weights, design: Design,
-                   measure: IntegrationMeasure, compute_Vn: bool = False,
-                   block: int = BLOCK) -> MomentBundle:
+                   measure: IntegrationMeasure, compute_Vn: bool = False) -> MomentBundle:
     """Moment bundle under a finite mixture of GP kernels.
 
     Every expectation decomposes componentwise (the mixture of Gaussians
     is not Gaussian, so S is the mixture of the per-kernel fourth-moment
     matrices, not the fourth-moment matrix of a mixed kernel).
     """
-    R = _loo_matrix(R)
-    ws = weights if isinstance(weights, WeightSource) else WeightSource(weights, measure, design.n)
+    R, ws = _sources(R, weights, measure)
     comps = mixture_components(kernels, nu, R, design)
-    return _assemble(comps, R, ws, design, measure, compute_Vn, block)
+    return _assemble(comps, R, ws, design, measure, compute_Vn)
 
 
-def independent_limit_bundle(R, weights, design: Design, measure: IntegrationMeasure,
-                             block: int = BLOCK) -> MomentBundle:
+def independent_limit_bundle(R, weights, design: Design,
+                             measure: IntegrationMeasure) -> MomentBundle:
     """Limit bundle as the assumed range parameter grows without bound.
 
     The design correlations vanish (K_n -> I) and the formulas reduce to
@@ -310,10 +311,9 @@ def independent_limit_bundle(R, weights, design: Design, measure: IntegrationMea
     b = J u + 2 diag(R^T [int w w^T dmu] R),
     S = u u^T + 2 (R^T R)^{o2}. V is not computed in the limit.
     """
-    R = _loo_matrix(R)
-    ws = weights if isinstance(weights, WeightSource) else WeightSource(weights, measure, design.n)
+    R, ws = _sources(R, weights, measure)
     comp = _component_for(None, 1.0, R, design)
-    return _assemble([comp], R, ws, design, measure, False, block)
+    return _assemble([comp], R, ws, design, measure, False)
 
 
 def flat_limit_diagnostics(R, weights, measure: IntegrationMeasure) -> dict:
@@ -325,16 +325,11 @@ def flat_limit_diagnostics(R, weights, measure: IntegrationMeasure) -> dict:
     the rank-one matrix 3 u(0) u(0)^T and the estimator has no flat
     limit.
     """
-    R = _loo_matrix(R)
+    R, ws = _sources(R, weights, measure)
     u0 = (R.T @ np.ones(R.shape[0])) ** 2
     J0 = 0.0
-    ws = weights
-    if not isinstance(ws, WeightSource):
-        ws = WeightSource(ws, measure, R.shape[0])
-    for lo in range(0, measure.size, BLOCK):
-        hi = min(lo + BLOCK, measure.size)
-        W = ws.block(lo, hi)
-        J0 += float(measure.weights[lo:hi] @ (1.0 - W.sum(axis=1)) ** 2)
+    for _, _, mu, W in support_blocks(measure, ws):
+        J0 += _sum_to_one_defect(mu, W)
     sum_to_one = bool(J0 < 1e-12 and np.max(u0, initial=0.0) < 1e-12)
     return {
         "J0": J0,

@@ -311,6 +311,24 @@ class FixedMixture(LinearPredictor):
         return FixedMixture([c.drop_point(i) for c in self.components], self.nu)
 
 
+def _point_key(pt: np.ndarray) -> bytes:
+    return (pt + 0.0).tobytes()  # -0.0 + 0.0 is +0.0, so signed zeros match
+
+
+def exact_lookup(support, table):
+    """X -> the rows of `table` at the points of X, found by exact match
+    against the points of `support`."""
+    index = {_point_key(pt): i for i, pt in enumerate(support)}
+
+    def lookup(X) -> np.ndarray:
+        try:
+            return table[[index[_point_key(pt)] for pt in X]]
+        except KeyError:
+            raise LooiseError("point not in the tabulated support") from None
+
+    return lookup
+
+
 class TableWeights(LinearPredictor):
     """Black-box linear predictor given by a weight table over fixed points.
 
@@ -325,7 +343,7 @@ class TableWeights(LinearPredictor):
         self.table = np.asarray(table, dtype=float)
         if self.table.shape != (len(self.support), design.n):
             raise DimensionMismatch("weight table must be (len(support), n)")
-        self._index = {pt.tobytes(): i for i, pt in enumerate(self.support)}
+        self._lookup = exact_lookup(self.support, self.table)
         self._loo_given = None
         if loo_matrix is not None:
             self._loo_given = np.asarray(loo_matrix, dtype=float)
@@ -333,14 +351,7 @@ class TableWeights(LinearPredictor):
                 raise DimensionMismatch("LOO matrix must be n x n")
 
     def weights_matrix(self, X) -> np.ndarray:
-        X = _as_points(X)
-        rows = np.empty(len(X), dtype=int)
-        for i, pt in enumerate(X):
-            key = pt.tobytes()
-            if key not in self._index:
-                raise LooiseError("point not in the tabulated support")
-            rows[i] = self._index[key]
-        return self.table[rows]
+        return self._lookup(_as_points(X))
 
     def _loo_matrix(self) -> np.ndarray:
         if self._loo_given is None:

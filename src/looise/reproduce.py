@@ -153,10 +153,10 @@ def run_table1(outdir: str, threads: int = 1) -> dict:
     return {"csv": path, "values": values}
 
 
-@register("fig3")
-def run_fig3(outdir: str, threads: int = 1) -> dict:
-    """Exact E and MSE of the weighted estimate vs the assumed range,
-    for the kriging predictor row of the grid study (oracle mode)."""
+def _oracle_sweep(name: str, weight_rule, outdir: str, threads: int):
+    """Exact E, MSE and bias of the estimate with weights weight_rule(bundle)
+    vs the assumed range, for the kriging predictor row of the grid study
+    (oracle mode). Writes <name>.csv; returns the grid, rows and path."""
     design, pred = _grid_study_predictor("blup")
     measure = sobol_measure(2, 2**10)
     ktrue = KernelSpec("matern32", 10.0)
@@ -167,12 +167,19 @@ def run_fig3(outdir: str, threads: int = 1) -> dict:
     def one(theta):
         be = moments.build_bundle(R, pred, KernelSpec("matern32", theta),
                                   design, measure)
-        rep = estimators.performance_report(be.solve_S(be.b), bundle_true)
+        rep = estimators.performance_report(weight_rule(be), bundle_true)
         return (theta, rep.e_estimate, rep.mse, rep.bias)
 
     rows = _map_ordered(one, thetas, threads)
-    path = os.path.join(outdir, "fig3.csv")
+    path = os.path.join(outdir, f"{name}.csv")
     write_csv(path, ["theta_blp", "e_estimate", "mse", "bias"], rows)
+    return thetas, rows, path
+
+
+@register("fig3")
+def run_fig3(outdir: str, threads: int = 1) -> dict:
+    """The oracle sweep for the best linear weights S^{-1} b."""
+    thetas, rows, path = _oracle_sweep("fig3", lambda be: be.solve_S(be.b), outdir, threads)
     write_manifest(os.path.join(outdir, "fig3_manifest.json"), {
         "experiment": "fig3",
         "theta_grid": [float(t) for t in thetas],
@@ -187,22 +194,7 @@ def run_fig3(outdir: str, threads: int = 1) -> dict:
 @register("fig5")
 def run_fig5(outdir: str, threads: int = 1) -> dict:
     """Same sweep for the unbiasedness-constrained weights."""
-    design, pred = _grid_study_predictor("blup")
-    measure = sobol_measure(2, 2**10)
-    ktrue = KernelSpec("matern32", 10.0)
-    R = pred.loo_operator()
-    bundle_true = moments.build_bundle(R, pred, ktrue, design, measure, compute_Vn=True)
-    thetas = sorted(set(np.logspace(np.log10(0.05), np.log10(20.0), 25)) | {10.0})
-
-    def one(theta):
-        be = moments.build_bundle(R, pred, KernelSpec("matern32", theta),
-                                  design, measure)
-        rep = estimators.performance_report(estimators.blup_weights(be), bundle_true)
-        return (theta, rep.e_estimate, rep.mse, rep.bias)
-
-    rows = _map_ordered(one, thetas, threads)
-    path = os.path.join(outdir, "fig5.csv")
-    write_csv(path, ["theta_blp", "e_estimate", "mse", "bias"], rows)
+    _, rows, path = _oracle_sweep("fig5", estimators.blup_weights, outdir, threads)
     write_manifest(os.path.join(outdir, "fig5_manifest.json"), {
         "experiment": "fig5", "estimator": "unbiased weights",
         "generating_kernel": "matern32 theta=10", "vn_included": True, "seeds": {},

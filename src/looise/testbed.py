@@ -13,6 +13,7 @@ from . import numerics, rng
 from .designs import IntegrationMeasure, sobol_points
 from .errors import DomainViolation
 from .kernels import KernelSpec, cross_matrix, kernel_matrix
+from .moments import support_blocks
 
 
 def sample_gp(kernel: KernelSpec, X, seed: int, *stream_path: int) -> np.ndarray:
@@ -195,7 +196,7 @@ def omega_n(y) -> float:
     return float(np.var(np.asarray(y, dtype=float)))
 
 
-def true_ise(f, predictor, y, measure: IntegrationMeasure, block: int = 4096) -> float:
+def true_ise(f, predictor, y, measure: IntegrationMeasure) -> float:
     """Measure-weighted sum of squared prediction errors of a known function.
 
     `f` may be a callable/test function evaluated on the support, or an
@@ -207,9 +208,7 @@ def true_ise(f, predictor, y, measure: IntegrationMeasure, block: int = 4096) ->
     else:
         fvals = np.asarray(f, dtype=float)
     total = 0.0
-    for lo in range(0, measure.size, block):
-        hi = min(lo + block, measure.size)
-        eta = predictor.weights_matrix(measure.points[lo:hi]) @ y
-        diff = fvals[lo:hi] - eta
-        total += float(measure.weights[lo:hi] @ (diff * diff))
+    for rows, X, mu, _ in support_blocks(measure):
+        diff = fvals[rows] - predictor.weights_matrix(X) @ y
+        total += float(mu @ (diff * diff))
     return total

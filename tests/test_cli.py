@@ -203,6 +203,23 @@ def test_estimate_with_kernel_mixture(tmp_path, capsys):
     assert main(["estimate", "--config", cfg2]) == 2
 
 
+def test_estimate_mixture_output_is_strict_json(tmp_path, capsys):
+    # a mixture has no single assumed range: theta_used is null, never NaN
+    ycsv = write(tmp_path, "y.csv", "y\n" + "\n".join(f"{0.1 * i:.17g}" for i in range(10))
+                 + "\n")
+    cfg = write(tmp_path, "run.cfg", BASE_CONFIG + f"data.file = {ycsv}\n"
+                + "estimator.mixture.families = matern32,matern52\n"
+                + "estimator.mixture.thetas = 8,12\n"
+                + "estimator.mixture.weights = 0.5,0.5\n")
+    assert main(["estimate", "--config", cfg]) == 0
+
+    def reject(token):
+        raise ValueError(f"invalid JSON constant {token}")
+
+    out = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert out["theta_used"] is None
+
+
 def test_estimate_with_weight_table(tmp_path, capsys):
     from looise.designs import regular_grid as rg
     from looise.designs import sobol_points
@@ -273,6 +290,12 @@ def test_reproduce_deterministic_outputs(tmp_path, capsys):
     assert main(["reproduce", "fig1", "--out", str(out2), "--threads", "4"]) == 0
     capsys.readouterr()
     assert (out1 / "fig1.csv").read_bytes() == (out2 / "fig1.csv").read_bytes()
+
+
+def test_format_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--format", "csv"])
+    assert exc.value.code == 2
 
 
 def test_env_var_overrides(tmp_path, capsys, monkeypatch):

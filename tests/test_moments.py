@@ -292,3 +292,53 @@ def test_mixture_bundle_monte_carlo():
     S_emp = (eps_sq[:, :, None] * eps_sq[:, None, :]).mean(axis=0)
     se = (eps_sq[:, :, None] * eps_sq[:, None, :]).std(axis=0) / np.sqrt(ndraw)
     assert np.all(np.abs(S_emp - bundle.S) <= 4 * se + 1e-12)
+
+
+def test_bundle_builds_each_kernel_matrix_once(monkeypatch):
+    # K_e is kept on its component: the three support blocks and the clamped
+    # estimates reuse it instead of rebuilding it
+    import looise.moments as moments
+
+    calls = []
+
+    def counting(spec, X):
+        calls.append(spec)
+        return kernel_matrix(spec, X)
+
+    design = random_design(2, 12, seed=21)
+    measure = small_measure(2, 3 * moments.BLOCK, seed=22)
+    p = SimpleKriging(KernelSpec("matern52", 6.0), design)
+    eps = p.loo_residuals(np.linspace(-1.0, 1.0, 12))
+    monkeypatch.setattr(moments, "kernel_matrix", counting)
+    bundle = build_bundle(p.loo_operator(), p, KernelSpec("matern32", 8.0), design, measure)
+    assert len(calls) == 1
+    from looise.estimators import ise_blp, ise_blup
+
+    ise_blp(bundle, eps)
+    ise_blup(bundle, eps)
+    assert len(calls) == 1
+    kernels = [KernelSpec("matern32", 8.0), KernelSpec("gaussian", 5.0)]
+    mixture_bundle(kernels, [0.4, 0.6], p.loo_operator(), p, design, measure)
+    assert calls[1:] == kernels
+
+
+def test_sum_to_one_defect_is_flat_limit_J0():
+    design = random_design(2, 10, seed=23)
+    measure = small_measure(2, 5000, seed=24)
+    kern = KernelSpec("matern32", 7.0)
+    for p in (OrdinaryKriging(KernelSpec("matern52", 5.0), design),
+              SimpleKriging(KernelSpec("matern52", 5.0), design)):
+        bundle = build_bundle(p.loo_operator(), p, kern, design, measure)
+        J0 = flat_limit_diagnostics(p.loo_operator(), p, measure)["J0"]
+        assert bundle.sum_to_one_defect == J0
+
+
+def test_array_weights_lookup_matches_signed_zero():
+    design = random_design(1, 4, seed=25)
+    measure = uniform_measure(np.array([[0.0], [0.5], [1.0]]))
+    p = SimpleKriging(KernelSpec("matern52", 3.0), design)
+    W = p.weights_matrix(measure.points)
+    bundle = build_bundle(p.loo_operator(), W, KernelSpec("matern32", 4.0), design, measure)
+    c_neg, rho_neg = pointwise_c_rho(bundle, [[-0.0]])
+    c_pos, rho_pos = pointwise_c_rho(bundle, [[0.0]])
+    assert np.array_equal(c_neg, c_pos) and np.array_equal(rho_neg, rho_pos)

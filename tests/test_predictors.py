@@ -191,10 +191,11 @@ def test_mixture_weight_validation():
 
 def test_table_weights_lookup_and_errors():
     design = random_design(1, 4, seed=3)
-    support = np.array([[0.1], [0.2], [0.3]])
+    support = np.array([[0.0], [0.2], [0.3]])
     table = np.tile(np.array([0.25, 0.25, 0.25, 0.25]), (3, 1))
     p = TableWeights(support, table, design)
     assert np.allclose(p.weights([0.2]), 0.25)
+    assert np.allclose(p.weights([-0.0]), 0.25)  # signed zeros match
     with pytest.raises(LooiseError):
         p.weights([0.99])
     with pytest.raises(LooiseError):
