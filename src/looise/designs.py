@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.stats import qmc
 
 from . import numerics, rng
@@ -27,7 +28,14 @@ from .errors import (
     TooManyPoints,
     UnsupportedDimension,
 )
-from .kernels import KernelSpec, correlation, kernel_matrix
+from .kernels import (
+    KernelSpec,
+    coincide,
+    correlation,
+    distances,
+    kernel_matrix,
+    min_pairwise_distance,
+)
 
 SOBOL_MAX_DIM = 21
 SOBOL_BITS = 30
@@ -35,7 +43,11 @@ SOBOL_BITS = 30
 
 @dataclass(frozen=True)
 class Design:
-    """A set of points in [0,1]^d with a provenance tag."""
+    """A set of distinct points in [0,1]^d with a provenance tag.
+
+    Points are distinct when no two of them coincide in the sense of
+    `kernels.coincide` (distance at most 1e-14).
+    """
 
     points: np.ndarray  # (n, d)
     provenance: str = "user"
@@ -45,7 +57,7 @@ class Design:
         object.__setattr__(self, "points", pts)
         if pts.size and (pts.min() < -1e-12 or pts.max() > 1 + 1e-12):
             raise ValueError("design coordinates must lie in [0,1]")
-        if len(pts) > 1 and len(np.unique(pts, axis=0)) < len(pts):
+        if coincide(min_pairwise_distance(pts)):
             raise ValueError("design points must be distinct")
 
     @property
@@ -132,11 +144,6 @@ def regular_grid(d: int, per_axis: int) -> Design:
     return Design(points=pts, provenance="grid")
 
 
-def _min_dists_to(point: np.ndarray, X: np.ndarray) -> np.ndarray:
-    diff = X - point[None, :]
-    return np.sqrt(np.sum(diff * diff, axis=1))
-
-
 def greedy_packing(candidates, n: int, a: float = 0.0, seed: int = 0) -> Design:
     """Relaxed greedy-packing design drawn against a finite candidate set.
 
@@ -157,23 +164,22 @@ def greedy_packing(candidates, n: int, a: float = 0.0, seed: int = 0) -> Design:
     gen = rng.stream(seed)
     pts = np.empty((n, d))
     pts[0] = 0.5
-    dmin = _min_dists_to(pts[0], cand)  # min distance of each candidate to the design
+    dmin = distances(pts[0][None], cand)[0]  # min distance of each candidate to the design
     for k in range(1, n):
         star = int(np.argmax(dmin))  # lowest index on ties
         xstar = cand[star]
-        dists = _min_dists_to(xstar, pts[:k])
+        dists = distances(xstar[None], pts[:k])[0]
         nearest = int(np.argmin(dists))
         alpha = gen.uniform(0.0, a) if a > 0 else 0.0
         new = alpha * pts[nearest] + (1.0 - alpha) * xstar
         pts[k] = new
-        dmin = np.minimum(dmin, _min_dists_to(new, cand))
+        dmin = np.minimum(dmin, distances(new[None], cand)[0])
     return Design(points=pts, provenance="packing")
 
 
-def nn_distance(eval_points, design: Design | np.ndarray, k: int = 1,
-                block: int = 4096) -> float:
+def nn_distance(eval_points, design: Design | np.ndarray, k: int = 1) -> float:
     """Covering statistic D_n[k]: the largest, over the evaluation set, of
-    the distances to the k-th nearest design point. Exhaustive scan."""
+    the distances to the k-th nearest design point. Exact k-nearest query."""
     X = np.atleast_2d(np.asarray(eval_points, dtype=float))
     D = design.points if isinstance(design, Design) else np.atleast_2d(np.asarray(design, float))
     n = len(D)
@@ -181,26 +187,12 @@ def nn_distance(eval_points, design: Design | np.ndarray, k: int = 1,
         raise KTooLarge(f"k={k} exceeds design size {n}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    worst = 0.0
-    for lo in range(0, len(X), block):
-        chunk = X[lo:lo + block]
-        diff = chunk[:, None, :] - D[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=2))
-        kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
-        worst = max(worst, float(kth.max()))
-    return worst
+    kth, _ = cKDTree(D).query(X, k=[k])
+    return float(kth.max())
 
 
 def covering_distance(eval_points, design) -> float:
     return nn_distance(eval_points, design, k=1)
-
-
-def min_pairwise_distance(points) -> float:
-    X = np.atleast_2d(np.asarray(points, dtype=float))
-    diff = X[:, None, :] - X[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    dist[np.diag_indices(len(X))] = np.inf
-    return float(dist.min())
 
 
 def packing_radius(design: Design | np.ndarray) -> float:
@@ -216,13 +208,13 @@ def _witness_covering_radius(cand: np.ndarray, n: int) -> float:
     n selections. The n+1 selected candidates are pairwise >= r_n apart,
     so no n-point design can cover the candidates closer than r_n / 2."""
     center = np.full(cand.shape[1], 0.5)
-    first = int(np.argmin(_min_dists_to(center, cand)))
-    dmin = _min_dists_to(cand[first], cand)
+    first = int(np.argmin(distances(center[None], cand)[0]))
+    dmin = distances(cand[first][None], cand)[0]
     r_last = 0.0
     for _ in range(1, n + 1):
         star = int(np.argmax(dmin))
         r_last = float(dmin[star])
-        dmin = np.minimum(dmin, _min_dists_to(cand[star], cand))
+        dmin = np.minimum(dmin, distances(cand[star][None], cand)[0])
     return r_last
 
 
@@ -284,21 +276,15 @@ def theta_from_coverage(family: str, D: float, target: float) -> float:
 RCOND_FLOOR = 1e-12
 
 
-def _loo_criterion_simple(K: np.ndarray, y: np.ndarray) -> float:
+def _loo_criterion(K: np.ndarray, y: np.ndarray, mean_mode: str) -> float:
+    """Mean squared LOO residual of simple (zero mean) or ordinary
+    (constant mean) kriging with kernel matrix K."""
     F = numerics.spd_factorize(K)
     if numerics.rcond_estimate(F) < RCOND_FLOOR:
         return math.inf  # residuals from a numerically singular solve are garbage
-    M = numerics.inverse(F)
-    resid = (M @ y) / np.diag(M)
-    return float(np.mean(resid * resid))
-
-
-def _loo_criterion_constant(K: np.ndarray, y: np.ndarray) -> float:
-    if numerics.rcond_estimate(numerics.spd_factorize(K)) < RCOND_FLOOR:
-        return math.inf
-    Mbar = numerics.bordered_inverse(K)
     n = len(y)
-    resid = (Mbar[:n, :n] @ y) / np.diag(Mbar)[:n]
+    M = numerics.inverse(F) if mean_mode == "zero" else numerics.bordered_inverse(F)[:n, :n]
+    resid = (M @ y) / np.diag(M)
     return float(np.mean(resid * resid))
 
 
@@ -315,7 +301,8 @@ def theta_loo(y, design: Design, family: str, mean_mode: str = "zero",
     predictor (``mean_mode="constant"``) for the given family, as a
     function of theta. Search: 60 log-spaced nodes on [1e-2, 1e3], then
     golden-section refinement of the bracketing interval to 1e-4
-    relative width. Deterministic.
+    relative width. Deterministic. Raises DegenerateData when the
+    criterion is infinite at every grid node.
     """
     y = np.asarray(y, dtype=float)
     if design.n < 3:
@@ -324,17 +311,18 @@ def theta_loo(y, design: Design, family: str, mean_mode: str = "zero",
         raise ValueError("mean_mode must be 'zero' or 'constant'")
     if mean_mode == "constant" and np.ptp(y) == 0.0:
         raise DegenerateData("constant data: all ordinary-kriging LOO residuals are zero")
-    crit_fn = _loo_criterion_simple if mean_mode == "zero" else _loo_criterion_constant
 
     def objective(theta: float) -> float:
         # ranges whose kernel matrix is numerically singular are off-limits
         K = kernel_matrix(KernelSpec(family, theta, nugget), design.points)
         try:
-            return crit_fn(K, y)
+            return _loo_criterion(K, y, mean_mode)
         except NotPositiveDefinite:
             return math.inf
 
     values = [objective(t) for t in THETA_LOO_GRID]
+    if not np.isfinite(values).any():
+        raise DegenerateData("the kernel matrix is numerically singular at every grid range")
     i = int(np.argmin(values))
     lo = THETA_LOO_GRID[max(i - 1, 0)]
     hi = THETA_LOO_GRID[min(i + 1, len(THETA_LOO_GRID) - 1)]

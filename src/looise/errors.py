@@ -65,6 +65,10 @@ class DegenerateConstraint(LooiseError):
     pass
 
 
+class BundleMismatch(LooiseError):
+    """A moment bundle was not built for the kernel it is used with."""
+
+
 class WeightSimplexViolation(LooiseError):
     pass
 

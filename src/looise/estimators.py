@@ -21,6 +21,7 @@ import numpy as np
 from . import numerics
 from .designs import Design, IntegrationMeasure
 from .errors import (
+    BundleMismatch,
     DegenerateConstraint,
     DegenerateData,
     DimensionMismatch,
@@ -223,12 +224,20 @@ def trend_corrected_ise(y, predictor, kernel_e: KernelSpec, measure: Integration
     deterministic term tau^2 * int (1 - w(x)^T 1)^2 dmu is added back.
     For predictors whose weights sum to one the correction vanishes and
     the result equals the uncorrected estimate on the raw data.
+
+    A given bundle must hold a component of kernel `kernel_e`, whose
+    kernel matrix the mean estimate reuses; BundleMismatch otherwise.
     """
     if h_spec != "constant":
         raise NotImplementedError("only the constant-trend correction is available")
     y = np.asarray(y, dtype=float)
     design = predictor.design
-    K = kernel_matrix(kernel_e, design.points)
+    if bundle is None:
+        bundle = build_bundle(predictor.loo_operator(), predictor, kernel_e,
+                              design, measure, compute_Vn=compute_Vn)
+    K = next((c.K for c in bundle.components if c.kernel == kernel_e), None)
+    if K is None:
+        raise BundleMismatch(f"the bundle has no component of kernel {kernel_e}")
     F = numerics.spd_factorize(K)
     a = numerics.solve(F, np.ones(design.n))
     s = float(np.ones(design.n) @ a)
@@ -236,9 +245,6 @@ def trend_corrected_ise(y, predictor, kernel_e: KernelSpec, measure: Integration
         raise DegenerateConstraint("1^T K^{-1} 1 is numerically zero")
     tau = float(a @ y) / s
     z = y - tau
-    if bundle is None:
-        bundle = build_bundle(predictor.loo_operator(), predictor, kernel_e,
-                              design, measure, compute_Vn=compute_Vn)
     eps_z = bundle.R.T @ z
     base = ise_blp(bundle, eps_z, clamp) if estimator == "blp" else ise_blup(bundle, eps_z, clamp)
     correction = tau * tau * bundle.sum_to_one_defect

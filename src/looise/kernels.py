@@ -1,12 +1,15 @@
-"""Isotropic correlation kernels, kernel matrices and cross-correlation vectors.
+"""Geometry, isotropic correlation kernels and kernel matrices.
 
-A kernel is described by a :class:`KernelSpec` (family, range parameter
-theta, optional nugget). The correlation between two points is
-``psi_family(theta * ||x - x'||)`` plus the nugget when the points
-coincide exactly. The nugget models observation noise: it enters the
-design kernel matrix (diagonal) but never the cross-correlation vector
-to a prediction point, even when that point coincides with a design
-point, because predictions target the noise-free process.
+Every Euclidean distance of the package comes from :func:`distances`,
+and two points coincide when that distance is at most
+``COINCIDENCE_TOL`` (:func:`coincide`). A kernel is described by a
+:class:`KernelSpec` (family, range parameter theta, optional nugget).
+The correlation between two points is ``psi_family(theta * ||x - x'||)``
+plus the nugget when the points coincide. The nugget models observation
+noise: it enters the design kernel matrix (diagonal) but never the
+cross-correlation matrix to prediction points, even when such a point
+coincides with a design point, because predictions target the
+noise-free process.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist, pdist
 
 from .errors import DimensionMismatch, DuplicatePoints
 
@@ -23,8 +27,24 @@ FAMILIES = ("matern12", "matern32", "matern52", "gaussian", "inverse-multiquadri
 _SQRT3 = math.sqrt(3.0)
 _SQRT5 = math.sqrt(5.0)
 
-# Distance below which two points are treated as coincident.
+# Distance at or below which two points coincide.
 COINCIDENCE_TOL = 1e-14
+
+
+def distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Euclidean distance matrix between the rows of X (m, d) and Y (n, d)."""
+    return cdist(X, Y)
+
+
+def min_pairwise_distance(points) -> float:
+    """Smallest distance between two rows of `points`; inf for a single point."""
+    X = np.atleast_2d(np.asarray(points, dtype=float))
+    return float(pdist(X).min()) if len(X) > 1 else math.inf
+
+
+def coincide(r):
+    """The one rule for when two points coincide, for a distance or an array of them."""
+    return r <= COINCIDENCE_TOL
 
 
 @dataclass(frozen=True)
@@ -42,9 +62,6 @@ class KernelSpec:
             raise ValueError("theta must be > 0")
         if self.nugget < 0:
             raise ValueError("nugget must be >= 0")
-
-    def with_theta(self, theta: float) -> "KernelSpec":
-        return KernelSpec(self.family, float(theta), self.nugget)
 
 
 def correlation(family: str, s):
@@ -66,22 +83,16 @@ def correlation(family: str, s):
 
 
 def kernel_eval(spec: KernelSpec, x, x2) -> float:
-    """Correlation between two points; adds the nugget iff x == x2 exactly."""
+    """Correlation between two points; adds the nugget iff they coincide."""
     x = np.asarray(x, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     if x.shape != x2.shape:
         raise DimensionMismatch(f"point dimensions differ: {x.shape} vs {x2.shape}")
-    r = float(np.linalg.norm(x - x2))
+    r = float(distances(x.reshape(1, -1), x2.reshape(1, -1))[0, 0])
     val = float(correlation(spec.family, spec.theta * r))
-    if spec.nugget and np.array_equal(x, x2):
+    if spec.nugget and coincide(r):
         val += spec.nugget
     return val
-
-
-def _pairwise_distances(X, Y) -> np.ndarray:
-    """Euclidean distance matrix between rows of X (n,d) and Y (m,d)."""
-    diff = X[:, None, :] - Y[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
 
 
 def _as_points(X) -> np.ndarray:
@@ -99,19 +110,18 @@ def kernel_matrix(spec: KernelSpec, X) -> np.ndarray:
     Raises
     ------
     DuplicatePoints
-        If the nugget is zero and two points coincide within 1e-14
-        (the matrix would be exactly singular).
+        If the nugget is zero and two points coincide (the matrix would
+        be singular).
     """
     X = _as_points(X)
-    D = _pairwise_distances(X, X)
-    if spec.nugget == 0.0:
-        off = D + np.diag(np.full(len(X), np.inf))
-        if len(X) > 1 and off.min() <= COINCIDENCE_TOL:
-            i, j = np.unravel_index(int(off.argmin()), off.shape)
-            raise DuplicatePoints(f"points {i} and {j} coincide and the nugget is zero")
+    D = distances(X, X)
+    same = coincide(D)
+    if spec.nugget == 0.0 and np.count_nonzero(same) > len(X):
+        i, j = np.argwhere(np.triu(same, 1))[0]
+        raise DuplicatePoints(f"points {i} and {j} coincide and the nugget is zero")
     K = correlation(spec.family, spec.theta * D)
     if spec.nugget:
-        K = K + spec.nugget * (D <= COINCIDENCE_TOL)
+        K = K + spec.nugget * same
     return 0.5 * (K + K.T)
 
 
@@ -127,10 +137,4 @@ def cross_matrix(spec: KernelSpec, X, Xnew) -> np.ndarray:
         raise DimensionMismatch(
             f"design dimension {X.shape[1]} != point dimension {Xnew.shape[1]}"
         )
-    return correlation(spec.family, spec.theta * _pairwise_distances(Xnew, X))
-
-
-def cross_vector(spec: KernelSpec, X, x) -> np.ndarray:
-    """Correlations k(x, x_i) between one point and the design (nugget excluded)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return cross_matrix(spec, X, x[None, :])[0]
+    return correlation(spec.family, spec.theta * distances(Xnew, X))

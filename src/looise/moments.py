@@ -27,7 +27,7 @@ from .errors import (
     NotPositiveDefinite,
     WeightSimplexViolation,
 )
-from .kernels import KernelSpec, cross_matrix, kernel_eval, kernel_matrix
+from .kernels import KernelSpec, cross_matrix, kernel_matrix
 from .predictors import exact_lookup
 
 BLOCK = 4096  # support rows per block of the single integrals
@@ -134,32 +134,6 @@ class MomentBundle:
     @property
     def vn_included(self) -> bool:
         return self.V is not None
-
-
-def rho2(w, kernel: KernelSpec, design: Design, x) -> float:
-    """Normalized expected squared prediction error at x for weights w."""
-    w = np.asarray(w, dtype=float)
-    k = cross_matrix(kernel, design.points, np.atleast_2d(np.asarray(x, float)))[0]
-    K = kernel_matrix(kernel, design.points)
-    return float(kernel_eval(kernel, x, x) - 2.0 * w @ k + w @ K @ w)
-
-
-def rho2_cross(w1, w2, kernel: KernelSpec, design: Design, x1, x2) -> float:
-    """Normalized covariance of the prediction errors at x1 and x2."""
-    w1 = np.asarray(w1, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
-    k1 = cross_matrix(kernel, design.points, np.atleast_2d(np.asarray(x1, float)))[0]
-    k2 = cross_matrix(kernel, design.points, np.atleast_2d(np.asarray(x2, float)))[0]
-    K = kernel_matrix(kernel, design.points)
-    return float(kernel_eval(kernel, x1, x2) - w1 @ k2 - w2 @ k1 + w1 @ K @ w2)
-
-
-def t_vector(w, kernel: KernelSpec, design: Design, x) -> np.ndarray:
-    """Normalized cross-moments E{y eps(x)}: k(x) - K w(x)."""
-    w = np.asarray(w, dtype=float)
-    k = cross_matrix(kernel, design.points, np.atleast_2d(np.asarray(x, float)))[0]
-    K = kernel_matrix(kernel, design.points)
-    return k - K @ w
 
 
 def _sources(R, weights, measure: IntegrationMeasure):

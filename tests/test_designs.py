@@ -110,6 +110,14 @@ def test_regular_grid_1d():
     assert np.array_equal(np.sort(g.points.ravel()), [0.0, 1.0])
 
 
+def test_design_rejects_coincident_points():
+    with pytest.raises(ValueError, match="distinct"):
+        Design(points=[[0.3], [0.3 + 1e-16]])
+    with pytest.raises(ValueError, match="distinct"):
+        Design(points=[[0.1, 0.2], [0.5, 0.5], [0.1, 0.2]])
+    assert Design(points=[[0.0], [1e-13]]).n == 2
+
+
 def test_measure_weights_validation():
     pts = np.array([[0.1], [0.9]])
     m = uniform_measure(pts)
@@ -186,7 +194,7 @@ def test_nn_distance_matches_naive():
         for x in evals:
             dists = np.sort(np.linalg.norm(design - x, axis=1))
             naive = max(naive, dists[k - 1])
-        assert np.isclose(nn_distance(evals, design, k=k, block=16), naive, rtol=1e-14)
+        assert np.isclose(nn_distance(evals, design, k=k), naive, rtol=1e-14)
 
 
 def test_packing_radius_grid():
@@ -231,7 +239,7 @@ def test_theta_from_coverage_no_root():
 def test_theta_loo_minimizer_property():
     design = Design(points=np.linspace(0, 1, 25)[:, None])
     y = sample_gp(KernelSpec("matern52", 12.0), design.points, seed=3)
-    from looise.designs import THETA_LOO_GRID, _loo_criterion_simple
+    from looise.designs import THETA_LOO_GRID, _loo_criterion
     from looise.errors import NotPositiveDefinite
     from looise.kernels import kernel_matrix
 
@@ -239,8 +247,8 @@ def test_theta_loo_minimizer_property():
 
     def objective(t):
         try:
-            return _loo_criterion_simple(
-                kernel_matrix(KernelSpec("matern52", t), design.points), y)
+            return _loo_criterion(
+                kernel_matrix(KernelSpec("matern52", t), design.points), y, "zero")
         except NotPositiveDefinite:
             return math.inf
 
@@ -255,6 +263,14 @@ def test_theta_loo_constant_mode_and_degenerate():
     assert theta_hat > 0
     with pytest.raises(DegenerateData):
         theta_loo(np.full(12, 2.0), design, "matern32", mean_mode="constant")
+
+
+@pytest.mark.parametrize("mean_mode", ["zero", "constant"])
+def test_theta_loo_fails_when_every_grid_node_is_singular(mean_mode):
+    # two points 1e-13 apart leave K numerically singular at every grid range
+    design = Design(points=[[0.0], [1e-13], [0.5], [0.9]])
+    with pytest.raises(DegenerateData, match="every grid range"):
+        theta_loo(np.array([0.1, 0.4, -0.3, 0.8]), design, "matern52", mean_mode=mean_mode)
 
 
 def test_theta_loo_recovers_generating_scale():

@@ -3,7 +3,8 @@ import pytest
 
 from conftest import gp_draw, random_design, small_measure
 from looise.designs import Design
-from looise.errors import DegenerateData, EmptyInput, SingularGram
+from looise import estimators
+from looise.errors import BundleMismatch, DegenerateData, EmptyInput, SingularGram
 from looise.estimators import (
     blp_pointwise,
     blup_weights,
@@ -218,6 +219,28 @@ def test_trend_correction_constant_data():
     W = p.weights_matrix(measure.points)
     defect = float(measure.weights @ (1.0 - W.sum(axis=1)) ** 2)
     assert np.isclose(est.value, c * c * defect, rtol=1e-8)
+
+
+def test_trend_correction_reuses_the_bundle_kernel_matrix(monkeypatch):
+    design = random_design(2, 12, seed=61)
+    p = SimpleKriging(KernelSpec("matern32", 5.0), design)
+    measure = small_measure(2, 64, seed=62)
+    kern = KernelSpec("matern52", 6.0)
+    y = gp_draw(KernelSpec("matern32", 5.0), design, seed=63) + 2.0
+    bundle = build_bundle(p.loo_operator(), p, kern, design, measure)
+    fresh = trend_corrected_ise(y, p, kern, measure)
+    calls = []
+
+    def counting(spec, X):
+        calls.append(spec)
+        return kernel_matrix(spec, X)
+
+    monkeypatch.setattr(estimators, "kernel_matrix", counting)
+    reused = trend_corrected_ise(y, p, kern, measure, bundle=bundle)
+    assert calls == []
+    assert reused.value == fresh.value
+    with pytest.raises(BundleMismatch):
+        trend_corrected_ise(y, p, KernelSpec("matern52", 7.0), measure, bundle=bundle)
 
 
 def test_optimal_mixture_weights():

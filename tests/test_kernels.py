@@ -7,8 +7,9 @@ from looise.errors import DimensionMismatch, DuplicatePoints
 from looise.kernels import (
     FAMILIES,
     KernelSpec,
+    correlation,
     cross_matrix,
-    cross_vector,
+    distances,
     kernel_eval,
     kernel_matrix,
 )
@@ -117,21 +118,44 @@ def test_duplicate_points_rejected_when_no_nugget():
     assert K[0, 0] == 1.1
 
 
+def test_nugget_follows_the_coincidence_rule():
+    # 0.3 + 1e-16 is a different float, but within COINCIDENCE_TOL of 0.3
+    spec = KernelSpec("matern32", 2.0, 0.25)
+    pts = [[0.3], [0.3 + 1e-16]]
+    assert pts[0] != pts[1]
+    K = kernel_matrix(spec, pts)
+    assert kernel_eval(spec, pts[0], pts[1]) == K[0, 1] == 1.25
+    with pytest.raises(DuplicatePoints):
+        kernel_matrix(KernelSpec("matern32", 2.0), pts)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_distances_equal_the_naive_broadcast(d):
+    gen = np.random.default_rng(d)
+    X, Y = gen.uniform(size=(37, d)), gen.uniform(size=(23, d))
+    naive = np.sqrt(((X[:, None] - Y[None]) ** 2).sum(2))
+    assert np.array_equal(distances(X, Y), naive)
+    spec = KernelSpec("matern52", 3.0)
+    assert np.array_equal(cross_matrix(spec, Y, X), correlation(spec.family, 3.0 * naive))
+    naive_xx = np.sqrt(((X[:, None] - X[None]) ** 2).sum(2))
+    assert np.array_equal(kernel_matrix(spec, X), correlation(spec.family, 3.0 * naive_xx))
+
+
 def test_cross_vector_at_design_point():
     pts = np.array([[0.0], [0.5], [1.0]])
-    k = cross_vector(KernelSpec("matern32", 5.0), pts, [0.0])
+    k = cross_matrix(KernelSpec("matern32", 5.0), pts, [[0.0]])[0]
     assert k[0] == 1.0
 
 
 def test_cross_vector_excludes_nugget():
     pts = np.array([[0.0], [0.5], [1.0]])
-    k = cross_vector(KernelSpec("matern32", 5.0, nugget=0.0625), pts, [0.0])
+    k = cross_matrix(KernelSpec("matern32", 5.0, nugget=0.0625), pts, [[0.0]])[0]
     assert k[0] == 1.0
 
 
 def test_cross_vector_decay():
     pts = np.array([[0.0], [0.1]])
-    k = cross_vector(KernelSpec("gaussian", 100.0), pts, [1.0])
+    k = cross_matrix(KernelSpec("gaussian", 100.0), pts, [[1.0]])[0]
     assert np.all(k < 1e-8)
 
 

@@ -11,12 +11,10 @@ from looise.moments import (
     independent_limit_bundle,
     mixture_bundle,
     pointwise_c_rho,
-    rho2,
-    rho2_cross,
-    t_vector,
 )
 from looise.predictors import EmpiricalMean, OrdinaryKriging, SimpleKriging
 from looise.rng import stream
+from looise.selftest import rho2, rho2_cross, t_vector
 
 
 def test_rho2_interpolator_zero_at_design():
