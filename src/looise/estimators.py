@@ -34,7 +34,6 @@ from .moments import (
     build_bundle,
     mixture_bundle,
     pointwise_c_rho,
-    support_blocks,
 )
 
 __all__ = [
@@ -103,63 +102,38 @@ def blp_pointwise(bundle: MomentBundle, eps_loo, x, clamp: bool = True) -> float
     return max(val, 0.0) if clamp else val
 
 
-def _constraint(bundle: MomentBundle) -> tuple[np.ndarray, float]:
-    """h = S^{-1} u and q = u^T h of the unbiasedness constraint gamma^T u = J."""
-    h = bundle.solve_S(bundle.u)
-    q = float(bundle.u @ h)
-    if q <= 1e-14:
-        raise DegenerateConstraint("u^T S^{-1} u is numerically zero")
-    return h, q
-
-
-def _streamed_estimate(bundle: MomentBundle, eps_sq: np.ndarray, mode: str) -> float:
-    """Integral of the pointwise estimates, clamped at zero, against mu."""
-    g = bundle.solve_S(eps_sq)
-    if mode == "blup":
-        h, q = _constraint(bundle)
-        ug = float(bundle.u @ g)
-    total = 0.0
-    for _, X, mu, W in support_blocks(bundle.measure, bundle.weights):
-        c_rows, rho = pointwise_c_rho(bundle, X, W=W)
-        vals = c_rows @ g
-        if mode == "blup":
-            vals = vals + (rho - c_rows @ h) * (ug / q)
-        total += float(mu @ np.maximum(vals, 0.0))
-    return total
-
-
 def ise_blp(bundle: MomentBundle, eps_loo, clamp: bool = True) -> IseEstimate:
     """Best linear estimate of the ISE from squared LOO residuals.
 
     Unclamped, the estimate is the quadratic form eps^{o2T} S^{-1} b;
     clamped (default), it is the measure-weighted sum of the pointwise
-    estimates clamped at zero, which requires one streaming pass over
-    the support.
+    estimates clamped at zero. The bundle integrates those in the same
+    support pass as b and J, so the clamped integral is asked for first.
     """
-    eps = _check_eps(bundle, eps_loo)
+    eps_sq = _check_eps(bundle, eps_loo) ** 2
+    clamped = bundle.clamped_integrals(eps_sq)[0] if clamp else None  # before b
     gamma = bundle.solve_S(bundle.b)
-    if clamp:
-        value = _streamed_estimate(bundle, eps * eps, "blp")
-        return IseEstimate(value=value, estimator="blp+", gamma=gamma, clamped=True)
-    return IseEstimate(value=float(gamma @ (eps * eps)), estimator="blp", gamma=gamma)
+    value = clamped if clamp else float(gamma @ eps_sq)
+    return IseEstimate(value=value, estimator="blp+" if clamp else "blp", gamma=gamma,
+                       clamped=clamp)
 
 
 def blup_weights(bundle: MomentBundle) -> np.ndarray:
     """Weights of the unbiased variant: the BLP weights plus the
     correction enforcing gamma^T u = J exactly."""
     g_blp = bundle.solve_S(bundle.b)
-    h, q = _constraint(bundle)
+    h, q = bundle.constraint()
     return g_blp + (bundle.J - float(bundle.u @ g_blp)) / q * h
 
 
 def ise_blup(bundle: MomentBundle, eps_loo, clamp: bool = True) -> IseEstimate:
     """Unbiased weighted estimate (exact unbiasedness under the assumed kernel)."""
-    eps = _check_eps(bundle, eps_loo)
-    gamma = blup_weights(bundle)
-    if clamp:
-        value = _streamed_estimate(bundle, eps * eps, "blup")
-        return IseEstimate(value=value, estimator="blup+", gamma=gamma, clamped=True)
-    return IseEstimate(value=float(gamma @ (eps * eps)), estimator="blup", gamma=gamma)
+    eps_sq = _check_eps(bundle, eps_loo) ** 2
+    clamped = bundle.clamped_integrals(eps_sq)[1] if clamp else None  # as in ise_blp
+    gamma = blup_weights(bundle)  # raises DegenerateConstraint where clamped is None
+    value = clamped if clamp else float(gamma @ eps_sq)
+    return IseEstimate(value=value, estimator="blup+" if clamp else "blup", gamma=gamma,
+                       clamped=clamp)
 
 
 def performance_report(gamma, bundle: MomentBundle, sigma2: float = 1.0) -> PerformanceReport:
@@ -213,6 +187,13 @@ def estimator_dominance_check(bundle_e: MomentBundle, bundle_true: MomentBundle)
     }
 
 
+def _kernel_matrix_of(bundle: MomentBundle, kernel_e: KernelSpec) -> np.ndarray:
+    K = next((c.K for c in bundle.components if c.kernel == kernel_e), None)
+    if K is None:
+        raise BundleMismatch(f"the bundle has no component of kernel {kernel_e}")
+    return K
+
+
 def trend_corrected_ise(y, predictor, kernel_e: KernelSpec, measure: IntegrationMeasure,
                         h_spec: str = "constant", estimator: str = "blp",
                         clamp: bool = True, bundle: MomentBundle | None = None,
@@ -227,6 +208,8 @@ def trend_corrected_ise(y, predictor, kernel_e: KernelSpec, measure: Integration
 
     A given bundle must hold a component of kernel `kernel_e`, whose
     kernel matrix the mean estimate reuses; BundleMismatch otherwise.
+    Under a kernel mixture the mean is thus estimated under that one
+    kernel only (`looise estimate` passes the lead kernel of the mixture).
     """
     if h_spec != "constant":
         raise NotImplementedError("only the constant-trend correction is available")
@@ -235,10 +218,7 @@ def trend_corrected_ise(y, predictor, kernel_e: KernelSpec, measure: Integration
     if bundle is None:
         bundle = build_bundle(predictor.loo_operator(), predictor, kernel_e,
                               design, measure, compute_Vn=compute_Vn)
-    K = next((c.K for c in bundle.components if c.kernel == kernel_e), None)
-    if K is None:
-        raise BundleMismatch(f"the bundle has no component of kernel {kernel_e}")
-    F = numerics.spd_factorize(K)
+    F = numerics.spd_factorize(_kernel_matrix_of(bundle, kernel_e))
     a = numerics.solve(F, np.ones(design.n))
     s = float(np.ones(design.n) @ a)
     if abs(s) < 1e-14:
@@ -289,15 +269,15 @@ def sigma2_estimators(y, kernel_e: KernelSpec, bundle: MomentBundle) -> dict:
     """Variance estimates {ml, loo, blp, blup} for the assumed kernel.
 
     The bundle must have been built for the simple-kriging predictor of
-    `kernel_e` (whose expected ISE is sigma^2 J). Requires n >= 2; with
-    a single observation only the ML estimate exists.
+    `kernel_e` (whose expected ISE is sigma^2 J), and its kernel matrix is
+    reused (BundleMismatch if it has none). Requires n >= 2; with a
+    single observation only the ML estimate exists.
     """
     y = np.asarray(y, dtype=float)
     n = len(y)
     if n < 2:
         raise DegenerateData("LOO-based variance estimates need n >= 2")
-    design = bundle.design
-    F = numerics.spd_factorize(kernel_matrix(kernel_e, design.points))
+    F = numerics.spd_factorize(_kernel_matrix_of(bundle, kernel_e))
     M = numerics.inverse(F)
     My = M @ y
     diag = np.diag(M)

@@ -10,11 +10,13 @@ limit), the first two moments of the squared LOO residual vector
 
 Integration against the measure is streamed in blocks: per-point
 cross-moment vectors c(x) are accumulated into b without materializing
-the (support size) x n array.
+the (support size) x n array. A bundle makes this one pass on first
+demand, under a lock; it also integrates the clamped blp/blup estimates.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +24,7 @@ import numpy as np
 from . import numerics
 from .designs import Design, IntegrationMeasure
 from .errors import (
+    DegenerateConstraint,
     DimensionMismatch,
     FlatLimitSingular,
     NotPositiveDefinite,
@@ -32,6 +35,7 @@ from .predictors import exact_lookup
 
 BLOCK = 4096  # support rows per block of the single integrals
 VN_BLOCK = 512  # rows per block of the O(N^2) V_n double integral
+CONSTRAINT_TOL = 1e-14  # q = u^T S^{-1} u at or below this: degenerate constraint
 
 
 class WeightSource:
@@ -101,17 +105,17 @@ class Component:
 
 @dataclass
 class MomentBundle:
+    """b, J and the sum-to-one defect, int (1 - w(x)^T 1)^2 dmu, come from the
+    one support pass, run on first demand."""
+
     u: np.ndarray
     S: np.ndarray
-    b: np.ndarray
-    J: float
     V: float | None
     R: np.ndarray
     design: Design
     measure: IntegrationMeasure
     components: list[Component]
     weights: WeightSource
-    sum_to_one_defect: float  # integral of (1 - w(x)^T 1)^2 against the measure
     S_fact: numerics.SpdFactorization = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -123,6 +127,10 @@ class MomentBundle:
                     "S is numerically singular; the assumed kernel is too close "
                     "to its flat limit for this predictor"
                 ) from exc
+        self._moments = None  # (b, J, defect), once the support pass has run
+        self._hq = None  # (h, q) of the unbiasedness constraint
+        self._clamped = {}  # eps^2 bytes -> (blp+, blup+ or None)
+        self._lock = threading.Lock()
 
     @property
     def n(self) -> int:
@@ -134,6 +142,68 @@ class MomentBundle:
     @property
     def vn_included(self) -> bool:
         return self.V is not None
+
+    def _cross_moments(self) -> tuple:
+        with self._lock:
+            if self._moments is None:
+                self._support_pass()
+            return self._moments
+
+    def _set_J(self, value: float):
+        b, _, defect = self._cross_moments()
+        self._moments = (b, float(value), defect)
+
+    b = property(lambda self: self._cross_moments()[0])
+    J = property(lambda self: self._cross_moments()[1], _set_J)
+    sum_to_one_defect = property(lambda self: self._cross_moments()[2])
+
+    def constraint(self) -> tuple[np.ndarray, float]:
+        """h = S^{-1} u and q = u^T h of the unbiasedness constraint gamma^T u = J."""
+        with self._lock:
+            if self._hq is None:
+                h = self.solve_S(self.u)
+                self._hq = (h, float(self.u @ h))
+        if self._hq[1] <= CONSTRAINT_TOL:
+            raise DegenerateConstraint("u^T S^{-1} u is numerically zero")
+        return self._hq
+
+    def clamped_integrals(self, eps_sq: np.ndarray) -> tuple[float, float | None]:
+        """The blp and blup pointwise estimates from eps_sq, clamped at zero and
+        integrated; blup is None when the constraint is degenerate."""
+        key = eps_sq.tobytes()
+        with self._lock:
+            if key not in self._clamped:
+                self._clamped[key] = self._support_pass(eps_sq)
+            return self._clamped[key]
+
+    def _support_pass(self, eps_sq: np.ndarray | None = None):
+        """The one pass: b, J and the defect unless known, and given eps_sq the
+        clamped integrals of c(x)^T g (blp) and of c(x)^T g + (rho^2(x) -
+        c(x)^T h) u^T g / q (blup), with g = S^{-1} eps_sq, h = S^{-1} u."""
+        fill = self._moments is None
+        b, J, defect, blp, blup = np.zeros(self.n), 0.0, 0.0, 0.0, 0.0
+        if eps_sq is not None:
+            if self._hq is None:  # one solve with two right-hand sides
+                g, h = self.solve_S(np.column_stack([eps_sq, self.u])).T.copy()
+                self._hq = (h, float(self.u @ h))
+            else:
+                g = self.solve_S(eps_sq)
+            h, q = self._hq
+            ug = float(self.u @ g)
+        for _, X, mu, W in support_blocks(self.measure, self.weights):
+            C_rows, rho = _c_rho(self.components, X, W, self.design, self.R)
+            if fill:
+                defect += _sum_to_one_defect(mu, W)
+                b += mu @ C_rows
+                J += float(mu @ rho)
+            if eps_sq is not None:
+                vals = C_rows @ g
+                blp += float(mu @ np.maximum(vals, 0.0))
+                if q > CONSTRAINT_TOL:
+                    vals = vals + (rho - C_rows @ h) * (ug / q)
+                    blup += float(mu @ np.maximum(vals, 0.0))
+        self._moments = self._moments or (b, J, defect)
+        return None if eps_sq is None else (blp, blup if q > CONSTRAINT_TOL else None)
 
 
 def _sources(R, weights, measure: IntegrationMeasure):
@@ -223,23 +293,13 @@ def _assemble(components, R, weights: WeightSource, design: Design,
         S += comp.nu * (np.outer(comp.u, comp.u) + 2.0 * comp.rkr_sq)
     S = 0.5 * (S + S.T)
 
-    b = np.zeros(n)
-    J = 0.0
-    defect = 0.0
-    for _, X, mu, W in support_blocks(measure, weights):
-        defect += _sum_to_one_defect(mu, W)
-        C_rows, rho = _c_rho(components, X, W, design, R)
-        b += mu @ C_rows
-        J += float(mu @ rho)
-
     V = None
     if compute_Vn:
         W_full = weights.full()
         V = sum(comp.nu * _vn_component(comp, W_full, design, measure)
                 for comp in components)
-    return MomentBundle(u=u, S=S, b=b, J=J, V=V, R=R, design=design, measure=measure,
-                        components=list(components), weights=weights,
-                        sum_to_one_defect=defect)
+    return MomentBundle(u=u, S=S, V=V, R=R, design=design, measure=measure,
+                        components=list(components), weights=weights)
 
 
 def build_bundle(R, weights, kernel_e: KernelSpec, design: Design,

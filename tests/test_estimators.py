@@ -4,7 +4,14 @@ import pytest
 from conftest import gp_draw, random_design, small_measure
 from looise.designs import Design
 from looise import estimators
-from looise.errors import BundleMismatch, DegenerateData, EmptyInput, SingularGram
+from looise import numerics
+from looise.errors import (
+    BundleMismatch,
+    DegenerateConstraint,
+    DegenerateData,
+    EmptyInput,
+    SingularGram,
+)
 from looise.estimators import (
     blp_pointwise,
     blup_weights,
@@ -20,7 +27,13 @@ from looise.estimators import (
     trend_corrected_ise,
 )
 from looise.kernels import KernelSpec, kernel_matrix
-from looise.moments import build_bundle
+from looise.moments import (
+    build_bundle,
+    independent_limit_bundle,
+    mixture_bundle,
+    pointwise_c_rho,
+    support_blocks,
+)
 from looise.predictors import OrdinaryKriging, SimpleKriging
 
 
@@ -84,6 +97,66 @@ def test_clamped_ise_blp_is_integral_of_clamped_pointwise():
     vals = [blp_pointwise(bundle, eps, x, clamp=True) for x in bundle.measure.points]
     assert np.isclose(est.value, float(bundle.measure.weights @ np.array(vals)), rtol=1e-10)
     assert est.value >= 0.0
+
+
+def _separate_pass(bundle, eps_sq, mode):
+    """The clamped blp or blup integral by its own pass over pointwise_c_rho."""
+    g = bundle.solve_S(eps_sq)
+    if mode == "blup":
+        h = bundle.solve_S(bundle.u)
+        q = float(bundle.u @ h)
+        ug = float(bundle.u @ g)
+    total = 0.0
+    for _, X, mu, W in support_blocks(bundle.measure, bundle.weights):
+        c_rows, rho = pointwise_c_rho(bundle, X, W=W)
+        vals = c_rows @ g
+        if mode == "blup":
+            vals = vals + (rho - c_rows @ h) * (ug / q)
+        total += float(mu @ np.maximum(vals, 0.0))
+    return total
+
+
+@pytest.mark.parametrize("kind", ["single", "mixture", "limit"])
+def test_shared_pass_equals_separate_passes_bitwise(kind):
+    design = random_design(2, 14, seed=41)
+    p = OrdinaryKriging(KernelSpec("matern52", 5.0), design)
+    measure = small_measure(2, 2 * 4096 + 77, seed=42)
+    R = p.loo_operator()
+
+    def fresh():
+        if kind == "single":
+            return build_bundle(R, p, KernelSpec("matern32", 8.0), design, measure)
+        if kind == "mixture":
+            return mixture_bundle([KernelSpec("matern32", 8.0), KernelSpec("gaussian", 4.0)],
+                                  [0.3, 0.7], R, p, design, measure)
+        return independent_limit_bundle(R, p, design, measure)
+
+    y = gp_draw(KernelSpec("matern32", 6.0), design, seed=43)
+    eps1, eps2 = p.loo_residuals(y), p.loo_residuals(np.sin(7.0 * y))
+    # the first eps fills b and J in its pass, the second has a pass of its own;
+    # b read first, and the constraint solved first, leave the passes unchanged
+    for first in ("clamped", "b", "constraint"):
+        bundle = fresh()
+        if first == "b":
+            bundle.b
+        elif first == "constraint":
+            blup_weights(bundle)
+        for eps in (eps1, eps2):
+            assert ise_blp(bundle, eps).value == _separate_pass(bundle, eps * eps, "blp")
+            assert ise_blup(bundle, eps).value == _separate_pass(bundle, eps * eps, "blup")
+
+
+def test_degenerate_constraint_spares_the_clamped_blp(monkeypatch):
+    import looise.moments as moments
+
+    p, bundle = make_bundle(seed=19)
+    eps = p.loo_residuals(gp_draw(KernelSpec("matern32", 7.0), p.design, seed=19))
+    monkeypatch.setattr(moments, "CONSTRAINT_TOL", np.inf)  # every q counts as zero
+    assert ise_blp(bundle, eps).value == _separate_pass(bundle, eps * eps, "blp")
+    with pytest.raises(DegenerateConstraint):
+        ise_blup(bundle, eps)
+    with pytest.raises(DegenerateConstraint):
+        ise_blup(bundle, eps, clamp=False)
 
 
 def test_blup_constraint():
@@ -276,6 +349,34 @@ def test_sigma2_estimators():
     assert np.isclose(out["ml"], y @ M @ y / 12, rtol=1e-9)
     D = np.diag(1.0 / np.diag(M))
     assert np.isclose(out["loo"], y @ M @ D @ M @ y / 12, rtol=1e-9)
+
+
+def test_sigma2_estimators_reuse_the_bundle_kernel_matrix(monkeypatch):
+    design = random_design(1, 12, seed=61)
+    kern = KernelSpec("matern32", 7.0)
+    p = SimpleKriging(kern, design)
+    bundle = build_bundle(p.loo_operator(), p, kern, design, small_measure(1, 128, seed=62))
+    y = gp_draw(kern, design, seed=63)
+    M = numerics.inverse(numerics.spd_factorize(kernel_matrix(kern, design.points)))
+    My = M @ y
+    eps = bundle.R.T @ y
+    expected = {
+        "ml": float(y @ My) / 12,
+        "loo": float(np.sum(My * My / np.diag(M))) / 12,
+        "blp": ise_blp(bundle, eps, clamp=False).value / bundle.J,
+        "blup": ise_blup(bundle, eps, clamp=False).value / bundle.J,
+    }
+    calls = []
+
+    def counting(spec, X):
+        calls.append(spec)
+        return kernel_matrix(spec, X)
+
+    monkeypatch.setattr(estimators, "kernel_matrix", counting)
+    assert sigma2_estimators(y, kern, bundle) == expected
+    assert calls == []
+    with pytest.raises(BundleMismatch):
+        sigma2_estimators(y, KernelSpec("matern52", 7.0), bundle)
 
 
 def test_sigma2_ml_single_point_and_record_error():

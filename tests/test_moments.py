@@ -340,3 +340,82 @@ def test_array_weights_lookup_matches_signed_zero():
     c_neg, rho_neg = pointwise_c_rho(bundle, [[-0.0]])
     c_pos, rho_pos = pointwise_c_rho(bundle, [[0.0]])
     assert np.array_equal(c_neg, c_pos) and np.array_equal(rho_neg, rho_pos)
+
+
+def test_one_support_pass_per_bundle_and_residual_vector(monkeypatch):
+    # b, J, the defect and the clamped blp+/blup+ of one eps share one pass
+    # over the support; only a new eps costs another
+    import looise.moments as moments
+    from looise.estimators import ise_blp, ise_blup, trend_corrected_ise
+
+    rows = []
+    draw = moments.WeightSource.block
+
+    def counting(self, lo, hi):
+        rows.append(hi - lo)
+        return draw(self, lo, hi)
+
+    design = random_design(2, 12, seed=31)
+    N = 3 * moments.BLOCK
+    measure = small_measure(2, N, seed=32)
+    p = SimpleKriging(KernelSpec("matern52", 6.0), design)
+    kern = KernelSpec("matern32", 8.0)
+    y = np.linspace(-1.0, 1.0, 12) + 0.5
+    eps = p.loo_residuals(y)
+    monkeypatch.setattr(moments.WeightSource, "block", counting)
+    bundle = build_bundle(p.loo_operator(), p, kern, design, measure)
+    ise_blp(bundle, eps)
+    ise_blup(bundle, eps)
+    assert bundle.J > 0.0 and bundle.sum_to_one_defect > 0.0
+    assert sum(rows) == N
+    ise_blp(bundle, eps, clamp=False)
+    ise_blup(bundle, eps, clamp=False)
+    assert sum(rows) == N
+    ise_blup(bundle, 2.0 * eps)
+    ise_blp(bundle, 2.0 * eps)
+    assert sum(rows) == 2 * N
+    rows.clear()
+    fresh = build_bundle(p.loo_operator(), p, kern, design, measure)
+    trend_corrected_ise(y, p, kern, measure, bundle=fresh)
+    trend_corrected_ise(y, p, kern, measure, estimator="blup", bundle=fresh)
+    assert sum(rows) == N
+
+
+def test_bundle_shared_by_threads_makes_one_pass(monkeypatch):
+    import sys
+    import threading
+
+    import looise.moments as moments
+
+    rows = []
+    draw = moments.WeightSource.block
+
+    def counting(self, lo, hi):
+        rows.append(hi - lo)
+        return draw(self, lo, hi)
+
+    design = random_design(2, 10, seed=33)
+    N = 2 * moments.BLOCK
+    measure = small_measure(2, N, seed=34)
+    p = SimpleKriging(KernelSpec("matern52", 6.0), design)
+    bundle = build_bundle(p.loo_operator(), p, KernelSpec("matern32", 8.0), design, measure)
+    eps_sq = p.loo_residuals(np.linspace(-1.0, 1.0, 10)) ** 2
+    monkeypatch.setattr(moments.WeightSource, "block", counting)
+    results = []
+
+    def read():
+        results.append((bundle.clamped_integrals(eps_sq), bundle.J, bundle.b.tobytes()))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 6 and all(r == results[0] for r in results)
+    assert sum(rows) == N
