@@ -11,7 +11,6 @@ from .estimators import (
     ise_blp,
     ise_blup,
     ise_loo,
-    mixture_bundle,
     optimal_mixture_weights,
     performance_report,
     sigma2_estimators,
@@ -24,6 +23,7 @@ from .moments import (
     build_bundle,
     flat_limit_diagnostics,
     independent_limit_bundle,
+    mixture_bundle,
 )
 from .predictors import (
     BayesPolynomial,

@@ -200,10 +200,8 @@ def _estimate_payload(cfg: dict) -> dict:
     if mixture is not None:
         kernels, nus = mixture
         theta, theta_rule = None, "mixture"  # no single assumed range
-        kern_e = kernels[0]  # trend correction centers under the lead kernel
-        bundle = estimators.mixture_bundle(kernels, nus, predictor.loo_operator(),
-                                           predictor, design, measure,
-                                           compute_Vn=compute_vn)
+        bundle = moments.mixture_bundle(kernels, nus, predictor.loo_operator(),
+                                        predictor, design, measure, compute_Vn=compute_vn)
     else:
         theta, theta_rule = _estimator_theta(cfg, y, design, trend_mode)
         kern_e = _kernel_from(cfg, "estimator.kernel", theta_override=theta)
@@ -211,12 +209,8 @@ def _estimate_payload(cfg: dict) -> dict:
                                       design, measure, compute_Vn=compute_vn)
     est_loo = estimators.ise_loo(eps)
     if trend_mode == "constant":
-        est_blp = estimators.trend_corrected_ise(y, predictor, kern_e, measure,
-                                                 estimator="blp", clamp=clamp,
-                                                 bundle=bundle)
-        est_blup = estimators.trend_corrected_ise(y, predictor, kern_e, measure,
-                                                  estimator="blup", clamp=clamp,
-                                                  bundle=bundle)
+        est_blp = estimators.trend_corrected_ise(bundle, y, "blp", clamp)
+        est_blup = estimators.trend_corrected_ise(bundle, y, "blup", clamp)
     else:
         est_blp = estimators.ise_blp(bundle, eps, clamp=clamp)
         est_blup = estimators.ise_blup(bundle, eps, clamp=clamp)
@@ -287,7 +281,7 @@ def cmd_sweep(args, extra) -> int:
                                       design, measure)
         est = estimators.ise_blp(bundle, eps, clamp=clamp)
         if oracle is not None:
-            rep = estimators.performance_report(bundle.solve_S(bundle.b), oracle)
+            rep = estimators.performance_report(bundle.gamma_blp, oracle)
             rows.append((theta, est.value, rep.e_estimate, rep.mse, rep.bias, est.estimator))
         else:
             rows.append((theta, est.value, "", "", "", est.estimator))

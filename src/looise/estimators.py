@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .designs import Design, IntegrationMeasure
+from .designs import Design
 from .errors import (
     BundleMismatch,
     DegenerateConstraint,
@@ -29,12 +29,7 @@ from .errors import (
     SingularGram,
 )
 from .kernels import KernelSpec, kernel_matrix
-from .moments import (
-    MomentBundle,
-    build_bundle,
-    mixture_bundle,
-    pointwise_c_rho,
-)
+from .moments import MomentBundle, pointwise_c_rho
 
 __all__ = [
     "IseEstimate",
@@ -47,7 +42,6 @@ __all__ = [
     "performance_report",
     "estimator_dominance_check",
     "trend_corrected_ise",
-    "mixture_bundle",
     "optimal_mixture_weights",
     "sigma2_ml",
     "sigma2_estimators",
@@ -87,10 +81,10 @@ def ise_loo(eps_loo) -> IseEstimate:
                        gamma=np.full(n, 1.0 / n))
 
 
-def _check_eps(bundle: MomentBundle, eps_loo) -> np.ndarray:
+def _check_eps(bundle: MomentBundle, eps_loo, name: str = "eps_loo") -> np.ndarray:
     eps = np.asarray(eps_loo, dtype=float)
     if eps.shape != (bundle.n,):
-        raise DimensionMismatch(f"eps_loo has shape {eps.shape}, expected ({bundle.n},)")
+        raise DimensionMismatch(f"{name} has shape {eps.shape}, expected ({bundle.n},)")
     return eps
 
 
@@ -112,7 +106,7 @@ def ise_blp(bundle: MomentBundle, eps_loo, clamp: bool = True) -> IseEstimate:
     """
     eps_sq = _check_eps(bundle, eps_loo) ** 2
     clamped = bundle.clamped_integrals(eps_sq)[0] if clamp else None  # before b
-    gamma = bundle.solve_S(bundle.b)
+    gamma = bundle.gamma_blp
     value = clamped if clamp else float(gamma @ eps_sq)
     return IseEstimate(value=value, estimator="blp+" if clamp else "blp", gamma=gamma,
                        clamped=clamp)
@@ -121,7 +115,7 @@ def ise_blp(bundle: MomentBundle, eps_loo, clamp: bool = True) -> IseEstimate:
 def blup_weights(bundle: MomentBundle) -> np.ndarray:
     """Weights of the unbiased variant: the BLP weights plus the
     correction enforcing gamma^T u = J exactly."""
-    g_blp = bundle.solve_S(bundle.b)
+    g_blp = bundle.gamma_blp
     h, q = bundle.constraint()
     return g_blp + (bundle.J - float(bundle.u @ g_blp)) / q * h
 
@@ -175,8 +169,8 @@ def estimator_dominance_check(bundle_e: MomentBundle, bundle_true: MomentBundle)
         raise DimensionMismatch("bundles must share the LOO operator")
     n = bundle_true.n
     rep_loo = performance_report(np.full(n, 1.0 / n), bundle_true)
-    rep_e = performance_report(bundle_e.solve_S(bundle_e.b), bundle_true)
-    rep_oracle = performance_report(bundle_true.solve_S(bundle_true.b), bundle_true)
+    rep_e = performance_report(bundle_e.gamma_blp, bundle_true)
+    rep_oracle = performance_report(bundle_true.gamma_blp, bundle_true)
     return {
         "mse_loo": rep_loo.mse,
         "mse_blp": rep_e.mse,
@@ -187,46 +181,32 @@ def estimator_dominance_check(bundle_e: MomentBundle, bundle_true: MomentBundle)
     }
 
 
-def _kernel_matrix_of(bundle: MomentBundle, kernel_e: KernelSpec) -> np.ndarray:
-    K = next((c.K for c in bundle.components if c.kernel == kernel_e), None)
-    if K is None:
-        raise BundleMismatch(f"the bundle has no component of kernel {kernel_e}")
-    return K
-
-
-def trend_corrected_ise(y, predictor, kernel_e: KernelSpec, measure: IntegrationMeasure,
-                        h_spec: str = "constant", estimator: str = "blp",
-                        clamp: bool = True, bundle: MomentBundle | None = None,
-                        compute_Vn: bool = False) -> IseEstimate:
+def trend_corrected_ise(bundle: MomentBundle, y, estimator: str = "blp",
+                        clamp: bool = True) -> IseEstimate:
     """ISE estimate under a GP with unknown constant mean.
 
-    The mean is estimated by its BLUE under the assumed kernel, the
-    weighted estimate is computed on the centered observations, and the
+    The mean is estimated by its BLUE under the bundle's own covariance
+    sum_k nu_k K_k (the kernel matrix of a single kernel), the weighted
+    estimate is computed on the centered observations, and the
     deterministic term tau^2 * int (1 - w(x)^T 1)^2 dmu is added back.
     For predictors whose weights sum to one the correction vanishes and
     the result equals the uncorrected estimate on the raw data.
 
-    A given bundle must hold a component of kernel `kernel_e`, whose
-    kernel matrix the mean estimate reuses; BundleMismatch otherwise.
-    Under a kernel mixture the mean is thus estimated under that one
-    kernel only (`looise estimate` passes the lead kernel of the mixture).
+    The independent-limit bundle has no covariance: BundleMismatch.
     """
-    if h_spec != "constant":
-        raise NotImplementedError("only the constant-trend correction is available")
-    y = np.asarray(y, dtype=float)
-    design = predictor.design
-    if bundle is None:
-        bundle = build_bundle(predictor.loo_operator(), predictor, kernel_e,
-                              design, measure, compute_Vn=compute_Vn)
-    F = numerics.spd_factorize(_kernel_matrix_of(bundle, kernel_e))
-    a = numerics.solve(F, np.ones(design.n))
-    s = float(np.ones(design.n) @ a)
+    if estimator not in ("blp", "blup"):
+        raise ValueError(f"estimator must be 'blp' or 'blup', not {estimator!r}")
+    if any(c.K is None for c in bundle.components):
+        raise BundleMismatch("the independent-limit bundle has no covariance matrix")
+    y = _check_eps(bundle, y, "y")
+    F = numerics.spd_factorize(sum(c.nu * c.K for c in bundle.components))
+    a = numerics.solve(F, np.ones(bundle.n))
+    s = float(np.ones(bundle.n) @ a)
     if abs(s) < 1e-14:
-        raise DegenerateConstraint("1^T K^{-1} 1 is numerically zero")
+        raise DegenerateConstraint("1^T Sigma^{-1} 1 is numerically zero")
     tau = float(a @ y) / s
-    z = y - tau
-    eps_z = bundle.R.T @ z
-    base = ise_blp(bundle, eps_z, clamp) if estimator == "blp" else ise_blup(bundle, eps_z, clamp)
+    eps_z = bundle.R.T @ (y - tau)
+    base = (ise_blp if estimator == "blp" else ise_blup)(bundle, eps_z, clamp)
     correction = tau * tau * bundle.sum_to_one_defect
     return IseEstimate(value=base.value + correction, estimator=base.estimator,
                        gamma=base.gamma, clamped=base.clamped,
@@ -277,8 +257,10 @@ def sigma2_estimators(y, kernel_e: KernelSpec, bundle: MomentBundle) -> dict:
     n = len(y)
     if n < 2:
         raise DegenerateData("LOO-based variance estimates need n >= 2")
-    F = numerics.spd_factorize(_kernel_matrix_of(bundle, kernel_e))
-    M = numerics.inverse(F)
+    K = next((c.K for c in bundle.components if c.kernel == kernel_e), None)
+    if K is None:
+        raise BundleMismatch(f"the bundle has no component of kernel {kernel_e}")
+    M = numerics.inverse(numerics.spd_factorize(K))
     My = M @ y
     diag = np.diag(M)
     eps = bundle.R.T @ y

@@ -41,9 +41,9 @@ CONSTRAINT_TOL = 1e-14  # q = u^T S^{-1} u at or below this: degenerate constrai
 class WeightSource:
     """Uniform access to predictor weights over the measure support.
 
-    Accepts a LinearPredictor, a callable X -> (m, n) array, or a
-    precomputed (N, n) array aligned with the support. Array-backed
-    sources can only be evaluated on support points.
+    Accepts a LinearPredictor or a precomputed (N, n) array aligned with
+    the support. Array-backed sources can only be evaluated on support
+    points.
     """
 
     def __init__(self, source, measure: IntegrationMeasure, n: int):
@@ -52,8 +52,6 @@ class WeightSource:
         self._fn = None
         if hasattr(source, "weights_matrix"):
             self._fn = source.weights_matrix
-        elif callable(source):
-            self._fn = source
         else:
             arr = np.asarray(source, dtype=float)
             if arr.shape != (measure.size, n):
@@ -129,6 +127,7 @@ class MomentBundle:
                 ) from exc
         self._moments = None  # (b, J, defect), once the support pass has run
         self._hq = None  # (h, q) of the unbiasedness constraint
+        self._gamma_blp = None  # S^{-1} b
         self._clamped = {}  # eps^2 bytes -> (blp+, blup+ or None)
         self._lock = threading.Lock()
 
@@ -156,6 +155,17 @@ class MomentBundle:
     b = property(lambda self: self._cross_moments()[0])
     J = property(lambda self: self._cross_moments()[1], _set_J)
     sum_to_one_defect = property(lambda self: self._cross_moments()[2])
+
+    @property
+    def gamma_blp(self) -> np.ndarray:
+        """The best linear weights S^{-1} b, solved once; read-only."""
+        b = self.b
+        with self._lock:
+            if self._gamma_blp is None:
+                gamma = self.solve_S(b)
+                gamma.flags.writeable = False
+                self._gamma_blp = gamma
+        return self._gamma_blp
 
     def constraint(self) -> tuple[np.ndarray, float]:
         """h = S^{-1} u and q = u^T h of the unbiasedness constraint gamma^T u = J."""
@@ -307,7 +317,7 @@ def build_bundle(R, weights, kernel_e: KernelSpec, design: Design,
     """Moment bundle for a single assumed kernel.
 
     `R` is the LOO operator (or its raw matrix), `weights` the predictor
-    weights over the measure support (predictor, callable or array).
+    weights over the measure support (predictor or (N, n) array).
     """
     R, ws = _sources(R, weights, measure)
     comp = _component_for(kernel_e, 1.0, R, design)
@@ -329,7 +339,8 @@ def mixture_bundle(kernels, nu, R, weights, design: Design,
 
     Every expectation decomposes componentwise (the mixture of Gaussians
     is not Gaussian, so S is the mixture of the per-kernel fourth-moment
-    matrices, not the fourth-moment matrix of a mixed kernel).
+    matrices, not the fourth-moment matrix of a mixed kernel). `R` and
+    `weights` (predictor or (N, n) array) are as in build_bundle.
     """
     R, ws = _sources(R, weights, measure)
     comps = mixture_components(kernels, nu, R, design)
@@ -343,7 +354,8 @@ def independent_limit_bundle(R, weights, design: Design,
     The design correlations vanish (K_n -> I) and the formulas reduce to
     u = diag(R^T R), J = 1 + int ||w||^2 dmu,
     b = J u + 2 diag(R^T [int w w^T dmu] R),
-    S = u u^T + 2 (R^T R)^{o2}. V is not computed in the limit.
+    S = u u^T + 2 (R^T R)^{o2}. V is not computed in the limit. `R` and
+    `weights` (predictor or (N, n) array) are as in build_bundle.
     """
     R, ws = _sources(R, weights, measure)
     comp = _component_for(None, 1.0, R, design)

@@ -119,7 +119,7 @@ def table1_values(row: str) -> dict:
     n = design.n
     rep_loo = estimators.performance_report(np.full(n, 1.0 / n), bundle)
     limit = moments.independent_limit_bundle(R, pred, design, measure)
-    rep_lim = estimators.performance_report(limit.solve_S(limit.b), bundle)
+    rep_lim = estimators.performance_report(limit.gamma_blp, bundle)
     return {
         "e_ise": bundle.J,
         "mse_trivial": bundle.J**2 + 2.0 * bundle.V,
@@ -179,7 +179,7 @@ def _oracle_sweep(name: str, weight_rule, outdir: str, threads: int):
 @register("fig3")
 def run_fig3(outdir: str, threads: int = 1) -> dict:
     """The oracle sweep for the best linear weights S^{-1} b."""
-    thetas, rows, path = _oracle_sweep("fig3", lambda be: be.solve_S(be.b), outdir, threads)
+    thetas, rows, path = _oracle_sweep("fig3", lambda be: be.gamma_blp, outdir, threads)
     write_manifest(os.path.join(outdir, "fig3_manifest.json"), {
         "experiment": "fig3",
         "theta_grid": [float(t) for t in thetas],
@@ -231,7 +231,7 @@ def run_fig1(outdir: str, threads: int = 1) -> dict:
         est_blp = estimators.ise_blp(bundle, eps, clamp=True).value
         n = design.n
         rep_loo = estimators.performance_report(np.full(n, 1.0 / n), bundle)
-        rep_blp = estimators.performance_report(bundle.solve_S(bundle.b), bundle)
+        rep_blp = estimators.performance_report(bundle.gamma_blp, bundle)
         rows.append((delta, est_loo / ise, est_blp / ise,
                      rep_loo.e_estimate / bundle.J, rep_blp.e_estimate / bundle.J))
     path = os.path.join(outdir, "fig1.csv")
@@ -260,7 +260,7 @@ def run_fig2(outdir: str, threads: int = 1) -> dict:
                                       design, measure)
         n = design.n
         rep_loo = estimators.performance_report(np.full(n, 1.0 / n), bundle)
-        rep_blp = estimators.performance_report(bundle.solve_S(bundle.b), bundle)
+        rep_blp = estimators.performance_report(bundle.gamma_blp, bundle)
         rows.append((theta_p, true_ise(f, pred, y, measure),
                      estimators.ise_loo(eps).value,
                      estimators.ise_blp(bundle, eps, clamp=True).value,
@@ -345,8 +345,7 @@ def run_fig8(outdir: str, threads: int = 1) -> dict:
         bundle = moments.build_bundle(pred.loo_operator(), pred, kern,
                                       design, measure)
         plain = estimators.ise_blp(bundle, eps, clamp=True).value
-        corrected = estimators.trend_corrected_ise(y, pred, kern, measure,
-                                                   bundle=bundle).value
+        corrected = estimators.trend_corrected_ise(bundle, y).value
         return (theta, plain, corrected)
 
     thetas = list(np.geomspace(5.0, 50.0, 13))
@@ -385,9 +384,8 @@ def run_table2(outdir: str, threads: int = 1, n_designs: int = 20) -> dict:
             W = pred.weights_matrix(measure.points)  # shared by bundle and true ISE
             bundle = moments.build_bundle(pred.loo_operator(), W, kern_e,
                                           design, measure)
-            blp_vals.append(estimators.trend_corrected_ise(
-                y, pred, kern_e, measure, bundle=bundle).value)
-            true_vals.append(float(measure.weights @ (fvals - W @ y) ** 2))
+            blp_vals.append(estimators.trend_corrected_ise(bundle, y).value)
+            true_vals.append(true_ise(fvals, W, y, measure))
         mean_pred = EmpiricalMean(design)
         ise_mean = true_ise(fvals, mean_pred, y, measure)
         sel_oracle = true_vals[int(np.argmin(true_vals))]
@@ -439,8 +437,7 @@ def run_suppC(outdir: str, threads: int = 1) -> dict:
                                         KernelSpec("inverse-multiquadric", theta_e),
                                         design, measure)
         rep_loo = estimators.performance_report(np.full(n, 1.0 / n), bundle_true)
-        rep_blp = estimators.performance_report(bundle_e.solve_S(bundle_e.b),
-                                                bundle_true)
+        rep_blp = estimators.performance_report(bundle_e.gamma_blp, bundle_true)
         rep_blup = estimators.performance_report(estimators.blup_weights(bundle_e),
                                                  bundle_true)
         rows.append((n, Dn5, theta_p, theta_e, bundle_true.J,

@@ -314,7 +314,7 @@ def _e2():
 def _e3():
     _, _, _, _, bundle, _ = _setup(23)
     n = bundle.n
-    mse_blp = estimators.performance_report(bundle.solve_S(bundle.b), bundle).mse
+    mse_blp = estimators.performance_report(bundle.gamma_blp, bundle).mse
     mse_loo = estimators.performance_report(np.full(n, 1.0 / n), bundle).mse
     assert mse_blp <= mse_loo + 1e-9 * abs(mse_loo)
 
@@ -337,7 +337,7 @@ def _e5():
     pred = SimpleKriging(kern, design)
     measure = uniform_measure(sobol_points(1, 128, scramble_seed=26))
     bundle = moments.build_bundle(pred.loo_operator(), pred, kern, design, measure)
-    rep = estimators.performance_report(bundle.solve_S(bundle.b), bundle)
+    rep = estimators.performance_report(bundle.gamma_blp, bundle)
     assert rep.bias < 0
 
 
@@ -370,7 +370,7 @@ def _e8():
     kern = KernelSpec("matern52", 6.0)
     y = sample_gp(KernelSpec("matern32", 5.0), design.points, 33) + 5.0
     bundle = moments.build_bundle(pred.loo_operator(), pred, kern, design, measure)
-    est = estimators.trend_corrected_ise(y, pred, kern, measure, bundle=bundle)
+    est = estimators.trend_corrected_ise(bundle, y)
     plain = estimators.ise_blp(bundle, pred.loo_residuals(y))
     assert abs(est.value - plain.value) <= 1e-10 * max(1.0, plain.value)
 

@@ -13,7 +13,7 @@ from . import numerics, rng
 from .designs import IntegrationMeasure, sobol_points
 from .errors import DomainViolation
 from .kernels import KernelSpec, cross_matrix, kernel_matrix
-from .moments import support_blocks
+from .moments import WeightSource, support_blocks
 
 
 def sample_gp(kernel: KernelSpec, X, seed: int, *stream_path: int) -> np.ndarray:
@@ -196,11 +196,12 @@ def omega_n(y) -> float:
     return float(np.var(np.asarray(y, dtype=float)))
 
 
-def true_ise(f, predictor, y, measure: IntegrationMeasure) -> float:
+def true_ise(f, weights, y, measure: IntegrationMeasure) -> float:
     """Measure-weighted sum of squared prediction errors of a known function.
 
     `f` may be a callable/test function evaluated on the support, or an
-    array of precomputed values aligned with it.
+    array of precomputed values aligned with it; `weights` is the
+    predictor or its (N, n) weight table on the support.
     """
     y = np.asarray(y, dtype=float)
     if callable(f):
@@ -208,7 +209,7 @@ def true_ise(f, predictor, y, measure: IntegrationMeasure) -> float:
     else:
         fvals = np.asarray(f, dtype=float)
     total = 0.0
-    for rows, X, mu, _ in support_blocks(measure):
-        diff = fvals[rows] - predictor.weights_matrix(X) @ y
+    for rows, _, mu, W in support_blocks(measure, WeightSource(weights, measure, len(y))):
+        diff = fvals[rows] - W @ y
         total += float(mu @ (diff * diff))
     return total

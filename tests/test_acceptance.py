@@ -262,10 +262,8 @@ def test_criterion_10_reference_oracle():
         bundle = build_bundle(pred.loo_operator(), pred, kern_e, design, measure)
         mine_loo = estimators.ise_loo(eps).value
         if constant:
-            mine_blp = estimators.trend_corrected_ise(
-                y, pred, kern_e, measure, estimator="blp", bundle=bundle).value
-            mine_blup = estimators.trend_corrected_ise(
-                y, pred, kern_e, measure, estimator="blup", bundle=bundle).value
+            mine_blp = estimators.trend_corrected_ise(bundle, y, estimator="blp").value
+            mine_blup = estimators.trend_corrected_ise(bundle, y, estimator="blup").value
         else:
             mine_blp = estimators.ise_blp(bundle, eps, clamp=True).value
             mine_blup = estimators.ise_blup(bundle, eps, clamp=True).value

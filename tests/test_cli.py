@@ -220,6 +220,56 @@ def test_estimate_mixture_output_is_strict_json(tmp_path, capsys):
     assert out["theta_used"] is None
 
 
+def test_mixture_constant_trend_centres_under_the_mixture_covariance(tmp_path, capsys):
+    from looise.designs import sobol_measure
+    from looise.kernels import KernelSpec, kernel_matrix
+    from looise.predictors import SimpleKriging
+
+    gen = np.random.default_rng(8)
+    y = 3.0 + gen.standard_normal(10)
+    ycsv = write(tmp_path, "y.csv", "y\n" + "\n".join(f"{v:.17g}" for v in y) + "\n")
+    cfg = write(tmp_path, "run.cfg", BASE_CONFIG + f"data.file = {ycsv}\n"
+                + "trend.mode = constant\n"
+                + "estimator.mixture.families = matern32,matern52\n"
+                + "estimator.mixture.thetas = 8,12\n"
+                + "estimator.mixture.weights = 0.3,0.7\n")
+    assert main(["estimate", "--config", cfg]) == 0
+    out = json.loads(capsys.readouterr().out)
+    design = regular_grid(1, 10)
+    measure = sobol_measure(1, 256)
+    sigma = (0.3 * kernel_matrix(KernelSpec("matern32", 8.0), design.points)
+             + 0.7 * kernel_matrix(KernelSpec("matern52", 12.0), design.points))
+    ones = np.ones(10)
+    tau = (ones @ np.linalg.solve(sigma, y)) / (ones @ np.linalg.solve(sigma, ones))
+    W = SimpleKriging(KernelSpec("matern52", 6.0), design).weights_matrix(measure.points)
+    defect = float(measure.weights @ (1.0 - W.sum(axis=1)) ** 2)
+    assert defect > 0.0
+    assert np.isclose(out["trend_info"]["correction"], tau * tau * defect, rtol=1e-10,
+                      atol=0.0)
+
+
+def test_sweep_solves_s_gamma_b_once_per_theta(tmp_path, capsys, monkeypatch):
+    from looise.moments import MomentBundle
+
+    calls = []
+    solve = MomentBundle.solve_S
+
+    def counting(self, rhs):
+        calls.append(np.shape(rhs))
+        return solve(self, rhs)
+
+    monkeypatch.setattr(MomentBundle, "solve_S", counting)
+    gen = np.random.default_rng(5)
+    ycsv = write(tmp_path, "y.csv",
+                 "y\n" + "\n".join(f"{v:.17g}" for v in gen.standard_normal(16)) + "\n")
+    cfg = write(tmp_path, "run.cfg", SWEEP_CONFIG + f"data.file = {ycsv}\n"
+                + "sweep.thetas = 2,8,32\n"
+                + "sweep.oracle.family = matern32\nsweep.oracle.theta = 8.0\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert 0 < len(calls) <= 2 * 3
+
+
 def test_estimate_with_weight_table(tmp_path, capsys):
     from looise.designs import regular_grid as rg
     from looise.designs import sobol_points

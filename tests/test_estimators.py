@@ -171,6 +171,18 @@ def test_blup_equals_blp_when_already_unbiased():
     assert np.allclose(blup_weights(bundle), bundle.solve_S(bundle.b), atol=1e-12)
 
 
+def test_gamma_blp_is_solved_once_and_read_only():
+    p, bundle = make_bundle(seed=19)
+    eps = p.loo_residuals(gp_draw(KernelSpec("matern32", 7.0), p.design, seed=19))
+    gamma = bundle.gamma_blp
+    assert not gamma.flags.writeable
+    with pytest.raises(ValueError):
+        gamma[0] = 1.0
+    assert np.array_equal(gamma, numerics.solve(bundle.S_fact, bundle.b))
+    assert bundle.gamma_blp is gamma
+    assert ise_blp(bundle, eps).gamma is gamma
+
+
 def test_performance_report_trivial_estimator():
     _, bundle = make_bundle(seed=17, vn=True)
     rep = performance_report(np.zeros(10), bundle)
@@ -270,7 +282,7 @@ def test_trend_correction_sum_to_one_noop():
     kern = KernelSpec("matern52", 6.0)
     y = gp_draw(KernelSpec("matern32", 5.0), design, seed=55) + 9.0
     bundle = build_bundle(p.loo_operator(), p, kern, design, measure)
-    corrected = trend_corrected_ise(y, p, kern, measure, bundle=bundle)
+    corrected = trend_corrected_ise(bundle, y)
     plain = ise_blp(bundle, p.loo_residuals(y), clamp=True)
     assert corrected.trend_correction_applied
     assert corrected.trend_amount < 1e-12
@@ -283,7 +295,8 @@ def test_trend_correction_constant_data():
     p = SimpleKriging(kern, design)
     measure = small_measure(1, 64, seed=58)
     c = 4.25
-    est = trend_corrected_ise(np.full(7, c), p, kern, measure)
+    est = trend_corrected_ise(build_bundle(p.loo_operator(), p, kern, design, measure),
+                              np.full(7, c))
     K = kernel_matrix(kern, design.points)
     tau = float(np.ones(7) @ np.linalg.solve(K, np.full(7, c))
                 / (np.ones(7) @ np.linalg.solve(K, np.ones(7))))
@@ -301,7 +314,7 @@ def test_trend_correction_reuses_the_bundle_kernel_matrix(monkeypatch):
     kern = KernelSpec("matern52", 6.0)
     y = gp_draw(KernelSpec("matern32", 5.0), design, seed=63) + 2.0
     bundle = build_bundle(p.loo_operator(), p, kern, design, measure)
-    fresh = trend_corrected_ise(y, p, kern, measure)
+    fresh = trend_corrected_ise(build_bundle(p.loo_operator(), p, kern, design, measure), y)
     calls = []
 
     def counting(spec, X):
@@ -309,11 +322,17 @@ def test_trend_correction_reuses_the_bundle_kernel_matrix(monkeypatch):
         return kernel_matrix(spec, X)
 
     monkeypatch.setattr(estimators, "kernel_matrix", counting)
-    reused = trend_corrected_ise(y, p, kern, measure, bundle=bundle)
+    reused = trend_corrected_ise(bundle, y)
     assert calls == []
     assert reused.value == fresh.value
     with pytest.raises(BundleMismatch):
-        trend_corrected_ise(y, p, KernelSpec("matern52", 7.0), measure, bundle=bundle)
+        trend_corrected_ise(independent_limit_bundle(p.loo_operator(), p, design, measure), y)
+
+
+def test_trend_correction_rejects_an_unknown_estimator():
+    _, bundle = make_bundle(seed=65)
+    with pytest.raises(ValueError, match="blp"):
+        trend_corrected_ise(bundle, np.ones(10), estimator="loo")
 
 
 def test_optimal_mixture_weights():

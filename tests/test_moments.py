@@ -113,7 +113,7 @@ def test_bundle_identity_case():
     design = random_design(2, 6, seed=8)
     kern = KernelSpec("gaussian", 1e8)
     measure = small_measure(2, 64, seed=2)
-    bundle = build_bundle(np.eye(6), lambda X: np.zeros((len(X), 6)), kern, design, measure)
+    bundle = build_bundle(np.eye(6), np.zeros((measure.size, 6)), kern, design, measure)
     assert np.allclose(bundle.u, 1.0)
     assert np.allclose(bundle.S, np.ones((6, 6)) + 2.0 * np.eye(6))
     assert np.isclose(bundle.J, 1.0)  # J = K(x,x) for zero weights
@@ -198,7 +198,7 @@ def test_independent_limit_consistency():
 def test_independent_limit_zero_weights():
     design = random_design(1, 5, seed=11)
     measure = small_measure(1, 64, seed=7)
-    lim = independent_limit_bundle(np.eye(5), lambda X: np.zeros((len(X), 5)),
+    lim = independent_limit_bundle(np.eye(5), np.zeros((measure.size, 5)),
                                    design, measure)
     assert np.isclose(lim.J, 1.0)
 
@@ -376,8 +376,8 @@ def test_one_support_pass_per_bundle_and_residual_vector(monkeypatch):
     assert sum(rows) == 2 * N
     rows.clear()
     fresh = build_bundle(p.loo_operator(), p, kern, design, measure)
-    trend_corrected_ise(y, p, kern, measure, bundle=fresh)
-    trend_corrected_ise(y, p, kern, measure, estimator="blup", bundle=fresh)
+    trend_corrected_ise(fresh, y)
+    trend_corrected_ise(fresh, y, estimator="blup")
     assert sum(rows) == N
 
 
