@@ -2,9 +2,8 @@
 
 Subcommands: estimate | sweep | reproduce | design | selftest.
 Configuration comes from a flat key-value file (--config), overridable
-by `--key=value` pairs using the same dotted names, and by the
-LOOISE_-prefixed environment variables LOOISE_SEED, LOOISE_THREADS
-and LOOISE_OUT for the global flags.
+by `--key=value` pairs using the same dotted names. LOOISE_SEED,
+LOOISE_THREADS and LOOISE_OUT are the defaults of the flags of those names.
 
 Exit codes: 0 success, 2 configuration/input error, 3 numerical failure.
 """
@@ -12,6 +11,7 @@ Exit codes: 0 success, 2 configuration/input error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -33,8 +33,8 @@ from .designs import (
     theta_loo,
     uniform_measure,
 )
-from .errors import ConfigError, LooiseError, UnknownExperiment
-from .kernels import FAMILIES, KernelSpec
+from .errors import ConfigError, DimensionMismatch, LooiseError, UnknownExperiment
+from .kernels import KernelSpec
 from .predictors import (
     BayesPolynomial,
     EmpiricalMean,
@@ -57,13 +57,26 @@ def _load_config(args, extra: dict[str, str]) -> dict[str, str]:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
     cfg = apply_overrides(cfg, extra)
-    if args.seed is not None:
-        cfg["seed"] = str(args.seed)
-    if args.threads is not None:
-        cfg["threads"] = str(args.threads)
+    for key in ("seed", "threads"):
+        if getattr(args, key, None) is not None:
+            cfg[key] = str(getattr(args, key))
     return cfg
 
 
+def _reads_inputs(fn):
+    """A ValueError or DimensionMismatch while reading or checking inputs is a ConfigError."""
+
+    @functools.wraps(fn)
+    def wrapped(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except (ValueError, DimensionMismatch) as exc:
+            raise ConfigError(str(exc)) from exc
+
+    return wrapped
+
+
+@_reads_inputs
 def _build_design(cfg: dict) -> Design:
     if "design.file" in cfg:
         with open(cfg["design.file"]) as fh:
@@ -84,6 +97,7 @@ def _build_design(cfg: dict) -> Design:
     raise ConfigError(f"unknown design.generator {gen!r}")
 
 
+@_reads_inputs
 def _build_measure(cfg: dict, d: int):
     if "measure.file" in cfg:
         with open(cfg["measure.file"]) as fh:
@@ -94,16 +108,16 @@ def _build_measure(cfg: dict, d: int):
     return sobol_measure(d, N, scramble_seed=int(seed) if seed else None)
 
 
+@_reads_inputs
 def _kernel_from(cfg: dict, prefix: str, theta_override: float | None = None) -> KernelSpec:
     family = cfg.get(f"{prefix}.family")
     if family is None:
         raise ConfigError(f"missing {prefix}.family")
-    if family not in FAMILIES:
-        raise ConfigError(f"{prefix}.family must be one of {FAMILIES}")
     theta = theta_override if theta_override is not None else get_float(cfg, f"{prefix}.theta")
     return KernelSpec(family, theta, get_float(cfg, f"{prefix}.nugget", 0.0))
 
 
+@_reads_inputs
 def _build_predictor(cfg: dict, design: Design):
     variant = cfg.get("predictor.variant", "simple-kriging")
     if variant == "empirical-mean":
@@ -134,6 +148,7 @@ def _build_predictor(cfg: dict, design: Design):
     raise ConfigError(f"unknown predictor.variant {variant!r}")
 
 
+@_reads_inputs
 def _load_y(cfg: dict, design: Design) -> np.ndarray:
     if "data.file" in cfg:
         y = np.loadtxt(cfg["data.file"], delimiter=",", skiprows=1, ndmin=1)
@@ -153,22 +168,21 @@ def _load_y(cfg: dict, design: Design) -> np.ndarray:
 
 
 def _estimator_theta(cfg: dict, y, design: Design, trend_mode: str) -> tuple[float, str]:
-    raw = cfg.get("estimator.kernel.theta")
-    if raw is None:
-        raise ConfigError("missing estimator.kernel.theta")
-    if raw == "loo":
-        family = cfg.get("estimator.kernel.family")
-        mean_mode = "constant" if trend_mode == "constant" else "zero"
-        theta = clamp_theta(theta_loo(y, design, family, mean_mode=mean_mode,
-                                      nugget=get_float(cfg, "estimator.kernel.nugget", 0.0)))
-        return theta, "loo-selected, clamped to [5, 50]"
-    return float(raw), "fixed"
+    if cfg.get("estimator.kernel.theta") != "loo":
+        return get_float(cfg, "estimator.kernel.theta"), "fixed"
+    # validates the family and nugget; the range itself comes from LOO
+    kern = _kernel_from(cfg, "estimator.kernel", theta_override=1.0)
+    mean_mode = "constant" if trend_mode == "constant" else "zero"
+    theta = clamp_theta(theta_loo(y, design, kern.family, mean_mode=mean_mode,
+                                  nugget=kern.nugget))
+    return theta, "loo-selected, clamped to [5, 50]"
 
 
 def _manifest(cfg: dict) -> dict:
     return {"version": __version__, "config": dict(sorted(cfg.items()))}
 
 
+@_reads_inputs
 def _mixture_spec(cfg: dict):
     if "estimator.mixture.families" not in cfg:
         return None
@@ -185,6 +199,8 @@ def _mixture_spec(cfg: dict):
 
 
 def _estimate_payload(cfg: dict) -> dict:
+    if "estimator.vn" in cfg:
+        raise ConfigError("estimator.vn affects only the oracle columns of sweep")
     design = _build_design(cfg)
     measure = _build_measure(cfg, design.d)
     predictor = _build_predictor(cfg, design)
@@ -193,7 +209,6 @@ def _estimate_payload(cfg: dict) -> dict:
     if trend_mode not in ("zero", "constant"):
         raise ConfigError("trend.mode must be 'zero' or 'constant'")
     clamp = get_bool(cfg, "estimator.clamp", True)
-    compute_vn = get_bool(cfg, "estimator.vn", False)
 
     eps = predictor.loo_residuals(y)
     mixture = _mixture_spec(cfg)
@@ -201,12 +216,12 @@ def _estimate_payload(cfg: dict) -> dict:
         kernels, nus = mixture
         theta, theta_rule = None, "mixture"  # no single assumed range
         bundle = moments.mixture_bundle(kernels, nus, predictor.loo_operator(),
-                                        predictor, design, measure, compute_Vn=compute_vn)
+                                        predictor, design, measure)
     else:
         theta, theta_rule = _estimator_theta(cfg, y, design, trend_mode)
         kern_e = _kernel_from(cfg, "estimator.kernel", theta_override=theta)
         bundle = moments.build_bundle(predictor.loo_operator(), predictor, kern_e,
-                                      design, measure, compute_Vn=compute_vn)
+                                      design, measure)
     est_loo = estimators.ise_loo(eps)
     if trend_mode == "constant":
         est_blp = estimators.trend_corrected_ise(bundle, y, "blp", clamp)
@@ -248,6 +263,7 @@ def cmd_estimate(args, extra) -> int:
     return EXIT_OK
 
 
+@_reads_inputs
 def _sweep_thetas(cfg: dict) -> list[float]:
     if "sweep.thetas" in cfg:
         return [float(tok) for tok in cfg["sweep.thetas"].split(",") if tok.strip()]
@@ -332,18 +348,21 @@ def make_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("estimate", "estimate the ISE on one dataset (JSON output)"),
-        ("sweep", "sweep the assumed range parameter (CSV output)"),
-        ("reproduce", "rerun a published experiment at desk scale"),
-        ("design", "generate a design and write it as CSV"),
-        ("selftest", "run the built-in invariant suite"),
+    for name, handler, flag, helptext in [
+        ("estimate", cmd_estimate, "--seed", "estimate the ISE on one dataset (JSON output)"),
+        ("sweep", cmd_sweep, "--seed", "sweep the assumed range parameter (CSV output)"),
+        ("reproduce", cmd_reproduce, "--threads", "rerun a published experiment at desk scale"),
+        ("design", cmd_design, "--seed", "generate a design and write it as CSV"),
+        ("selftest", cmd_selftest, None, "run the built-in invariant suite"),
     ]:
         p = sub.add_parser(name, help=helptext)
+        p.set_defaults(handler=handler)
+        if flag is None:
+            continue
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--out", help="output directory")
+        # a string default goes through `type` too, so LOOISE_SEED=x fails as --seed x
+        p.add_argument(flag, type=int, default=os.environ.get("LOOISE_" + flag[2:].upper()))
+        p.add_argument("--out", default=os.environ.get("LOOISE_OUT"), help="output directory")
         if name == "reproduce":
             p.add_argument("experiment", choices=sorted(EXPERIMENTS))
     return parser
@@ -373,33 +392,16 @@ def _split_extras(argv: list[str]) -> tuple[list[str], dict[str, str]]:
     return known, extra
 
 
-def _apply_env(argv: list[str]) -> list[str]:
-    out = list(argv)
-    for name, flag in [("LOOISE_SEED", "--seed"), ("LOOISE_THREADS", "--threads"),
-                       ("LOOISE_OUT", "--out")]:
-        if name in os.environ and not any(a == flag or a.startswith(flag + "=") for a in out):
-            out += [flag, os.environ[name]]
-    return out
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv, extra = _split_extras(argv)
-        argv = _apply_env(argv)
         args = make_parser().parse_args(argv)
-        handler = {
-            "estimate": cmd_estimate,
-            "sweep": cmd_sweep,
-            "reproduce": cmd_reproduce,
-            "design": cmd_design,
-            "selftest": cmd_selftest,
-        }[args.command]
-        return handler(args, extra)
-    except (ConfigError, UnknownExperiment, OSError, ValueError) as exc:
+        return args.handler(args, extra)
+    except (ConfigError, UnknownExperiment, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except LooiseError as exc:
+    except (LooiseError, ValueError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

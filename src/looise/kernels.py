@@ -2,7 +2,8 @@
 
 Every Euclidean distance of the package comes from :func:`distances`,
 and two points coincide when that distance is at most
-``COINCIDENCE_TOL`` (:func:`coincide`). A kernel is described by a
+``COINCIDENCE_TOL`` (:func:`coincide`); a :class:`PointIndex` finds
+known points under that rule. A kernel is described by a
 :class:`KernelSpec` (family, range parameter theta, optional nugget).
 The correlation between two points is ``psi_family(theta * ||x - x'||)``
 plus the nugget when the points coincide. The nugget models observation
@@ -18,9 +19,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, pdist
 
-from .errors import DimensionMismatch, DuplicatePoints
+from .errors import DimensionMismatch, DomainViolation, DuplicatePoints
 
 FAMILIES = ("matern12", "matern32", "matern52", "gaussian", "inverse-multiquadric")
 
@@ -45,6 +47,39 @@ def min_pairwise_distance(points) -> float:
 def coincide(r):
     """The one rule for when two points coincide, for a distance or an array of them."""
     return r <= COINCIDENCE_TOL
+
+
+class PointIndex:
+    """Known points, looked up under the one coincidence rule."""
+
+    def __init__(self, points):
+        self.points = as_points(points)
+        self._tree = cKDTree(self.points)
+
+    def nearest(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """For each row of X, the distance to its nearest known point and that point's row."""
+        X = as_points(X)
+        if X.shape[1] != self.points.shape[1]:
+            raise DimensionMismatch(f"expected points of dimension {self.points.shape[1]}")
+        return self._tree.query(X)
+
+    def rows(self, X) -> np.ndarray:
+        """Rows of the known points that the rows of X coincide with; a row that
+        coincides with none raises DomainViolation naming the nearest distance."""
+        dist, rows = self.nearest(X)
+        if not coincide(dist).all():
+            i = int(np.argmin(coincide(dist)))
+            raise DomainViolation(f"point {as_points(X)[i].tolist()} is {dist[i]:.3g} from the "
+                                  f"nearest known point (coincidence: <= {COINCIDENCE_TOL:g})")
+        return rows
+
+    def first_of_each(self) -> np.ndarray:
+        """Mask of the known points that coincide with no earlier kept one."""
+        keep = np.ones(len(self.points), dtype=bool)
+        pairs = self._tree.query_pairs(COINCIDENCE_TOL, output_type="ndarray")
+        for i, j in sorted(pairs.tolist()):  # i < j
+            keep[j] &= not keep[i]
+        return keep
 
 
 @dataclass(frozen=True)
@@ -95,7 +130,8 @@ def kernel_eval(spec: KernelSpec, x, x2) -> float:
     return val
 
 
-def _as_points(X) -> np.ndarray:
+def as_points(X) -> np.ndarray:
+    """X as an (n, d) array of points; a 1-D X is n points in one dimension."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
@@ -113,7 +149,7 @@ def kernel_matrix(spec: KernelSpec, X) -> np.ndarray:
         If the nugget is zero and two points coincide (the matrix would
         be singular).
     """
-    X = _as_points(X)
+    X = as_points(X)
     D = distances(X, X)
     same = coincide(D)
     if spec.nugget == 0.0 and np.count_nonzero(same) > len(X):
@@ -131,8 +167,8 @@ def cross_matrix(spec: KernelSpec, X, Xnew) -> np.ndarray:
     The nugget is never added here, even at exact coincidence: the target
     is a new realization of the noise-free process.
     """
-    X = _as_points(X)
-    Xnew = _as_points(Xnew)
+    X = as_points(X)
+    Xnew = as_points(Xnew)
     if X.shape[1] != Xnew.shape[1]:
         raise DimensionMismatch(
             f"design dimension {X.shape[1]} != point dimension {Xnew.shape[1]}"

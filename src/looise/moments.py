@@ -30,8 +30,7 @@ from .errors import (
     NotPositiveDefinite,
     WeightSimplexViolation,
 )
-from .kernels import KernelSpec, cross_matrix, kernel_matrix
-from .predictors import exact_lookup
+from .kernels import KernelSpec, PointIndex, cross_matrix, kernel_matrix
 
 BLOCK = 4096  # support rows per block of the single integrals
 VN_BLOCK = 512  # rows per block of the O(N^2) V_n double integral
@@ -43,7 +42,7 @@ class WeightSource:
 
     Accepts a LinearPredictor or a precomputed (N, n) array aligned with
     the support. Array-backed sources can only be evaluated on support
-    points.
+    points, found under the one coincidence rule.
     """
 
     def __init__(self, source, measure: IntegrationMeasure, n: int):
@@ -67,8 +66,9 @@ class WeightSource:
 
     def at(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self._fn is None:
-            self._fn = exact_lookup(self._measure.points, self._array)
+        if self._fn is None:  # array-backed: look the rows up on the support
+            index = PointIndex(self._measure.points)
+            self._fn = lambda X: self._array[index.rows(X)]
         return np.asarray(self._fn(X), dtype=float)
 
     def full(self) -> np.ndarray:
@@ -148,12 +148,8 @@ class MomentBundle:
                 self._support_pass()
             return self._moments
 
-    def _set_J(self, value: float):
-        b, _, defect = self._cross_moments()
-        self._moments = (b, float(value), defect)
-
     b = property(lambda self: self._cross_moments()[0])
-    J = property(lambda self: self._cross_moments()[1], _set_J)
+    J = property(lambda self: self._cross_moments()[1])
     sum_to_one_defect = property(lambda self: self._cross_moments()[2])
 
     @property
@@ -271,13 +267,6 @@ def _vn_component(comp: Component, W: np.ndarray, design: Design,
                   measure: IntegrationMeasure) -> float:
     """Double integral of rho^4(x, x') against the measure, for one kernel."""
     mu = measure.weights
-    if comp.kernel is None:
-        # limit case: rho2_cross(x,x') = w(x)^T w(x') off the diagonal, 1 + ||w||^2 on it
-        cross_base = W @ W.T
-        diag = 1.0 + np.sum(W * W, axis=1)
-        sq = cross_base * cross_base
-        np.fill_diagonal(sq, diag * diag)
-        return float(mu @ sq @ mu)
     kernel = comp.kernel
     pts = measure.points
     C = cross_matrix(kernel, design.points, pts)

@@ -18,7 +18,7 @@ import numpy as np
 from . import numerics
 from .designs import Design
 from .errors import DimensionMismatch, LooiseError, RankDeficient, WeightSimplexViolation
-from .kernels import KernelSpec, cross_matrix, kernel_matrix
+from .kernels import KernelSpec, PointIndex, as_points, coincide, cross_matrix, kernel_matrix
 
 RANK_DEFICIENT_COND = 1e12
 
@@ -33,13 +33,6 @@ class LooOperator:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-
-def _as_points(X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    return X
 
 
 class LinearPredictor:
@@ -116,7 +109,7 @@ class SimpleKriging(LinearPredictor):
         self._fact = numerics.spd_factorize(kernel_matrix(kernel, design.points))
 
     def weights_matrix(self, X) -> np.ndarray:
-        C = cross_matrix(self.kernel, self.design.points, _as_points(X))
+        C = cross_matrix(self.kernel, self.design.points, as_points(X))
         return numerics.solve(self._fact, C.T).T
 
     def _loo_matrix(self) -> np.ndarray:
@@ -138,7 +131,7 @@ class OrdinaryKriging(LinearPredictor):
         self._s = float(np.ones(design.n) @ self._a)
 
     def weights_matrix(self, X) -> np.ndarray:
-        C = cross_matrix(self.kernel, self.design.points, _as_points(X))
+        C = cross_matrix(self.kernel, self.design.points, as_points(X))
         base = numerics.solve(self._fact, C.T).T
         mult = (1.0 - C @ self._a) / self._s
         return base + mult[:, None] * self._a[None, :]
@@ -182,7 +175,7 @@ def legendre_orthonormal(degree: int, x) -> np.ndarray:
 
 def tensor_basis(X, indices) -> np.ndarray:
     """(m_points, n_terms) matrix of tensorized Legendre terms."""
-    X = _as_points(X)
+    X = as_points(X)
     idx = np.asarray(indices, dtype=int)
     if idx.shape[1] != X.shape[1]:
         raise DimensionMismatch("multi-index dimension does not match the points")
@@ -241,7 +234,7 @@ class BayesPolynomial(LinearPredictor):
         self._fact = numerics.spd_factorize(K)
 
     def weights_matrix(self, X) -> np.ndarray:
-        phi_new = tensor_basis(_as_points(X), self.indices)
+        phi_new = tensor_basis(as_points(X), self.indices)
         C = (phi_new * self.prior_diag) @ self._phi.T
         return numerics.solve(self._fact, C.T).T
 
@@ -261,7 +254,7 @@ class EmpiricalMean(LinearPredictor):
         self.design = design
 
     def weights_matrix(self, X) -> np.ndarray:
-        X = _as_points(X)
+        X = as_points(X)
         return np.full((X.shape[0], self.n), 1.0 / self.n)
 
     def _loo_matrix(self) -> np.ndarray:
@@ -282,12 +275,12 @@ class FixedMixture(LinearPredictor):
             raise DimensionMismatch("one weight per component required")
         if abs(self.nu.sum() - 1.0) > 1e-12:
             raise WeightSimplexViolation("mixture weights must sum to 1")
-        designs = {id(c.design) for c in self.components}
-        if len(designs) > 1:
-            pts = [c.design.points for c in self.components]
-            if not all(np.array_equal(pts[0], p) for p in pts[1:]):
-                raise DimensionMismatch("mixture components must share the design")
         self.design = self.components[0].design
+        index = PointIndex(self.design.points)
+        for c in self.components[1:]:
+            dist, rows = index.nearest(c.design.points)
+            if c.n != self.n or not (coincide(dist) & (rows == np.arange(c.n))).all():
+                raise DimensionMismatch("mixture components must share the design")
 
     def weights_matrix(self, X) -> np.ndarray:
         out = self.nu[0] * self.components[0].weights_matrix(X)
@@ -309,39 +302,22 @@ class FixedMixture(LinearPredictor):
         return FixedMixture([c.drop_point(i) for c in self.components], self.nu)
 
 
-def _point_key(pt: np.ndarray) -> bytes:
-    return (pt + 0.0).tobytes()  # -0.0 + 0.0 is +0.0, so signed zeros match
-
-
-def exact_lookup(support, table):
-    """X -> the rows of `table` at the points of X, found by exact match
-    against the points of `support`."""
-    index = {_point_key(pt): i for i, pt in enumerate(support)}
-
-    def lookup(X) -> np.ndarray:
-        try:
-            return table[[index[_point_key(pt)] for pt in X]]
-        except KeyError:
-            raise LooiseError("point not in the tabulated support") from None
-
-    return lookup
-
-
 class TableWeights(LinearPredictor):
     """Black-box linear predictor given by a weight table over fixed points.
 
-    Weight rows are looked up by exact point match, so evaluation is only
-    possible on (subsets of) the tabulated support. A LOO matrix may be
+    Weight rows are looked up under the one coincidence rule
+    (:class:`~looise.kernels.PointIndex`), so evaluation is only possible
+    on (subsets of) the tabulated support. A LOO matrix may be
     supplied alongside; without one the LOO operator is unavailable.
     """
 
     def __init__(self, support, table, design: Design, loo_matrix=None):
         self.design = design
-        self.support = _as_points(support)
+        self.support = as_points(support)
         self.table = np.asarray(table, dtype=float)
         if self.table.shape != (len(self.support), design.n):
             raise DimensionMismatch("weight table must be (len(support), n)")
-        self._lookup = exact_lookup(self.support, self.table)
+        self._index = PointIndex(self.support)
         self._loo_given = None
         if loo_matrix is not None:
             self._loo_given = np.asarray(loo_matrix, dtype=float)
@@ -349,7 +325,7 @@ class TableWeights(LinearPredictor):
                 raise DimensionMismatch("LOO matrix must be n x n")
 
     def weights_matrix(self, X) -> np.ndarray:
-        return self._lookup(_as_points(X))
+        return self.table[self._index.rows(X)]
 
     def _loo_matrix(self) -> np.ndarray:
         if self._loo_given is None:

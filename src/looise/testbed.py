@@ -12,7 +12,7 @@ import numpy as np
 from . import numerics, rng
 from .designs import IntegrationMeasure, sobol_points
 from .errors import DomainViolation
-from .kernels import KernelSpec, cross_matrix, kernel_matrix
+from .kernels import KernelSpec, PointIndex, coincide, cross_matrix, kernel_matrix
 from .moments import WeightSource, support_blocks
 
 
@@ -39,17 +39,17 @@ class GpSampleFunction:
 
     The first evaluation draws a joint sample on the requested points;
     later evaluations return cached values for known points and extend
-    the realization by conditional sampling for new ones. Values never
-    change once drawn; the realization is deterministic for a fixed
-    sequence of evaluation calls.
+    the realization by conditional sampling for new ones. A point is
+    known when it coincides with a drawn one (``kernels.coincide``).
+    Values never change once drawn; the realization is deterministic for
+    a fixed sequence of evaluation calls.
     """
 
     def __init__(self, kernel: KernelSpec, seed: int):
         self.kernel = kernel
         self.seed = seed
-        self._points = None
         self._values = None
-        self._index: dict[bytes, int] = {}
+        self._index = None  # PointIndex of the drawn points
         self._calls = 0
 
     def __call__(self, X) -> np.ndarray:
@@ -57,34 +57,31 @@ class GpSampleFunction:
 
     def evaluate(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        missing = [i for i, p in enumerate(X) if p.tobytes() not in self._index]
-        if missing:
-            self._extend(np.unique(X[missing], axis=0))
-        rows = [self._index[p.tobytes()] for p in X]
-        return self._values[rows]
+        new = X
+        if self._index is not None:
+            new = X[~coincide(self._index.nearest(X)[0])]
+        if len(new):
+            fresh = PointIndex(np.unique(new, axis=0))
+            self._extend(fresh.points[fresh.first_of_each()])
+        return self._values[self._index.rows(X)]
 
     def _extend(self, new_pts: np.ndarray) -> None:
         gen_path = (self._calls,)
         self._calls += 1
-        if self._points is None:
-            vals = sample_gp(self.kernel, new_pts, self.seed, *gen_path)
-            self._points, self._values = new_pts, vals
-        else:
-            Kcc = kernel_matrix(self.kernel, self._points)
-            Fc = numerics.spd_factorize(Kcc)
-            Knc = cross_matrix(self.kernel, self._points, new_pts)
-            alpha = numerics.solve(Fc, self._values)
-            mean = Knc @ alpha
-            Knn = kernel_matrix(self.kernel, new_pts)
-            cov = Knn - Knc @ numerics.solve(Fc, Knc.T)
-            cov = 0.5 * (cov + cov.T) + 1e-12 * np.eye(len(new_pts))
-            L = numerics.spd_factorize(cov).lower
-            z = rng.stream(self.seed, *gen_path).standard_normal(len(new_pts))
-            vals = mean + L @ z
-            self._points = np.vstack([self._points, new_pts])
-            self._values = np.concatenate([self._values, vals])
-        for p in new_pts:
-            self._index[p.tobytes()] = len(self._index)
+        if self._index is None:
+            self._values = sample_gp(self.kernel, new_pts, self.seed, *gen_path)
+            self._index = PointIndex(new_pts)
+            return
+        points = self._index.points
+        Fc = numerics.spd_factorize(kernel_matrix(self.kernel, points))
+        Knc = cross_matrix(self.kernel, points, new_pts)
+        mean = Knc @ numerics.solve(Fc, self._values)
+        cov = kernel_matrix(self.kernel, new_pts) - Knc @ numerics.solve(Fc, Knc.T)
+        cov = 0.5 * (cov + cov.T) + 1e-12 * np.eye(len(new_pts))
+        L = numerics.spd_factorize(cov).lower
+        z = rng.stream(self.seed, *gen_path).standard_normal(len(new_pts))
+        self._values = np.concatenate([self._values, mean + L @ z])
+        self._index = PointIndex(np.vstack([points, new_pts]))
 
 
 class RandomInterpolant:

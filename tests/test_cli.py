@@ -318,6 +318,120 @@ estimator.kernel.theta = 8.0
     assert np.isclose(out["ise_blp"], expected, rtol=1e-10)
 
 
+def csv_text(header, rows):
+    return header + "\n" + "\n".join(rows) + "\n"
+
+
+def interpolation_table(tmp_path, fmt, loo_size=6):
+    """Config of the piecewise-linear interpolant of the design values, given
+    as a weight table written with the format `fmt`, with its exact LOO
+    matrix (its leading loo_size x loo_size block) alongside and the
+    measure at full precision."""
+    from looise.designs import Design, sobol_points
+
+    x = np.array([0.05, 0.2, 0.33, 0.5, 0.71, 0.9])
+    design = Design(points=x[:, None])
+    support = sobol_points(1, 32, scramble_seed=3)[:, 0]
+
+    def hat_weights(nodes, t):  # constant beyond the end nodes
+        return np.stack([np.interp(t, nodes, e) for e in np.eye(len(nodes))], axis=-1)
+
+    W = hat_weights(x, support)
+    R = np.eye(6)  # eps_i = y_i minus the interpolant of the other five at x_i
+    for i in range(6):
+        R[np.arange(6) != i, i] = -hat_weights(np.delete(x, i), x[i])
+    y = np.random.default_rng(8).standard_normal(6)
+    paths = {
+        "design": write(tmp_path, "table_design.csv", design_to_csv(design)),
+        "y": write(tmp_path, "table_y.csv", csv_text("y", [f"{v:.17g}" for v in y])),
+        "support": write(tmp_path, "table_support.csv",
+                         csv_text("x1", [f"{s:.17g}" for s in support])),
+        "weights": write(tmp_path, f"weights{fmt}.csv", csv_text(
+            "x1," + ",".join(f"w{j}" for j in range(6)),
+            [",".join(format(v, fmt) for v in (s, *w)) for s, w in zip(support, W)])),
+        "loo": write(tmp_path, f"loo{loo_size}.csv", csv_text(
+            ",".join(f"r{j}" for j in range(loo_size)),
+            [",".join(f"{v:.17g}" for v in row[:loo_size]) for row in R[:loo_size]])),
+    }
+    return write(tmp_path, f"table{fmt}.cfg", f"""
+design.file = {paths["design"]}
+data.file = {paths["y"]}
+measure.file = {paths["support"]}
+predictor.variant = table
+predictor.weights_file = {paths["weights"]}
+predictor.loo_file = {paths["loo"]}
+estimator.kernel.family = matern32
+estimator.kernel.theta = 8.0
+""")
+
+
+def test_estimate_with_a_15_digit_weight_table(tmp_path, capsys):
+    from looise.designs import sobol_points
+
+    support = sobol_points(1, 32, scramble_seed=3)[:, 0]
+    assert any(float(f"{s:.15g}") != s for s in support)  # the rounding moves points
+    assert main(["estimate", "--config", interpolation_table(tmp_path, ".17g")]) == 0
+    exact = json.loads(capsys.readouterr().out)
+    assert main(["estimate", "--config", interpolation_table(tmp_path, ".15g")]) == 0
+    rounded = json.loads(capsys.readouterr().out)
+    # the weights are rounded to 15 digits too, so the estimates agree to that
+    for key in ("ise_loo", "ise_blp", "ise_blp_unbiased"):
+        assert np.isclose(rounded[key], exact[key], rtol=1e-12, atol=0.0)
+
+
+def test_exit_code_follows_where_the_error_came_from(tmp_path, capsys, monkeypatch):
+    ycsv = write(tmp_path, "y.csv", "y\n" + "\n".join(["0.5"] * 10) + "\n")
+    cfg = write(tmp_path, "run.cfg", BASE_CONFIG + f"data.file = {ycsv}\n")
+    # a KernelSpec ValueError while validating inputs is a configuration error
+    assert main(["estimate", "--config", cfg, "--estimator.kernel.theta=-1"]) == 2
+    assert "theta must be > 0" in capsys.readouterr().err
+    # so is a DimensionMismatch raised while building the predictor
+    table = interpolation_table(tmp_path, ".17g", loo_size=5)
+    assert main(["estimate", "--config", table]) == 2
+    assert "LOO matrix must be n x n" in capsys.readouterr().err
+    # a ValueError from a numerical routine is a numerical failure
+
+    def broken(*args, **kwargs):
+        raise ValueError("array must not contain infs or NaNs")
+
+    monkeypatch.setattr("looise.estimators.ise_blp", broken)
+    assert main(["estimate", "--config", cfg]) == 3
+    assert "ValueError: array must not contain infs" in capsys.readouterr().err
+
+
+def test_estimate_rejects_the_vn_key(tmp_path, capsys):
+    ycsv = write(tmp_path, "y.csv", "y\n" + "\n".join(["0.5"] * 10) + "\n")
+    cfg = write(tmp_path, "run.cfg", BASE_CONFIG + f"data.file = {ycsv}\nestimator.vn = true\n")
+    assert main(["estimate", "--config", cfg]) == 2
+    assert "only the oracle columns of sweep" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--threads", "2"],
+    ["sweep", "--threads", "2"],
+    ["design", "--threads", "2"],
+    ["reproduce", "fig1", "--seed", "3"],
+    ["selftest", "--out", "x"],
+    ["selftest", "--config", "x.cfg"],
+])
+def test_each_subcommand_takes_only_the_flags_it_reads(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_env_vars_are_the_flag_defaults(tmp_path, capsys, monkeypatch):
+    ycsv = write(tmp_path, "y.csv", "y\n" + "\n".join(["0.5"] * 10) + "\n")
+    cfg = write(tmp_path, "run.cfg", BASE_CONFIG + f"data.file = {ycsv}\n")
+    monkeypatch.setenv("LOOISE_THREADS", "3")  # estimate takes no --threads
+    monkeypatch.setenv("LOOISE_SEED", "5")
+    assert main(["estimate", "--config", cfg]) == 0
+    config = json.loads(capsys.readouterr().out)["manifest"]["config"]
+    assert config["seed"] == "5" and "threads" not in config
+    assert main(["estimate", "--config", cfg, "--seed", "6"]) == 0
+    assert json.loads(capsys.readouterr().out)["manifest"]["config"]["seed"] == "6"
+
+
 def test_reproduce_unknown_experiment(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["reproduce", "not-an-experiment", "--out", str(tmp_path)])

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from looise.errors import DimensionMismatch, DuplicatePoints
+from looise.errors import DimensionMismatch, DomainViolation, DuplicatePoints
 from looise.kernels import (
     FAMILIES,
     KernelSpec,
+    PointIndex,
+    coincide,
     correlation,
     cross_matrix,
     distances,
@@ -173,3 +175,20 @@ def test_spec_validation():
         KernelSpec("matern32", 1.0, nugget=-1e-3)
     with pytest.raises(ValueError):
         KernelSpec("cubic", 1.0)
+
+
+def test_point_index_follows_the_coincidence_rule():
+    index = PointIndex([[0.0, 0.0], [0.25, 0.5], [1.0, 1.0]])
+    assert index.rows([[1.0, 1.0], [-0.0, 0.0], [0.25 + 1e-15, 0.5]]).tolist() == [2, 0, 1]
+    dist, rows = index.nearest([[0.25, 0.5 + 2e-14]])
+    assert rows[0] == 1 and not coincide(dist[0])
+    with pytest.raises(DomainViolation, match="is 2e-14 from the nearest known point"):
+        index.rows([[0.25, 0.5 + 2e-14]])
+    with pytest.raises(DimensionMismatch):
+        index.rows([[0.25]])
+
+
+def test_point_index_keeps_the_first_of_each_coinciding_group():
+    pts = [[0.1], [0.1 + 5e-15], [0.1 + 1.2e-14], [0.3], [0.3 + 3e-16], [0.7]]
+    # 0.1 + 1.2e-14 coincides only with the dropped 0.1 + 5e-15, so it is kept
+    assert PointIndex(pts).first_of_each().tolist() == [True, False, True, True, False, True]

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_design, small_measure
 from looise.designs import Design, regular_grid, uniform_measure
-from looise.errors import FlatLimitSingular, WeightSimplexViolation
+from looise.errors import DomainViolation, FlatLimitSingular, WeightSimplexViolation
 from looise.kernels import KernelSpec, cross_matrix, kernel_matrix
 from looise.moments import (
     build_bundle,
@@ -340,6 +340,18 @@ def test_array_weights_lookup_matches_signed_zero():
     c_neg, rho_neg = pointwise_c_rho(bundle, [[-0.0]])
     c_pos, rho_pos = pointwise_c_rho(bundle, [[0.0]])
     assert np.array_equal(c_neg, c_pos) and np.array_equal(rho_neg, rho_pos)
+
+
+def test_array_weights_lookup_follows_the_coincidence_rule():
+    design = random_design(1, 4, seed=25)
+    measure = uniform_measure(np.array([[0.0], [0.5], [1.0]]))
+    p = SimpleKriging(KernelSpec("matern52", 3.0), design)
+    W = p.weights_matrix(measure.points)
+    bundle = build_bundle(p.loo_operator(), W, KernelSpec("matern32", 4.0), design, measure)
+    assert 0.5 + 1e-16 != 0.5
+    assert np.array_equal(bundle.weights.at([[0.5 + 1e-16], [-0.0]]), W[[1, 0]])
+    with pytest.raises(DomainViolation, match="is 1e-12 from the nearest known point"):
+        pointwise_c_rho(bundle, [[0.5 + 1e-12]])
 
 
 def test_one_support_pass_per_bundle_and_residual_vector(monkeypatch):

@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import gp_draw, random_design
-from looise.designs import Design, regular_grid
-from looise.errors import LooiseError, RankDeficient, WeightSimplexViolation
+from looise.designs import Design, regular_grid, sobol_points
+from looise.errors import (
+    DimensionMismatch,
+    DomainViolation,
+    LooiseError,
+    RankDeficient,
+    WeightSimplexViolation,
+)
 from looise.kernels import KernelSpec
 from looise.predictors import (
     POLY_INDEX_TABLE_D2_M50,
@@ -202,6 +208,38 @@ def test_table_weights_lookup_and_errors():
         p.loo_operator()
     with pytest.raises(LooiseError):
         p.drop_point(0)
+
+
+def test_table_weights_support_rounded_to_15_digits_returns_the_exact_rows():
+    design = random_design(2, 5, seed=5)
+    support = sobol_points(2, 64, scramble_seed=6)
+    rounded = np.array([[float(f"{v:.15g}") for v in row] for row in support])
+    assert (rounded != support).any()
+    table = np.random.default_rng(7).standard_normal((64, 5))
+    p = TableWeights(rounded, table, design)
+    assert np.array_equal(p.weights_matrix(support), table)
+    assert np.array_equal(p.weights_matrix(support[::-1]), table[::-1])
+
+
+def test_table_weights_far_point_names_the_nearest_distance():
+    design = random_design(1, 4, seed=3)
+    p = TableWeights(np.array([[0.0], [0.2]]), np.full((2, 4), 0.25), design)
+    with pytest.raises(DomainViolation, match="is 1e-12 from the nearest known point"):
+        p.weights([0.2 + 1e-12])
+
+
+def test_mixture_designs_match_under_the_coincidence_rule():
+    design = random_design(2, 6, seed=8)
+    near = Design(points=design.points + 3e-16)
+    FixedMixture([EmpiricalMean(design), EmpiricalMean(near)], [0.5, 0.5])
+    moved = design.points.copy()
+    moved[2, 0] += 1e-12
+    with pytest.raises(DimensionMismatch):
+        FixedMixture([EmpiricalMean(design), EmpiricalMean(Design(points=moved))],
+                     [0.5, 0.5])
+    with pytest.raises(DimensionMismatch):  # same points, other order
+        FixedMixture([EmpiricalMean(design), EmpiricalMean(Design(points=design.points[::-1]))],
+                     [0.5, 0.5])
 
 
 def test_table_weights_rank_deficient_loo():

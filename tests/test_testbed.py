@@ -219,3 +219,21 @@ def test_gp_sample_function_cache_consistency():
     g.evaluate(np.array([[0.5], [0.1]]))
     gc = g.evaluate(np.array([[0.3], [0.5]]))
     assert np.array_equal(a, ga) and np.array_equal(c, gc)
+
+
+def test_gp_sample_signed_zeros_share_one_value():
+    f = GpSampleFunction(KernelSpec("matern32", 6.0), seed=5)
+    apart = np.concatenate([f.evaluate([[0.0]]), f.evaluate([[-0.0]])])
+    assert apart[0] == apart[1]
+    g = GpSampleFunction(KernelSpec("matern32", 6.0), seed=5)
+    together = g.evaluate([[0.0], [-0.0]])
+    assert together[0] == together[1] == apart[0]
+
+
+def test_gp_sample_returns_the_cached_value_within_the_coincidence_rule():
+    f = GpSampleFunction(KernelSpec("matern32", 6.0), seed=5)
+    a = f.evaluate([[0.3], [0.7]])
+    b = f.evaluate([[0.3 + 3e-16], [0.7 - 3e-16]])
+    assert 0.3 + 3e-16 != 0.3 and np.array_equal(a, b)
+    c = f.evaluate([[0.5], [0.5 + 3e-16]])  # coinciding new points, one draw
+    assert c[0] == c[1]
