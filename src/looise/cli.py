@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, estimators, moments
+from . import __version__, estimators, moments, numerics
 from .config import apply_overrides, get_bool, get_float, get_int, parse_config
 from .designs import (
     Design,
@@ -246,6 +246,7 @@ def _estimate_payload(cfg: dict) -> dict:
             "clamped": clamp,
             "s_jitter": bundle.S_fact.jitter_applied,
             "loo_full_rank": predictor.loo_operator().full_rank,
+            "blas": numerics.BLAS_PIN.as_dict(),
         },
         "manifest": _manifest(cfg),
     }

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .kernels import (
     KernelSpec,
-    coincide,
+    PointIndex,
     correlation,
     distances,
     kernel_matrix,
@@ -55,9 +55,10 @@ class Design:
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         object.__setattr__(self, "points", pts)
-        if pts.size and (pts.min() < -1e-12 or pts.max() > 1 + 1e-12):
+        if pts.size and not (pts.min() >= -1e-12 and pts.max() <= 1 + 1e-12):
             raise ValueError("design coordinates must lie in [0,1]")
-        if coincide(min_pairwise_distance(pts)):
+        # a tree query, not all pairwise distances: O(n) memory for large supports
+        if pts.size and len(pts) > 1 and not PointIndex(pts).first_of_each().all():
             raise ValueError("design points must be distinct")
 
     @property

@@ -4,11 +4,22 @@ Everything here wraps LAPACK (through scipy) behind a small, strict
 interface: factorizations are immutable, inputs are validated, and
 near-singular matrices fail loudly after a bounded jitter escalation
 instead of silently regularizing.
+
+Importing this module pins the OpenBLAS thread pools bundled with numpy
+and scipy to one thread each (:func:`pin_blas_threads`), for the whole
+process. Otherwise each pool starts one thread per core, the two contend
+for the cores, and the BLAS thread count changes the last bits of
+results; with one thread each, results are the same for any
+replication-pool size. What the pin did is kept in ``BLAS_PIN``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import ctypes
+import glob
+import os
+import sys
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
@@ -19,6 +30,79 @@ from .errors import Asymmetric, DimensionMismatch, NotPositiveDefinite, Singular
 JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 
 SYMMETRY_RTOL = 1e-12
+
+# The OpenBLAS builds bundled in the Linux numpy and scipy wheels: package, file
+# pattern in <site-packages>/<package>.libs and suffix of the exported symbols.
+BUNDLED_OPENBLAS = (
+    ("numpy", "libscipy_openblas64_-*.so", "64_"),
+    ("scipy", "libscipy_openblas-*.so", ""),
+)
+
+# Environment variables that set an OpenBLAS pool's thread count at load time.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@dataclass(frozen=True)
+class BlasPool:
+    """What pinning did to the OpenBLAS pool bundled with one package."""
+
+    package: str
+    library: str | None  # the shared library file; None when none was found
+    threads_before: int | None
+    threads_after: int | None
+    unpinned_reason: str | None = None  # None when the pool runs one thread
+
+
+@dataclass(frozen=True)
+class BlasPin:
+    """The process-wide BLAS thread policy as applied at import."""
+
+    pools: tuple[BlasPool, ...]
+    overridden: tuple[tuple[str, str], ...]  # thread variables the pin overrode
+
+    def as_dict(self) -> dict:
+        return {"pools": {p.package: asdict(p) for p in self.pools},
+                "overridden": dict(self.overridden)}
+
+
+def _find_openblas(package: str, pattern: str) -> str | None:
+    """The OpenBLAS library bundled in `package`'s wheel, or None."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules[package].__file__)))
+    found = sorted(glob.glob(os.path.join(root, package + ".libs", pattern)))
+    return found[0] if found else None
+
+
+def _pin_pool(package: str, pattern: str, suffix: str) -> BlasPool:
+    path = _find_openblas(package, pattern)
+    if path is None:
+        return BlasPool(package, None, None, None, f"no bundled OpenBLAS in {package}")
+    try:
+        lib = ctypes.CDLL(path)  # already loaded by the package: same handle
+        get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+        put = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+    except (OSError, AttributeError) as exc:
+        return BlasPool(package, path, None, None, f"cannot set threads: {exc}")
+    before = int(get())
+    put(1)
+    after = int(get())
+    return BlasPool(package, path, before, after,
+                    None if after == 1 else f"pool reports {after} threads after the pin")
+
+
+def pin_blas_threads() -> BlasPin:
+    """Pin every bundled OpenBLAS pool to one thread; return what was done.
+
+    A package without a bundled OpenBLAS (an MKL or system-BLAS build) is
+    left alone, and its pool is recorded as unpinned with the reason.
+    """
+    pools = tuple(_pin_pool(*entry) for entry in BUNDLED_OPENBLAS)
+    pinned = any(p.unpinned_reason is None for p in pools)
+    overridden = tuple((k, os.environ[k]) for k in THREAD_VARS
+                       if pinned and os.environ.get(k, "1").strip() != "1")
+    return BlasPin(pools, overridden)
+
+
+BLAS_PIN = pin_blas_threads()
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import json
 import os
 import numpy as np
 
-from . import estimators, moments, testbed
+from . import estimators, moments, numerics, testbed
 from .designs import (
     Design,
     clamp_theta,
@@ -76,9 +76,11 @@ def _fmt(v) -> str:
 
 
 def write_manifest(path: str, payload: dict) -> None:
+    """Write an experiment's manifest, with the BLAS thread policy it ran under."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump({**payload, "blas": numerics.BLAS_PIN.as_dict()}, fh, indent=2,
+                  sort_keys=True)
         fh.write("\n")
 
 

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+import looise
 from looise.designs import Design, sobol_measure, sobol_points, uniform_measure
 from looise.kernels import KernelSpec
 
@@ -28,3 +31,17 @@ def gp_draw(kernel: KernelSpec, design: Design, seed: int) -> np.ndarray:
 
 def small_measure(d: int, N: int, seed: int | None = None):
     return uniform_measure(sobol_points(d, N, scramble_seed=seed))
+
+
+def subprocess_env(**overrides) -> dict:
+    """The environment for a fresh interpreter that imports this checkout's looise,
+    with `overrides` set; a None value unsets a variable."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(looise.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for key, value in overrides.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    return env

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from looise import numerics
 from looise.cli import main
 from looise.config import apply_overrides, parse_config, serialize_config
 from looise.designs import design_to_csv, regular_grid
@@ -70,8 +71,23 @@ def test_estimate_flag_overrides_and_manifest(tmp_path, capsys):
     assert code == 0
     assert out["theta_used"] == 12.5
     assert out["manifest"]["config"]["estimator.kernel.theta"] == "12.5"
+    assert out["diagnostics"]["blas"] == numerics.BLAS_PIN.as_dict()
     on_disk = json.loads((tmp_path / "out" / "estimate.json").read_text())
     assert on_disk == out
+
+
+def test_a_package_without_bundled_openblas_is_left_unpinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(numerics, "_find_openblas", lambda package, pattern: None)
+    monkeypatch.setattr(numerics, "BLAS_PIN", numerics.pin_blas_threads())
+    ycsv = write(tmp_path, "y.csv", "y\n" + "\n".join(["0.5"] * 10) + "\n")
+    cfg = write(tmp_path, "run.cfg", BASE_CONFIG + f"data.file = {ycsv}\n")
+    assert main(["estimate", "--config", cfg]) == 0
+    blas = json.loads(capsys.readouterr().out)["diagnostics"]["blas"]
+    assert set(blas["pools"]) == {"numpy", "scipy"}
+    for package, pool in blas["pools"].items():
+        assert pool["library"] is None and pool["threads_after"] is None
+        assert pool["unpinned_reason"] == f"no bundled OpenBLAS in {package}"
+    assert blas["overridden"] == {}  # nothing was pinned, so nothing was overridden
 
 
 def test_estimate_exit_code_config_error(tmp_path, capsys):

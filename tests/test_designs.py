@@ -118,6 +118,12 @@ def test_design_rejects_coincident_points():
     assert Design(points=[[0.0], [1e-13]]).n == 2
 
 
+@pytest.mark.parametrize("bad", [1.5, -0.1, math.nan])
+def test_design_rejects_coordinates_outside_the_cube(bad):
+    with pytest.raises(ValueError, match="must lie in"):
+        Design(points=[[0.5, 0.5], [0.25, bad]])
+
+
 def test_measure_weights_validation():
     pts = np.array([[0.1], [0.9]])
     m = uniform_measure(pts)
@@ -299,3 +305,19 @@ def test_design_csv_roundtrip():
     assert text.splitlines()[0] == "x1,x2"
     back = design_from_csv(text)
     assert np.array_equal(back.points, d.points)
+
+
+def test_distinctness_check_does_not_hold_all_pairwise_distances():
+    import tracemalloc
+
+    pts = sobol_points(4, 2**13, scramble_seed=3)
+    tracemalloc.start()
+    try:
+        assert Design(points=pts).n == 2**13
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20  # all pairs would take about 270 MB
+    with pytest.raises(ValueError, match="distinct"):
+        Design(points=np.vstack([pts, pts[17] + 1e-15]))
+    assert Design(points=[[0.5, 0.5], [0.5, 0.5 + 1e-13]]).n == 2

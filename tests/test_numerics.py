@@ -1,6 +1,11 @@
+import json
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from conftest import subprocess_env
 from looise import numerics
 from looise.designs import regular_grid
 from looise.errors import Asymmetric, DimensionMismatch, NotPositiveDefinite, SingularBorder
@@ -110,3 +115,24 @@ def test_bordered_inverse_consistency():
 def test_bordered_inverse_guards_breakdown():
     with pytest.raises((SingularBorder, NotPositiveDefinite)):
         numerics.bordered_inverse(numerics.spd_factorize(np.zeros((3, 3))))
+
+
+def test_import_pins_both_pools_over_the_environment():
+    probe = (
+        "import ctypes, json, looise\n"
+        "from looise import numerics\n"
+        "counts = {}\n"
+        "for package, _, suffix in numerics.BUNDLED_OPENBLAS:\n"
+        "    lib = ctypes.CDLL(numerics.BLAS_PIN.as_dict()['pools'][package]['library'])\n"
+        "    counts[package] = getattr(lib, 'scipy_openblas_get_num_threads' + suffix)()\n"
+        "print(json.dumps({'counts': counts, 'pin': numerics.BLAS_PIN.as_dict()}))\n"
+    )
+    env = subprocess_env(OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS=None)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    got = json.loads(out.stdout)
+    assert got["counts"] == {"numpy": 1, "scipy": 1}
+    assert got["pin"]["overridden"] == {"OPENBLAS_NUM_THREADS": "2"}
+    for pool in got["pin"]["pools"].values():
+        assert pool["threads_before"] == 2 and pool["threads_after"] == 1
+        assert pool["unpinned_reason"] is None

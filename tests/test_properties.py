@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_design, small_measure
-from looise.estimators import trend_corrected_ise
+from looise.designs import Design
+from looise.errors import LooiseError
+from looise.estimators import ise_blp, ise_blup, ise_loo, trend_corrected_ise
 from looise.kernels import KernelSpec
 from looise.moments import build_bundle, mixture_bundle
 from looise.predictors import SimpleKriging
@@ -58,3 +60,67 @@ def test_constant_data_is_all_trend(bundle, c):
             est = trend_corrected_ise(bundle, np.full(bundle.n, c), estimator, clamp)
             assert np.isclose(est.trend_amount, target, rtol=1e-12, atol=0.0)  # tau = c
             assert np.isclose(est.value, target, rtol=1e-12, atol=0.0)
+
+
+# Matern kernels at ranges in the package's clamp interval [5, 50]: their
+# matrices stay within a condition number of about 1e7 at n <= 30, so a
+# relative tolerance of 1e-9 is met by rounding alone. The smooth families at
+# small ranges reach 1e18 in one dimension, where the factorizations, and
+# whether S factorizes at all, depend on the row order.
+MATERN = ("matern12", "matern32", "matern52")
+THETAS = st.floats(5.0, 50.0)
+
+
+@st.composite
+def problems(draw):
+    """Data on a scrambled-Sobol design (n <= 30) with a simple-kriging
+    predictor, an assumed estimator kernel and a support of N <= 256 points."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(3, 30))
+    seed = draw(st.integers(0, 10_000))
+    design = random_design(d, n, seed=seed)
+    measure = small_measure(d, draw(st.sampled_from([32, 64, 128, 256])), seed=seed + 1)
+    kern_p = KernelSpec(draw(st.sampled_from(MATERN)), draw(THETAS))
+    kern_e = KernelSpec(draw(st.sampled_from(MATERN)), draw(THETAS))
+    y = np.asarray(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
+    return design, measure, kern_p, kern_e, y
+
+
+def _three_estimates(design, measure, kern_p, kern_e, y):
+    """ise_loo, then ise_blp and ise_blup clamped and unclamped; or the type
+    of the package error that computing them raised."""
+    try:
+        pred = SimpleKriging(kern_p, design)
+        eps = pred.loo_residuals(y)
+        bundle = build_bundle(pred.loo_operator(), pred, kern_e, design, measure)
+        return np.array([ise_loo(eps).value] + [
+            est(bundle, eps, clamp=clamp).value
+            for est in (ise_blp, ise_blup) for clamp in (True, False)])
+    except LooiseError as exc:
+        return type(exc)
+
+
+def _assert_same(got, want, rtol):
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want
+    else:
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+
+
+@PROPERTY_SETTINGS
+@given(problem=problems(), c=st.floats(0.1, 10.0))
+def test_estimates_scale_with_the_square_of_the_data(problem, c):
+    design, measure, kern_p, kern_e, y = problem
+    plain = _three_estimates(design, measure, kern_p, kern_e, y)
+    scaled = _three_estimates(design, measure, kern_p, kern_e, c * y)
+    _assert_same(scaled, plain if isinstance(plain, type) else c * c * plain, rtol=1e-10)
+
+
+@PROPERTY_SETTINGS
+@given(problem=problems(), data=st.data())
+def test_estimates_do_not_depend_on_the_order_of_the_design(problem, data):
+    design, measure, kern_p, kern_e, y = problem
+    perm = np.asarray(data.draw(st.permutations(range(design.n))))
+    moved = Design(points=design.points[perm], provenance=design.provenance)
+    _assert_same(_three_estimates(moved, measure, kern_p, kern_e, y[perm]),
+                 _three_estimates(design, measure, kern_p, kern_e, y), rtol=1e-9)

@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from conftest import subprocess_env
+from looise import numerics
 from looise.errors import UnknownExperiment
 from looise.reproduce import (
     run_experiment,
@@ -25,6 +29,7 @@ def test_table1_csv_structure(tmp_path):
     assert len(lines) == 13  # 2 rows x 6 quantities
     manifest = json.loads((tmp_path / "table1_manifest.json").read_text())
     assert manifest["tolerance_rel"] == 0.02
+    assert manifest["blas"] == numerics.BLAS_PIN.as_dict()
 
 
 def test_fig1_ratio_curves(tmp_path):
@@ -97,3 +102,26 @@ def test_suppf1_replications_differ(tmp_path):
     out = run_suppF1(str(tmp_path), n_reps=3)
     vals = np.array(out["rows"])[:, 1]
     assert len(np.unique(vals)) == 3
+
+
+def test_table2_is_bit_identical_for_any_pool_and_blas_thread_count(tmp_path):
+    """One replication run twice in fresh interpreters, with one replication
+    thread and one BLAS thread, then with two of each: the CSVs match byte
+    for byte, because the pin at import overrides OPENBLAS_NUM_THREADS."""
+    probe = ("import os, sys\n"
+             "from looise.reproduce import run_table2\n"
+             "run_table2(sys.argv[1], threads=int(os.environ['LOOISE_THREADS']), n_designs=1)\n")
+    runs = []
+    for threads in ("1", "2"):
+        env = subprocess_env(LOOISE_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                             OMP_NUM_THREADS=None)
+        out = tmp_path / f"threads{threads}"
+        runs.append((out, subprocess.Popen([sys.executable, "-c", probe, str(out)], env=env)))
+    try:
+        for out, proc in runs:
+            assert proc.wait(timeout=600) == 0
+    finally:
+        for _, proc in runs:
+            proc.kill()  # no-op for a process that has exited
+    first, second = [(out / "table2.csv").read_bytes() for out, _ in runs]
+    assert first == second
