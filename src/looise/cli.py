@@ -43,7 +43,7 @@ from .predictors import (
     TableWeights,
     poly_basis,
 )
-from .reproduce import EXPERIMENTS, run_experiment, write_csv
+from .reproduce import EXPERIMENTS, run_experiment, write_csv, write_manifest
 from .selftest import run_selftest
 
 EXIT_OK = 0
@@ -74,6 +74,12 @@ def _reads_inputs(fn):
             raise ConfigError(str(exc)) from exc
 
     return wrapped
+
+
+def _finite(values: np.ndarray, path: str) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise ConfigError(f"{path} holds a non-finite value")
+    return values
 
 
 @_reads_inputs
@@ -133,12 +139,13 @@ def _build_predictor(cfg: dict, design: Design):
             raise ConfigError("predictor.variant=table requires predictor.weights_file")
         with open(cfg["predictor.weights_file"]) as fh:
             rows = [ln.split(",") for ln in fh.read().strip().splitlines()[1:]]
-        table = np.asarray(rows, dtype=float)
+        table = _finite(np.asarray(rows, dtype=float), cfg["predictor.weights_file"])
         support = table[:, : design.d]
         weights = table[:, design.d:]
         loo = None
         if "predictor.loo_file" in cfg:
-            loo = np.loadtxt(cfg["predictor.loo_file"], delimiter=",", skiprows=1)
+            loo = _finite(np.loadtxt(cfg["predictor.loo_file"], delimiter=",", skiprows=1),
+                          cfg["predictor.loo_file"])
         return TableWeights(support, weights, design, loo_matrix=loo)
     kern = _kernel_from(cfg, "predictor.kernel")
     if variant == "simple-kriging":
@@ -154,7 +161,7 @@ def _load_y(cfg: dict, design: Design) -> np.ndarray:
         y = np.loadtxt(cfg["data.file"], delimiter=",", skiprows=1, ndmin=1)
         if y.ndim != 1 or len(y) != design.n:
             raise ConfigError(f"data.file must hold {design.n} values in one column")
-        return y
+        return _finite(y, cfg["data.file"])
     fname = cfg.get("function.name")
     if fname == "environmental":
         from .testbed import environmental_values
@@ -215,13 +222,12 @@ def _estimate_payload(cfg: dict) -> dict:
     if mixture is not None:
         kernels, nus = mixture
         theta, theta_rule = None, "mixture"  # no single assumed range
-        bundle = moments.mixture_bundle(kernels, nus, predictor.loo_operator(),
+        bundle = moments.mixture_bundle(kernels, nus, predictor.loo,
                                         predictor, design, measure)
     else:
         theta, theta_rule = _estimator_theta(cfg, y, design, trend_mode)
         kern_e = _kernel_from(cfg, "estimator.kernel", theta_override=theta)
-        bundle = moments.build_bundle(predictor.loo_operator(), predictor, kern_e,
-                                      design, measure)
+        bundle = moments.build_bundle(predictor.loo, predictor, kern_e, design, measure)
     est_loo = estimators.ise_loo(eps)
     if trend_mode == "constant":
         est_blp = estimators.trend_corrected_ise(bundle, y, "blp", clamp)
@@ -245,7 +251,7 @@ def _estimate_payload(cfg: dict) -> dict:
             "theta_rule": theta_rule,
             "clamped": clamp,
             "s_jitter": bundle.S_fact.jitter_applied,
-            "loo_full_rank": predictor.loo_operator().full_rank,
+            "loo_full_rank": predictor.loo.full_rank,
             "blas": numerics.BLAS_PIN.as_dict(),
         },
         "manifest": _manifest(cfg),
@@ -255,7 +261,7 @@ def _estimate_payload(cfg: dict) -> dict:
 def cmd_estimate(args, extra) -> int:
     cfg = _load_config(args, extra)
     payload = _estimate_payload(cfg)
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "estimate.json"), "w") as fh:
@@ -288,14 +294,13 @@ def cmd_sweep(args, extra) -> int:
     oracle = None
     if "sweep.oracle.family" in cfg:
         kern_true = _kernel_from(cfg, "sweep.oracle")
-        oracle = moments.build_bundle(predictor.loo_operator(), predictor, kern_true,
+        oracle = moments.build_bundle(predictor.loo, predictor, kern_true,
                                       design, measure,
                                       compute_Vn=get_bool(cfg, "estimator.vn", False))
     rows = []
     for theta in thetas:
         kern_e = _kernel_from(cfg, "estimator.kernel", theta_override=theta)
-        bundle = moments.build_bundle(predictor.loo_operator(), predictor, kern_e,
-                                      design, measure)
+        bundle = moments.build_bundle(predictor.loo, predictor, kern_e, design, measure)
         est = estimators.ise_blp(bundle, eps, clamp=clamp)
         if oracle is not None:
             rep = estimators.performance_report(bundle.gamma_blp, oracle)
@@ -307,9 +312,7 @@ def cmd_sweep(args, extra) -> int:
     path = os.path.join(outdir, "sweep.csv")
     write_csv(path, ["theta_blp", "estimate", "e_estimate", "mse", "bias", "estimator"],
               rows)
-    with open(os.path.join(outdir, "sweep_manifest.json"), "w") as fh:
-        json.dump(_manifest(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_manifest(os.path.join(outdir, "sweep_manifest.json"), _manifest(cfg))
     print(path)
     return EXIT_OK
 

@@ -77,10 +77,6 @@ def parse_config(text: str) -> dict[str, str]:
     return out
 
 
-def serialize_config(cfg: dict[str, str]) -> str:
-    return "".join(f"{k} = {cfg[k]}\n" for k in sorted(cfg))
-
-
 def apply_overrides(cfg: dict[str, str], overrides: dict[str, str]) -> dict[str, str]:
     out = dict(cfg)
     for key, value in overrides.items():

@@ -192,56 +192,12 @@ def nn_distance(eval_points, design: Design | np.ndarray, k: int = 1) -> float:
     return float(kth.max())
 
 
-def covering_distance(eval_points, design) -> float:
-    return nn_distance(eval_points, design, k=1)
-
-
 def packing_radius(design: Design | np.ndarray) -> float:
     """Half the minimum pairwise distance of the design."""
     X = design.points if isinstance(design, Design) else np.atleast_2d(np.asarray(design, float))
     if len(X) < 2:
         raise SinglePoint("packing radius requires at least two points")
     return 0.5 * min_pairwise_distance(X)
-
-
-def _witness_covering_radius(cand: np.ndarray, n: int) -> float:
-    """Pure greedy on candidates; returns the max-min distance r_n after
-    n selections. The n+1 selected candidates are pairwise >= r_n apart,
-    so no n-point design can cover the candidates closer than r_n / 2."""
-    center = np.full(cand.shape[1], 0.5)
-    first = int(np.argmin(distances(center[None], cand)[0]))
-    dmin = distances(cand[first][None], cand)[0]
-    r_last = 0.0
-    for _ in range(1, n + 1):
-        star = int(np.argmax(dmin))
-        r_last = float(dmin[star])
-        dmin = np.minimum(dmin, distances(cand[star][None], cand)[0])
-    return r_last
-
-
-def packing_covering_report(design: Design, candidates) -> dict:
-    """Exact PR/CR of a design against a candidate set, plus certified
-    lower bounds on its packing and covering efficiencies.
-
-    Packing: every n-subset of candidates has two points within one
-    covering ball of the design's first n-1 points, so the optimal
-    packing radius is at most CR(X_{n-1}) and
-    PR(X_n) / CR(X_{n-1}) lower-bounds the efficiency. For designs from
-    `greedy_packing` this bound is at least (1-a)/2 by construction.
-    Covering: a pure-greedy witness run supplies n+1 candidates pairwise
-    >= r_n apart, so the optimal covering distance is >= r_n / 2.
-    """
-    cand = np.atleast_2d(np.asarray(candidates, dtype=float))
-    pr = packing_radius(design)
-    cr = covering_distance(cand, design)
-    prefix_cr = covering_distance(cand, design.points[: design.n - 1])
-    r_n = _witness_covering_radius(cand, design.n)
-    return {
-        "packing_radius": pr,
-        "covering_distance": cr,
-        "packing_efficiency_lb": pr / prefix_cr if prefix_cr > 0 else math.inf,
-        "covering_efficiency_lb": (0.5 * r_n / cr) if cr > 0 else math.inf,
-    }
 
 
 def theta_packing_rule(design: Design) -> float:

@@ -58,12 +58,6 @@ class LinearPredictor:
             raise DimensionMismatch(f"y has shape {y.shape}, expected ({self.n},)")
         return float(self.weights(x) @ y)
 
-    def predict_many(self, y, X) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.n,):
-            raise DimensionMismatch(f"y has shape {y.shape}, expected ({self.n},)")
-        return self.weights_matrix(X) @ y
-
     def drop_point(self, i: int) -> "LinearPredictor":
         """Same predictor refit on the design without point i (for the LOO oracle)."""
         raise NotImplementedError
@@ -84,9 +78,6 @@ class LinearPredictor:
                 "LOO operator is rank deficient beyond the sum-to-one direction"
             )
         return LooOperator(matrix=R, full_rank=full_rank)
-
-    def loo_operator(self) -> LooOperator:
-        return self.loo
 
     def loo_residuals(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -293,10 +284,6 @@ class FixedMixture(LinearPredictor):
         for nu_t, comp in zip(self.nu[1:], self.components[1:]):
             out += nu_t * comp.loo.matrix
         return out
-
-    def loo_matrix_by_component(self, y) -> np.ndarray:
-        """(T, n) matrix of per-component LOO residuals for the same y."""
-        return np.stack([c.loo_residuals(y) for c in self.components])
 
     def drop_point(self, i: int) -> "FixedMixture":
         return FixedMixture([c.drop_point(i) for c in self.components], self.nu)

@@ -116,7 +116,7 @@ def table1_values(row: str) -> dict:
     design, pred = _grid_study_predictor(row)
     measure = sobol_measure(2, 2**10)
     ktrue = KernelSpec("matern32", 10.0)
-    R = pred.loo_operator()
+    R = pred.loo
     bundle = moments.build_bundle(R, pred, ktrue, design, measure, compute_Vn=True)
     n = design.n
     rep_loo = estimators.performance_report(np.full(n, 1.0 / n), bundle)
@@ -162,7 +162,7 @@ def _oracle_sweep(name: str, weight_rule, outdir: str, threads: int):
     design, pred = _grid_study_predictor("blup")
     measure = sobol_measure(2, 2**10)
     ktrue = KernelSpec("matern32", 10.0)
-    R = pred.loo_operator()
+    R = pred.loo
     bundle_true = moments.build_bundle(R, pred, ktrue, design, measure, compute_Vn=True)
     thetas = sorted(set(np.logspace(np.log10(0.05), np.log10(20.0), 25)) | {10.0})
 
@@ -227,8 +227,7 @@ def run_fig1(outdir: str, threads: int = 1) -> dict:
         y = f.evaluate(design.points)
         ise = true_ise(f, pred, y, measure)
         eps = pred.loo_residuals(y)
-        bundle = moments.build_bundle(pred.loo_operator(), pred, ktrue,
-                                      design, measure)
+        bundle = moments.build_bundle(pred.loo, pred, ktrue, design, measure)
         est_loo = estimators.ise_loo(eps).value
         est_blp = estimators.ise_blp(bundle, eps, clamp=True).value
         n = design.n
@@ -258,8 +257,7 @@ def run_fig2(outdir: str, threads: int = 1) -> dict:
     for theta_p in np.linspace(1.0, 10.0, 19):
         pred = SimpleKriging(KernelSpec("matern32", theta_p), design)
         eps = pred.loo_residuals(y)
-        bundle = moments.build_bundle(pred.loo_operator(), pred, ktrue,
-                                      design, measure)
+        bundle = moments.build_bundle(pred.loo, pred, ktrue, design, measure)
         n = design.n
         rep_loo = estimators.performance_report(np.full(n, 1.0 / n), bundle)
         rep_blp = estimators.performance_report(bundle.gamma_blp, bundle)
@@ -310,7 +308,7 @@ def run_fig7(outdir: str, threads: int = 1, n_designs: int = 20) -> dict:
         est_loo = estimators.ise_loo(eps).value
         theta_hat = theta_loo(y, design, "matern52", mean_mode="zero")
         theta_blp = clamp_theta(theta_hat)
-        bundle = moments.build_bundle(pred.loo_operator(), pred,
+        bundle = moments.build_bundle(pred.loo, pred,
                                       KernelSpec("matern52", theta_blp),
                                       design, measure)
         est_blp = estimators.ise_blp(bundle, eps, clamp=True).value
@@ -344,8 +342,7 @@ def run_fig8(outdir: str, threads: int = 1) -> dict:
 
     def one(theta):
         kern = KernelSpec("matern52", theta)
-        bundle = moments.build_bundle(pred.loo_operator(), pred, kern,
-                                      design, measure)
+        bundle = moments.build_bundle(pred.loo, pred, kern, design, measure)
         plain = estimators.ise_blp(bundle, eps, clamp=True).value
         corrected = estimators.trend_corrected_ise(bundle, y).value
         return (theta, plain, corrected)
@@ -384,8 +381,7 @@ def run_table2(outdir: str, threads: int = 1, n_designs: int = 20) -> dict:
             eps = pred.loo_residuals(y)
             loo_vals.append(estimators.ise_loo(eps).value)
             W = pred.weights_matrix(measure.points)  # shared by bundle and true ISE
-            bundle = moments.build_bundle(pred.loo_operator(), W, kern_e,
-                                          design, measure)
+            bundle = moments.build_bundle(pred.loo, W, kern_e, design, measure)
             blp_vals.append(estimators.trend_corrected_ise(bundle, y).value)
             true_vals.append(true_ise(fvals, W, y, measure))
         mean_pred = EmpiricalMean(design)
@@ -433,7 +429,7 @@ def run_suppC(outdir: str, threads: int = 1) -> dict:
         theta_p = theta_from_coverage("matern52", Dn5, 0.25)
         theta_e = theta_from_coverage("inverse-multiquadric", Dn5, 0.25)
         pred = SimpleKriging(KernelSpec("matern52", theta_p), design)
-        R = pred.loo_operator()
+        R = pred.loo
         bundle_true = moments.build_bundle(R, pred, ktrue, design, measure)
         bundle_e = moments.build_bundle(R, pred,
                                         KernelSpec("inverse-multiquadric", theta_e),
@@ -484,7 +480,7 @@ def run_suppF1(outdir: str, threads: int = 1, n_reps: int = 10) -> dict:
         pred = SimpleKriging(KernelSpec("matern52", theta_p), design)
         eps = pred.loo_residuals(y)
         theta_e = theta_loo(y, design, "inverse-multiquadric", mean_mode="zero")
-        bundle = moments.build_bundle(pred.loo_operator(), pred,
+        bundle = moments.build_bundle(pred.loo, pred,
                                       KernelSpec("inverse-multiquadric", theta_e),
                                       design, measure)
         return (rep, true_ise(f, pred, y, measure),
@@ -527,8 +523,7 @@ def run_suppF2(outdir: str, threads: int = 1, n_reps: int = 20) -> dict:
             theta_e = theta_loo(y, design, "inverse-multiquadric",
                                 mean_mode="zero", nugget=r_e)
             kern_e = KernelSpec("inverse-multiquadric", theta_e, nugget=r_e)
-            bundle = moments.build_bundle(pred.loo_operator(), pred, kern_e,
-                                          design, measure)
+            bundle = moments.build_bundle(pred.loo, pred, kern_e, design, measure)
             out.append((rep, factor, ise, est_loo,
                         estimators.ise_blp(bundle, eps, clamp=True).value,
                         estimators.ise_blup(bundle, eps, clamp=True).value))

@@ -4,7 +4,8 @@ Each check is a small named assertion over seeded inputs: closed-form
 LOO identities against brute-force refits, moment-matrix structure,
 optimality and unbiasedness of the weighted estimators, limit
 consistency, and the golden fixtures of the benchmark functions. The
-whole suite runs in well under a minute.
+whole suite runs in well under a minute. Tier-1 runs the same registry,
+one test per check named after it (tests/test_selftest.py).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .designs import (
     theta_from_coverage,
     uniform_measure,
 )
+from .errors import EmptyInput, NotPositiveDefinite
 from .kernels import (
     FAMILIES,
     KernelSpec,
@@ -40,6 +42,7 @@ from .predictors import (
 )
 from .testbed import environmental, piston4d, sample_gp
 
+# independent scripted evaluation (mpmath, 50 digits), locked once
 ENV_GOLDEN = (
     ((0.0, 0.0), 37.796447300922723),
     ((0.5, 0.5), 69.359294300337187),
@@ -66,6 +69,14 @@ def check(name):
     return deco
 
 
+def _raises(exc_type, fn, *args):
+    try:
+        fn(*args)
+    except exc_type:
+        return
+    raise AssertionError(f"{fn.__name__} did not raise {exc_type.__name__}")
+
+
 def _design(d=1, n=10, seed=0):
     return Design(points=sobol_points(d, n, scramble_seed=seed), provenance="sobol")
 
@@ -75,7 +86,7 @@ def _setup(seed=0, n=12, d=1, theta_p=6.0, theta_e=8.0):
     pred = SimpleKriging(KernelSpec("matern52", theta_p), design)
     measure = uniform_measure(sobol_points(d, 128, scramble_seed=seed + 50))
     kern = KernelSpec("matern32", theta_e)
-    bundle = moments.build_bundle(pred.loo_operator(), pred, kern, design, measure)
+    bundle = moments.build_bundle(pred.loo, pred, kern, design, measure)
     y = sample_gp(kern, design.points, 7, seed)
     return design, pred, measure, kern, bundle, y
 
@@ -83,8 +94,9 @@ def _setup(seed=0, n=12, d=1, theta_p=6.0, theta_e=8.0):
 @check("kernels: unit diagonal and nugget")
 def _k1():
     for fam in FAMILIES:
-        assert kernel_eval(KernelSpec(fam, 2.0), [0.3], [0.3]) == 1.0
-    assert kernel_eval(KernelSpec("matern32", 2.0, 0.25), [0.3], [0.3]) == 1.25
+        for x in ([0.3], [0.2, 0.3]):
+            assert kernel_eval(KernelSpec(fam, 2.0), x, x) == 1.0
+        assert kernel_eval(KernelSpec(fam, 2.0, 0.25), [0.3], [0.3]) == 1.25
 
 
 @check("kernels: monotone decay")
@@ -92,6 +104,10 @@ def _k2():
     for fam in FAMILIES:
         vals = correlation(fam, np.linspace(0, 5, 40))
         assert np.all(np.diff(vals) <= 0)
+        spec = KernelSpec(fam, 2.0)
+        vals = [kernel_eval(spec, [0.0], [d]) for d in np.linspace(0.0, 4.0, 60)]
+        assert np.all(np.diff(vals) <= 0)
+        assert vals[-1] < 2e-2  # inverse-multiquadric has the heaviest tail, 1/65 here
 
 
 @check("kernels: nugget adds identity exactly")
@@ -104,18 +120,26 @@ def _k3():
 
 @check("numerics: factorization reconstructs input")
 def _n1():
-    K = kernel_matrix(KernelSpec("matern32", 10.0), regular_grid(2, 6).points)
-    F = numerics.spd_factorize(K)
-    assert F.jitter_applied == 0.0
-    assert np.linalg.norm(F.reconstruct() - K) <= 1e-10 * np.linalg.norm(K)
+    for per_axis in (6, 10):
+        K = kernel_matrix(KernelSpec("matern32", 10.0), regular_grid(2, per_axis).points)
+        assert np.linalg.eigvalsh(K).min() > 0
+        F = numerics.spd_factorize(K)
+        assert F.jitter_applied == 0.0
+        assert np.linalg.norm(F.reconstruct() - K) <= 1e-10 * np.linalg.norm(K)
 
 
 @check("numerics: solve round trip")
 def _n2():
-    K = kernel_matrix(KernelSpec("matern52", 5.0), sobol_points(1, 14, scramble_seed=2))
-    F = numerics.spd_factorize(K)
-    x = np.linspace(-1, 1, 14)
-    assert np.linalg.norm(numerics.solve(F, K @ x) - x) <= 1e-8 * np.linalg.norm(x)
+    cases = [(kernel_matrix(KernelSpec("matern52", 5.0), sobol_points(1, 14, scramble_seed=2)),
+              np.linspace(-1, 1, 14))]
+    gen = np.random.default_rng(7)
+    for _ in range(8):
+        pts = gen.uniform(size=(12, 2))
+        cases.append((kernel_matrix(KernelSpec("matern32", float(gen.uniform(2.0, 20.0))), pts),
+                      gen.standard_normal(12)))
+    for K, x in cases:
+        F = numerics.spd_factorize(K)
+        assert np.linalg.norm(numerics.solve(F, K @ x) - x) <= 1e-8 * np.linalg.norm(x)
 
 
 @check("numerics: bordered inverse consistency")
@@ -128,11 +152,9 @@ def _n3():
 
 @check("numerics: rank-one flat-limit matrix fails loudly")
 def _n4():
-    try:
-        numerics.spd_factorize(np.ones((5, 5)))
-    except Exception:
-        return
-    raise AssertionError("rank-one matrix must not factorize")
+    # the jitter ladder must not rescue a genuinely singular matrix
+    for size in (5, 6):
+        _raises(NotPositiveDefinite, numerics.spd_factorize, np.ones((size, size)))
 
 
 @check("loo: simple kriging matches brute force")
@@ -173,7 +195,7 @@ def _l5():
     kern = KernelSpec("matern52", 7.0)
     pred = SimpleKriging(kern, design)
     K = kernel_matrix(kern, design.points)
-    R = pred.loo_operator().matrix
+    R = pred.loo.matrix
     M = np.linalg.inv(K)
     assert np.max(np.abs(np.diag(R.T @ K @ R) - 1.0 / np.diag(M))) < 1e-9
 
@@ -183,7 +205,7 @@ def _l6():
     design = _design(2, 10, 9)
     for pred in (OrdinaryKriging(KernelSpec("matern32", 6.0), design),
                  EmpiricalMean(design)):
-        assert np.max(np.abs(pred.loo_operator().matrix.T @ np.ones(10))) < 1e-10
+        assert np.max(np.abs(pred.loo.matrix.T @ np.ones(10))) < 1e-10
 
 
 @check("predictors: interpolation at design points")
@@ -191,7 +213,7 @@ def _p1():
     design = _design(2, 9, 10)
     pred = SimpleKriging(KernelSpec("matern52", 5.0), design)
     W = pred.weights_matrix(design.points)
-    assert np.max(np.abs(W - np.eye(9))) < 1e-7
+    assert np.max(np.abs(W - np.eye(9))) < 1e-8
 
 
 @check("predictors: ordinary kriging weights sum to one")
@@ -208,16 +230,6 @@ def rho2(w, kernel: KernelSpec, design: Design, x) -> float:
     k = cross_matrix(kernel, design.points, np.atleast_2d(np.asarray(x, float)))[0]
     K = kernel_matrix(kernel, design.points)
     return float(kernel_eval(kernel, x, x) - 2.0 * w @ k + w @ K @ w)
-
-
-def rho2_cross(w1, w2, kernel: KernelSpec, design: Design, x1, x2) -> float:
-    """Normalized covariance of the prediction errors at x1 and x2."""
-    w1 = np.asarray(w1, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
-    k1 = cross_matrix(kernel, design.points, np.atleast_2d(np.asarray(x1, float)))[0]
-    k2 = cross_matrix(kernel, design.points, np.atleast_2d(np.asarray(x2, float)))[0]
-    K = kernel_matrix(kernel, design.points)
-    return float(kernel_eval(kernel, x1, x2) - w1 @ k2 - w2 @ k1 + w1 @ K @ w2)
 
 
 def t_vector(w, kernel: KernelSpec, design: Design, x) -> np.ndarray:
@@ -239,29 +251,45 @@ def _m1():
                - (1.0 - kx @ np.linalg.solve(K, kx))) < 1e-10
 
 
-@check("moments: t vanishes for the matched predictor")
+@check("moments: t = k - K w, zero for the matched predictor")
 def _m2():
     design, pred, measure, kern, bundle, y = _setup(13)
     sk = SimpleKriging(kern, design)
     x = measure.points[7]
     assert np.max(np.abs(t_vector(sk.weights(x), kern, design, x))) < 1e-10
+    n = design.n
+    K = kernel_matrix(kern, design.points)
+    kx = cross_matrix(kern, design.points, np.atleast_2d(x))[0]
+    assert np.allclose(t_vector(np.zeros(n), kern, design, x), kx)
+    assert np.allclose(t_vector(np.full(n, 1.0 / n), kern, design, x), kx - K @ np.ones(n) / n)
 
 
 @check("moments: S minus u u^T is positive semidefinite")
 def _m3():
-    _, _, _, _, bundle, _ = _setup(14)
-    gap = bundle.S - np.outer(bundle.u, bundle.u)
-    assert np.linalg.eigvalsh(gap).min() >= -1e-10 * np.linalg.norm(bundle.S)
+    design = _design(2, 12, 9)
+    ok = OrdinaryKriging(KernelSpec("matern32", 5.0), design)
+    measure = uniform_measure(sobol_points(2, 128, scramble_seed=4))
+    ok_bundle = moments.build_bundle(ok.loo, ok, KernelSpec("matern52", 8.0), design, measure)
+    for bundle in (_setup(14)[4], ok_bundle):
+        gap = bundle.S - np.outer(bundle.u, bundle.u)
+        assert np.linalg.eigvalsh(gap).min() >= -1e-10 * np.linalg.norm(bundle.S)
 
 
-@check("moments: matched simple kriging has b = J u")
+@check("moments: matched simple kriging has b = J u, c = rho^2 u and closed-form S")
 def _m4():
     design = _design(1, 10, 15)
     kern = KernelSpec("matern52", 7.0)
     pred = SimpleKriging(kern, design)
     measure = uniform_measure(sobol_points(1, 128, scramble_seed=16))
-    bundle = moments.build_bundle(pred.loo_operator(), pred, kern, design, measure)
+    bundle = moments.build_bundle(pred.loo, pred, kern, design, measure)
     assert np.max(np.abs(bundle.b - bundle.J * bundle.u)) < 1e-10 * bundle.J
+    # S = u u^T + 2 (D M D)^{o2} with M = K^{-1} and D = diag(1 / M_ii)
+    M = np.linalg.inv(kernel_matrix(kern, design.points))
+    D = np.diag(1.0 / np.diag(M))
+    S_star = np.outer(bundle.u, bundle.u) + 2.0 * (D @ M @ D) ** 2
+    assert np.allclose(bundle.S, S_star, atol=1e-10 * np.abs(S_star).max())
+    c_rows, rho = moments.pointwise_c_rho(bundle, measure.points[17:18])
+    assert np.allclose(c_rows[0], rho[0] * bundle.u, atol=1e-12)
 
 
 @check("moments: interpolator cross moments vanish on the design")
@@ -276,7 +304,7 @@ def _m6():
     design = regular_grid(2, 4)
     pred = SimpleKriging(KernelSpec("matern52", 4.0), design)
     measure = uniform_measure(sobol_points(2, 128, scramble_seed=18))
-    R = pred.loo_operator()
+    R = pred.loo
     big = moments.build_bundle(R, pred, KernelSpec("matern32", 1e6), design, measure)
     lim = moments.independent_limit_bundle(R, pred, design, measure)
     for field in ("u", "S", "b"):
@@ -290,9 +318,15 @@ def _m7():
     design = _design(2, 10, 19)
     measure = uniform_measure(sobol_points(2, 64, scramble_seed=20))
     ok = OrdinaryKriging(KernelSpec("matern32", 6.0), design)
-    assert moments.flat_limit_diagnostics(ok.loo_operator(), ok, measure)["sum_to_one_class"]
+    diag = moments.flat_limit_diagnostics(ok.loo, ok, measure)
+    assert diag["J0"] < 1e-12 and np.max(diag["u0"]) < 1e-12
+    assert diag["sum_to_one_class"] and not diag["rank_one_S0"]
+    em = EmpiricalMean(design)
+    assert moments.flat_limit_diagnostics(em.loo, em, measure)["J0"] < 1e-12
     sk = SimpleKriging(KernelSpec("matern52", 6.0), design)
-    assert moments.flat_limit_diagnostics(sk.loo_operator(), sk, measure)["rank_one_S0"]
+    diag = moments.flat_limit_diagnostics(sk.loo, sk, measure)
+    assert diag["rank_one_S0"] and not diag["sum_to_one_class"]
+    assert np.allclose(diag["b0"], 3.0 * diag["J0"] * diag["u0"])
 
 
 @check("estimators: weighted estimate clamps at zero")
@@ -310,24 +344,28 @@ def _e2():
     assert abs(gamma @ bundle.u - bundle.J) < 1e-10 * bundle.J
 
 
-@check("estimators: optimal weights beat the unweighted mean")
+@check("estimators: optimal weights beat the unweighted mean and the zero estimate")
 def _e3():
-    _, _, _, _, bundle, _ = _setup(23)
+    design, pred, measure, kern, bundle, _ = _setup(23)
     n = bundle.n
     mse_blp = estimators.performance_report(bundle.gamma_blp, bundle).mse
     mse_loo = estimators.performance_report(np.full(n, 1.0 / n), bundle).mse
     assert mse_blp <= mse_loo + 1e-9 * abs(mse_loo)
+    # strictly below J^2 + 2 V, the MSE of the zero estimate
+    bundle = moments.build_bundle(bundle.R, pred, kern, design, measure, compute_Vn=True)
+    mse_blp = estimators.performance_report(bundle.gamma_blp, bundle).mse
+    assert mse_blp < bundle.J**2 + 2 * bundle.V
 
 
 @check("estimators: oracle weights dominate misspecified ones")
 def _e4():
     design, pred, measure, kern, bundle_true, _ = _setup(24)
-    bundle_e = moments.build_bundle(bundle_true.R, pred, KernelSpec("matern32", 2.0),
-                                    design, measure)
-    rec = estimators.estimator_dominance_check(bundle_e, bundle_true)
-    scale = max(abs(rec["mse_blp"]), abs(rec["mse_loo"]))
-    assert rec["gap_oracle"] >= -1e-9 * scale
-    assert rec["gap_loo_oracle"] >= -1e-9 * scale
+    for theta in (2.0, *np.logspace(0, 1.7, 8)):
+        bundle_e = moments.build_bundle(bundle_true.R, pred, KernelSpec("matern32", theta),
+                                        design, measure)
+        rec = estimators.estimator_dominance_check(bundle_e, bundle_true)
+        assert rec["gap_oracle"] >= -1e-9 * max(abs(rec["mse_blp"]), abs(rec["mse_loo"]))
+        assert rec["gap_loo_oracle"] >= -1e-9 * abs(rec["mse_loo"])
 
 
 @check("estimators: matched weighted estimator is negatively biased")
@@ -336,7 +374,7 @@ def _e5():
     kern = KernelSpec("matern32", 8.0)
     pred = SimpleKriging(kern, design)
     measure = uniform_measure(sobol_points(1, 128, scramble_seed=26))
-    bundle = moments.build_bundle(pred.loo_operator(), pred, kern, design, measure)
+    bundle = moments.build_bundle(pred.loo, pred, kern, design, measure)
     rep = estimators.performance_report(bundle.gamma_blp, bundle)
     assert rep.bias < 0
 
@@ -346,8 +384,7 @@ def _e6():
     design = _design(2, 10, 27)
     pred = OrdinaryKriging(KernelSpec("matern32", 6.0), design)
     measure = uniform_measure(sobol_points(2, 64, scramble_seed=28))
-    bundle = moments.build_bundle(pred.loo_operator(), pred,
-                                  KernelSpec("matern52", 7.0), design, measure)
+    bundle = moments.build_bundle(pred.loo, pred, KernelSpec("matern52", 7.0), design, measure)
     y = sample_gp(KernelSpec("matern32", 6.0), design.points, 29)
     a = estimators.ise_blp(bundle, pred.loo_residuals(y)).value
     b = estimators.ise_blp(bundle, pred.loo_residuals(y + 3.25)).value
@@ -358,7 +395,9 @@ def _e6():
 def _e7():
     _, pred, _, _, bundle, y = _setup(30)
     eps = pred.loo_residuals(y)
-    assert estimators.ise_blp(bundle, 2 * eps).value == 4 * estimators.ise_blp(bundle, eps).value
+    for fn in (estimators.ise_blp, estimators.ise_blup):
+        for clamp in (False, True):
+            assert fn(bundle, 2 * eps, clamp).value == 4 * fn(bundle, eps, clamp).value
     assert estimators.ise_loo(2 * eps).value == 4 * estimators.ise_loo(eps).value
 
 
@@ -369,9 +408,10 @@ def _e8():
     measure = uniform_measure(sobol_points(2, 64, scramble_seed=32))
     kern = KernelSpec("matern52", 6.0)
     y = sample_gp(KernelSpec("matern32", 5.0), design.points, 33) + 5.0
-    bundle = moments.build_bundle(pred.loo_operator(), pred, kern, design, measure)
+    bundle = moments.build_bundle(pred.loo, pred, kern, design, measure)
     est = estimators.trend_corrected_ise(bundle, y)
     plain = estimators.ise_blp(bundle, pred.loo_residuals(y))
+    assert est.trend_correction_applied and est.trend_amount < 1e-12
     assert abs(est.value - plain.value) <= 1e-10 * max(1.0, plain.value)
 
 
@@ -379,19 +419,24 @@ def _e8():
 def _e9():
     out = estimators.tail_stats([1.0, 2.0, 3.0, 4.0], 0.5)
     assert out["quantile"] == 2.0 and out["cvar"] == 3.0 and out["unreliable"]
+    out = estimators.tail_stats(np.full(6, 2.5), 0.9)
+    assert out["quantile"] == 2.5 and out["cvar"] == 2.5
+    assert estimators.tail_stats(np.arange(1.0, 101.0), 1e-9)["cvar"] == 50.5
+    _raises(EmptyInput, estimators.tail_stats, [], 0.5)
 
 
 @check("designs: coverage rule round trip")
 def _d1():
-    for fam in ("matern52", "inverse-multiquadric", "gaussian"):
-        theta = theta_from_coverage(fam, 0.31, 0.25)
-        assert abs(float(correlation(fam, theta * 0.31)) - 0.25) < 1e-9
+    for fam in FAMILIES:
+        for D, target in [(0.31, 0.25), (0.1, 0.25), (1.3, 0.6), (0.9, 0.05)]:
+            theta = theta_from_coverage(fam, D, target)
+            assert abs(float(correlation(fam, theta * D)) - target) < 1e-9
 
 
 @check("designs: unscrambled sequence starts at the origin")
 def _d2():
-    pts = sobol_points(2, 4)
-    assert np.array_equal(pts[0], [0.0, 0.0])
+    assert np.array_equal(sobol_points(2, 4)[0], [0.0, 0.0])
+    assert np.array_equal(sobol_points(2, 1)[0], [0.0, 0.0])
     assert np.array_equal(sobol_points(1, 4).ravel(), [0.0, 0.5, 0.75, 0.25])
 
 

@@ -29,6 +29,11 @@ def gp_draw(kernel: KernelSpec, design: Design, seed: int) -> np.ndarray:
     return sample_gp(kernel, design.points, seed)
 
 
+def predict_many(predictor, y, X) -> np.ndarray:
+    """Predictions w(x)^T y at every row of X."""
+    return predictor.weights_matrix(X) @ np.asarray(y, dtype=float)
+
+
 def small_measure(d: int, N: int, seed: int | None = None):
     return uniform_measure(sobol_points(d, N, scramble_seed=seed))
 

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -s` to see the lines as they
-complete, or via `looise selftest` for the faster invariant subset.
+complete. The invariant checks of `looise selftest` are not repeated
+here: tests/test_selftest.py runs each of them as its own test.
 """
 
 import time
@@ -114,7 +115,7 @@ def test_criterion_04_dominance_identities():
         design = Design(points=sobol_points(d, n, scramble_seed=700 + idx))
         pred = _make_predictor(maker, design)
         measure = uniform_measure(sobol_points(d, 256, scramble_seed=900 + idx))
-        R = pred.loo_operator()
+        R = pred.loo
         bundle_true = build_bundle(R, pred, ktrue, design, measure)
         rec = estimators.estimator_dominance_check(bundle_true, bundle_true)
         worst_loo = min(worst_loo, rec["gap_loo_oracle"] / max(rec["mse_loo"], 1e-300))
@@ -159,7 +160,7 @@ def test_criterion_06_unbiasedness():
     kern = KernelSpec("matern32", 8.0)
     pred = SimpleKriging(kern, design)
     measure = uniform_measure(sobol_points(1, 512, scramble_seed=32))
-    bundle = build_bundle(pred.loo_operator(), pred, kern, design, measure)
+    bundle = build_bundle(pred.loo, pred, kern, design, measure)
     gamma = estimators.blup_weights(bundle)
     constraint = abs(gamma @ bundle.u - bundle.J)
     assert constraint < 1e-10 * bundle.J
@@ -186,7 +187,7 @@ def test_criterion_07_monte_carlo_moments():
     pred = SimpleKriging(KernelSpec("matern52", 9.0), design)
     probes = np.array([[0.07], [0.31], [0.52], [0.74], [0.96]])
     measure = uniform_measure(probes)
-    bundle = build_bundle(pred.loo_operator(), pred, ktrue, design, measure)
+    bundle = build_bundle(pred.loo, pred, ktrue, design, measure)
     joint = np.vstack([design.points, probes])
     L = np.linalg.cholesky(kernel_matrix(ktrue, joint) + 1e-12 * np.eye(15))
     ndraw = 100000
@@ -253,13 +254,13 @@ def test_criterion_10_reference_oracle():
         y = sample_gp(KernelSpec("matern32", 8.0), design.points, 71, case)
         if constant:
             y = y + 3.0
-        ref = ise_wloo_blp(y, pred.loo_operator().matrix, measure.weights,
+        ref = ise_wloo_blp(y, pred.loo.matrix, measure.weights,
                            pred.weights_matrix(measure.points).T,
                            kernel_matrix(kern_e, design.points),
                            cross_matrix(kern_e, design.points, measure.points).T,
                            nugget, constant)
         eps = pred.loo_residuals(y)
-        bundle = build_bundle(pred.loo_operator(), pred, kern_e, design, measure)
+        bundle = build_bundle(pred.loo, pred, kern_e, design, measure)
         mine_loo = estimators.ise_loo(eps).value
         if constant:
             mine_blp = estimators.trend_corrected_ise(bundle, y, estimator="blp").value
@@ -281,7 +282,7 @@ def test_criterion_11_limit_consistency():
     design = Design(points=sobol_points(2, 25, scramble_seed=81))
     pred = SimpleKriging(KernelSpec("matern52", 5.0), design)
     measure = uniform_measure(sobol_points(2, 512, scramble_seed=82))
-    R = pred.loo_operator()
+    R = pred.loo
     big = build_bundle(R, pred, KernelSpec("matern32", 1e6), design, measure)
     lim = independent_limit_bundle(R, pred, design, measure)
     rels = {}

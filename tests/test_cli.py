@@ -5,7 +5,7 @@ import pytest
 
 from looise import numerics
 from looise.cli import main
-from looise.config import apply_overrides, parse_config, serialize_config
+from looise.config import apply_overrides, parse_config
 from looise.designs import design_to_csv, regular_grid
 from looise.errors import ConfigError
 
@@ -28,6 +28,10 @@ predictor.kernel.theta = 6.0
 estimator.kernel.family = matern32
 estimator.kernel.theta = 8.0
 """
+
+
+def serialize_config(cfg: dict[str, str]) -> str:
+    return "".join(f"{k} = {cfg[k]}\n" for k in sorted(cfg))
 
 
 def test_config_roundtrip():
@@ -111,6 +115,15 @@ def test_estimate_bad_file_exit_code(tmp_path):
     assert main(["estimate", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_estimate_rejects_non_finite_data(tmp_path, capsys, bad):
+    ycsv = write(tmp_path, "y.csv", "y\n" + "\n".join(["0.5"] * 9 + [bad]) + "\n")
+    cfg = write(tmp_path, "run.cfg", BASE_CONFIG + f"data.file = {ycsv}\n")
+    assert main(["estimate", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{ycsv} holds a non-finite value" in captured.err
+
+
 def test_sweep_single_theta_matches_estimate(tmp_path, capsys):
     gen = np.random.default_rng(4)
     ycsv = write(tmp_path, "y.csv",
@@ -126,6 +139,8 @@ def test_sweep_single_theta_matches_estimate(tmp_path, capsys):
     row = lines[1].split(",")
     assert float(row[0]) == 8.0
     assert np.isclose(float(row[1]), est, rtol=1e-12)
+    manifest = json.loads((tmp_path / "sweep_manifest.json").read_text())
+    assert manifest["blas"] == numerics.BLAS_PIN.as_dict()
 
 
 # the scrambled measure keeps support points off the design, as the limit
@@ -168,7 +183,7 @@ def test_sweep_oracle_columns_and_limit_tail(tmp_path, capsys):
     measure = sobol_measure(2, 256, scramble_seed=9)
     pred = SimpleKriging(KernelSpec("matern52", 4.0), design)
     y = np.loadtxt(ycsv, skiprows=1)
-    lim = independent_limit_bundle(pred.loo_operator(), pred, design, measure)
+    lim = independent_limit_bundle(pred.loo, pred, design, measure)
     limit_value = E.ise_blp(lim, pred.loo_residuals(y), clamp=True).value
     for est in estimates:
         assert abs(est - limit_value) <= 1e-3 * abs(limit_value)
@@ -328,7 +343,7 @@ estimator.kernel.theta = 8.0
     from looise.designs import uniform_measure
     from looise.kernels import KernelSpec
 
-    bundle = build_bundle(pred.loo_operator(), pred, KernelSpec("matern32", 8.0),
+    bundle = build_bundle(pred.loo, pred, KernelSpec("matern32", 8.0),
                           design, uniform_measure(support))
     expected = ise_blp(bundle, pred.loo_residuals(y)).value
     assert np.isclose(out["ise_blp"], expected, rtol=1e-10)
@@ -393,6 +408,17 @@ def test_estimate_with_a_15_digit_weight_table(tmp_path, capsys):
     # the weights are rounded to 15 digits too, so the estimates agree to that
     for key in ("ise_loo", "ise_blp", "ise_blp_unbiased"):
         assert np.isclose(rounded[key], exact[key], rtol=1e-12, atol=0.0)
+
+
+def test_estimate_rejects_a_non_finite_weight(tmp_path, capsys):
+    cfg = interpolation_table(tmp_path, ".17g")
+    weights = tmp_path / "weights.17g.csv"
+    lines = weights.read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",nan"
+    weights.write_text("\n".join(lines) + "\n")
+    assert main(["estimate", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{weights} holds a non-finite value" in captured.err
 
 
 def test_exit_code_follows_where_the_error_came_from(tmp_path, capsys, monkeypatch):

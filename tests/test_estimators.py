@@ -43,7 +43,7 @@ def make_bundle(seed=1, n=10, d=1, theta_e=7.0, theta_p=5.0, vn=False):
     p = SimpleKriging(KernelSpec("matern52", theta_p), design)
     measure = small_measure(d, 128, seed=seed + 100)
     kern = KernelSpec("matern32", theta_e)
-    return p, build_bundle(p.loo_operator(), p, kern, design, measure, compute_Vn=vn)
+    return p, build_bundle(p.loo, p, kern, design, measure, compute_Vn=vn)
 
 
 def test_ise_loo_basics():
@@ -78,7 +78,7 @@ def test_ise_blp_matched_model_shortcut():
     kern = KernelSpec("matern52", 8.0)
     p = SimpleKriging(kern, design)
     measure = small_measure(1, 128, seed=8)
-    bundle = build_bundle(p.loo_operator(), p, kern, design, measure)
+    bundle = build_bundle(p.loo, p, kern, design, measure)
     y = gp_draw(kern, design, seed=9)
     eps = p.loo_residuals(y)
     est = ise_blp(bundle, eps, clamp=False)
@@ -122,7 +122,7 @@ def test_shared_pass_equals_separate_passes_bitwise(kind):
     design = random_design(2, 14, seed=41)
     p = OrdinaryKriging(KernelSpec("matern52", 5.0), design)
     measure = small_measure(2, 2 * 4096 + 77, seed=42)
-    R = p.loo_operator()
+    R = p.loo
 
     def fresh():
         if kind == "single":
@@ -199,7 +199,7 @@ def test_matched_blup_predictor_bias_identity():
     kern = KernelSpec("matern32", 8.0)
     p = SimpleKriging(kern, design)
     measure = small_measure(1, 128, seed=20)
-    bundle = build_bundle(p.loo_operator(), p, kern, design, measure)
+    bundle = build_bundle(p.loo, p, kern, design, measure)
     gamma = bundle.solve_S(bundle.b)
     rep = performance_report(gamma, bundle)
     M = np.linalg.inv(kernel_matrix(kern, design.points))
@@ -242,7 +242,7 @@ def test_dominance_check_misspecified_grid():
     design = random_design(1, 12, seed=45)
     p = SimpleKriging(KernelSpec("matern52", 6.0), design)
     measure = small_measure(1, 128, seed=46)
-    R = p.loo_operator()
+    R = p.loo
     ktrue = KernelSpec("matern32", 9.0)
     bundle_true = build_bundle(R, p, ktrue, design, measure)
     for theta in np.logspace(0, 1.7, 8):
@@ -256,8 +256,7 @@ def test_translation_invariance_sum_to_one():
     design = random_design(2, 10, seed=47)
     p = OrdinaryKriging(KernelSpec("matern32", 6.0), design)
     measure = small_measure(2, 64, seed=48)
-    bundle = build_bundle(p.loo_operator(), p, KernelSpec("matern52", 7.0),
-                          design, measure)
+    bundle = build_bundle(p.loo, p, KernelSpec("matern52", 7.0), design, measure)
     y = gp_draw(KernelSpec("matern32", 6.0), design, seed=49)
     a = ise_blp(bundle, p.loo_residuals(y), clamp=True).value
     b = ise_blp(bundle, p.loo_residuals(y + 11.5), clamp=True).value
@@ -283,7 +282,7 @@ def test_trend_correction_sum_to_one_noop():
     measure = small_measure(2, 64, seed=54)
     kern = KernelSpec("matern52", 6.0)
     y = gp_draw(KernelSpec("matern32", 5.0), design, seed=55) + 9.0
-    bundle = build_bundle(p.loo_operator(), p, kern, design, measure)
+    bundle = build_bundle(p.loo, p, kern, design, measure)
     corrected = trend_corrected_ise(bundle, y)
     plain = ise_blp(bundle, p.loo_residuals(y), clamp=True)
     assert corrected.trend_correction_applied
@@ -297,8 +296,7 @@ def test_trend_correction_constant_data():
     p = SimpleKriging(kern, design)
     measure = small_measure(1, 64, seed=58)
     c = 4.25
-    est = trend_corrected_ise(build_bundle(p.loo_operator(), p, kern, design, measure),
-                              np.full(7, c))
+    est = trend_corrected_ise(build_bundle(p.loo, p, kern, design, measure), np.full(7, c))
     K = kernel_matrix(kern, design.points)
     tau = float(np.ones(7) @ np.linalg.solve(K, np.full(7, c))
                 / (np.ones(7) @ np.linalg.solve(K, np.ones(7))))
@@ -315,8 +313,8 @@ def test_trend_correction_reuses_the_bundle_kernel_matrix(monkeypatch):
     measure = small_measure(2, 64, seed=62)
     kern = KernelSpec("matern52", 6.0)
     y = gp_draw(KernelSpec("matern32", 5.0), design, seed=63) + 2.0
-    bundle = build_bundle(p.loo_operator(), p, kern, design, measure)
-    fresh = trend_corrected_ise(build_bundle(p.loo_operator(), p, kern, design, measure), y)
+    bundle = build_bundle(p.loo, p, kern, design, measure)
+    fresh = trend_corrected_ise(build_bundle(p.loo, p, kern, design, measure), y)
     calls = []
 
     def counting(spec, X):
@@ -328,7 +326,7 @@ def test_trend_correction_reuses_the_bundle_kernel_matrix(monkeypatch):
     assert calls == []
     assert reused.value == fresh.value
     with pytest.raises(BundleMismatch):
-        trend_corrected_ise(independent_limit_bundle(p.loo_operator(), p, design, measure), y)
+        trend_corrected_ise(independent_limit_bundle(p.loo, p, design, measure), y)
 
 
 def test_trend_correction_rejects_an_unknown_estimator():
@@ -361,7 +359,7 @@ def test_sigma2_estimators():
     kern = KernelSpec("matern32", 7.0)
     p = SimpleKriging(kern, design)
     measure = small_measure(1, 128, seed=62)
-    bundle = build_bundle(p.loo_operator(), p, kern, design, measure)
+    bundle = build_bundle(p.loo, p, kern, design, measure)
     out = sigma2_estimators(np.zeros(12), kern, bundle)
     assert all(v == 0.0 for v in out.values())
     y = gp_draw(kern, design, seed=63)
@@ -376,7 +374,7 @@ def test_sigma2_estimators_reuse_the_bundle_kernel_matrix(monkeypatch):
     design = random_design(1, 12, seed=61)
     kern = KernelSpec("matern32", 7.0)
     p = SimpleKriging(kern, design)
-    bundle = build_bundle(p.loo_operator(), p, kern, design, small_measure(1, 128, seed=62))
+    bundle = build_bundle(p.loo, p, kern, design, small_measure(1, 128, seed=62))
     y = gp_draw(kern, design, seed=63)
     M = numerics.inverse(numerics.spd_factorize(kernel_matrix(kern, design.points)))
     My = M @ y

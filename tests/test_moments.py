@@ -4,7 +4,7 @@ import pytest
 from conftest import random_design, small_measure
 from looise.designs import Design, regular_grid, uniform_measure
 from looise.errors import DomainViolation, FlatLimitSingular, WeightSimplexViolation
-from looise.kernels import KernelSpec, cross_matrix, kernel_matrix
+from looise.kernels import KernelSpec, cross_matrix, kernel_eval, kernel_matrix
 from looise.moments import (
     build_bundle,
     flat_limit_diagnostics,
@@ -14,7 +14,17 @@ from looise.moments import (
 )
 from looise.predictors import EmpiricalMean, OrdinaryKriging, SimpleKriging
 from looise.rng import stream
-from looise.selftest import rho2, rho2_cross, t_vector
+from looise.selftest import rho2, t_vector
+
+
+def rho2_cross(w1, w2, kernel: KernelSpec, design: Design, x1, x2) -> float:
+    """Normalized covariance of the prediction errors at x1 and x2."""
+    w1 = np.asarray(w1, dtype=float)
+    w2 = np.asarray(w2, dtype=float)
+    k1 = cross_matrix(kernel, design.points, np.atleast_2d(np.asarray(x1, float)))[0]
+    k2 = cross_matrix(kernel, design.points, np.atleast_2d(np.asarray(x2, float)))[0]
+    K = kernel_matrix(kernel, design.points)
+    return float(kernel_eval(kernel, x1, x2) - w1 @ k2 - w2 @ k1 + w1 @ K @ w2)
 
 
 def test_rho2_interpolator_zero_at_design():
@@ -97,7 +107,7 @@ def test_bundle_simple_kriging_structure():
     kern = KernelSpec("matern52", 9.0)
     p = SimpleKriging(kern, design)
     measure = small_measure(1, 128, seed=1)
-    bundle = build_bundle(p.loo_operator(), p, kern, design, measure)
+    bundle = build_bundle(p.loo, p, kern, design, measure)
     assert np.allclose(bundle.b, bundle.J * bundle.u, rtol=1e-10)
     M = np.linalg.inv(kernel_matrix(kern, design.points))
     D = np.diag(1.0 / np.diag(M))
@@ -124,7 +134,7 @@ def test_bundle_interpolator_c_zero_at_design_points():
     kern = KernelSpec("matern32", 6.0)
     p = SimpleKriging(KernelSpec("matern52", 4.0), design)
     measure = small_measure(2, 64, seed=3)
-    bundle = build_bundle(p.loo_operator(), p, kern, design, measure)
+    bundle = build_bundle(p.loo, p, kern, design, measure)
     c_rows, _ = pointwise_c_rho(bundle, design.points)
     assert np.max(np.abs(c_rows)) < 1e-9
 
@@ -133,8 +143,7 @@ def test_bundle_psd_gap():
     design = random_design(2, 12, seed=9)
     p = OrdinaryKriging(KernelSpec("matern32", 5.0), design)
     measure = small_measure(2, 128, seed=4)
-    bundle = build_bundle(p.loo_operator(), p, KernelSpec("matern52", 8.0),
-                          design, measure)
+    bundle = build_bundle(p.loo, p, KernelSpec("matern52", 8.0), design, measure)
     gap = bundle.S - np.outer(bundle.u, bundle.u)
     assert np.linalg.eigvalsh(gap).min() >= -1e-10 * np.linalg.norm(bundle.S)
 
@@ -144,7 +153,7 @@ def test_bundle_b_matches_streamed_c():
     p = SimpleKriging(KernelSpec("matern32", 6.0), design)
     measure = small_measure(1, 100, seed=5)
     kern = KernelSpec("matern32", 9.0)
-    bundle = build_bundle(p.loo_operator(), p, kern, design, measure)
+    bundle = build_bundle(p.loo, p, kern, design, measure)
     c_rows, rho = pointwise_c_rho(bundle, measure.points)
     assert np.allclose(measure.weights @ c_rows, bundle.b, rtol=1e-13)
     assert np.isclose(measure.weights @ rho, bundle.J, rtol=1e-13)
@@ -156,7 +165,7 @@ def test_monte_carlo_moments_smallscale():
     kern = KernelSpec("matern32", 6.0)
     p = SimpleKriging(KernelSpec("matern52", 9.0), design)
     measure = uniform_measure(np.array([[0.23], [0.71]]))
-    bundle = build_bundle(p.loo_operator(), p, kern, design, measure, compute_Vn=True)
+    bundle = build_bundle(p.loo, p, kern, design, measure, compute_Vn=True)
 
     ndraw = 20000
     joint = np.vstack([design.points, measure.points])
@@ -186,7 +195,7 @@ def test_independent_limit_consistency():
     design = regular_grid(2, 5)
     p = SimpleKriging(KernelSpec("matern52", 4.0), design)
     measure = small_measure(2, 256, seed=6)
-    R = p.loo_operator()
+    R = p.loo
     big = build_bundle(R, p, KernelSpec("matern32", 1e6), design, measure)
     lim = independent_limit_bundle(R, p, design, measure)
     for field in ("u", "S", "b"):
@@ -207,16 +216,16 @@ def test_flat_limit_diagnostics():
     design = random_design(2, 10, seed=12)
     measure = small_measure(2, 128, seed=8)
     ok = OrdinaryKriging(KernelSpec("matern32", 5.0), design)
-    diag = flat_limit_diagnostics(ok.loo_operator(), ok, measure)
+    diag = flat_limit_diagnostics(ok.loo, ok, measure)
     assert diag["J0"] < 1e-12 and np.max(diag["u0"]) < 1e-12
     assert diag["sum_to_one_class"] and not diag["rank_one_S0"]
 
     em = EmpiricalMean(design)
-    diag = flat_limit_diagnostics(em.loo_operator(), em, measure)
+    diag = flat_limit_diagnostics(em.loo, em, measure)
     assert diag["J0"] < 1e-12
 
     sk = SimpleKriging(KernelSpec("matern52", 6.0), design)
-    diag = flat_limit_diagnostics(sk.loo_operator(), sk, measure)
+    diag = flat_limit_diagnostics(sk.loo, sk, measure)
     assert diag["rank_one_S0"] and not diag["sum_to_one_class"]
     assert np.allclose(diag["b0"], 3.0 * diag["J0"] * diag["u0"])
 
@@ -227,7 +236,7 @@ def test_flat_limit_singular_raised():
     p = SimpleKriging(KernelSpec("matern52", 8.0), design)
     measure = small_measure(1, 64, seed=9)
     with pytest.raises(FlatLimitSingular):
-        build_bundle(p.loo_operator(), p, KernelSpec("gaussian", 1e-5), design, measure)
+        build_bundle(p.loo, p, KernelSpec("gaussian", 1e-5), design, measure)
 
 
 def test_vn_loop_order_invariance():
@@ -235,7 +244,7 @@ def test_vn_loop_order_invariance():
     p = SimpleKriging(KernelSpec("matern32", 7.0), design)
     measure = small_measure(1, 100, seed=10)
     kern = KernelSpec("matern32", 5.0)
-    bundle = build_bundle(p.loo_operator(), p, kern, design, measure, compute_Vn=True)
+    bundle = build_bundle(p.loo, p, kern, design, measure, compute_Vn=True)
     # direct double loop in the transposed order
     W = p.weights_matrix(measure.points)
     total = 0.0
@@ -251,7 +260,7 @@ def test_mixture_bundle_reductions():
     design = random_design(2, 8, seed=15)
     p = OrdinaryKriging(KernelSpec("matern32", 6.0), design)
     measure = small_measure(2, 64, seed=11)
-    R = p.loo_operator()
+    R = p.loo
     k1 = KernelSpec("matern32", 5.0)
     k2 = KernelSpec("gaussian", 9.0)
     single = build_bundle(R, p, k1, design, measure, compute_Vn=True)
@@ -276,7 +285,7 @@ def test_mixture_bundle_monte_carlo():
     measure = uniform_measure(np.array([[0.33]]))
     k1, k2 = KernelSpec("matern32", 3.0), KernelSpec("gaussian", 12.0)
     nu = [0.4, 0.6]
-    R = p.loo_operator()
+    R = p.loo
     bundle = mixture_bundle([k1, k2], nu, R, p, design, measure)
 
     ndraw = 60000
@@ -308,7 +317,7 @@ def test_bundle_builds_each_kernel_matrix_once(monkeypatch):
     p = SimpleKriging(KernelSpec("matern52", 6.0), design)
     eps = p.loo_residuals(np.linspace(-1.0, 1.0, 12))
     monkeypatch.setattr(moments, "kernel_matrix", counting)
-    bundle = build_bundle(p.loo_operator(), p, KernelSpec("matern32", 8.0), design, measure)
+    bundle = build_bundle(p.loo, p, KernelSpec("matern32", 8.0), design, measure)
     assert len(calls) == 1
     from looise.estimators import ise_blp, ise_blup
 
@@ -316,7 +325,7 @@ def test_bundle_builds_each_kernel_matrix_once(monkeypatch):
     ise_blup(bundle, eps)
     assert len(calls) == 1
     kernels = [KernelSpec("matern32", 8.0), KernelSpec("gaussian", 5.0)]
-    mixture_bundle(kernels, [0.4, 0.6], p.loo_operator(), p, design, measure)
+    mixture_bundle(kernels, [0.4, 0.6], p.loo, p, design, measure)
     assert calls[1:] == kernels
 
 
@@ -326,8 +335,8 @@ def test_sum_to_one_defect_is_flat_limit_J0():
     kern = KernelSpec("matern32", 7.0)
     for p in (OrdinaryKriging(KernelSpec("matern52", 5.0), design),
               SimpleKriging(KernelSpec("matern52", 5.0), design)):
-        bundle = build_bundle(p.loo_operator(), p, kern, design, measure)
-        J0 = flat_limit_diagnostics(p.loo_operator(), p, measure)["J0"]
+        bundle = build_bundle(p.loo, p, kern, design, measure)
+        J0 = flat_limit_diagnostics(p.loo, p, measure)["J0"]
         assert bundle.sum_to_one_defect == J0
 
 
@@ -336,7 +345,7 @@ def test_array_weights_lookup_matches_signed_zero():
     measure = uniform_measure(np.array([[0.0], [0.5], [1.0]]))
     p = SimpleKriging(KernelSpec("matern52", 3.0), design)
     W = p.weights_matrix(measure.points)
-    bundle = build_bundle(p.loo_operator(), W, KernelSpec("matern32", 4.0), design, measure)
+    bundle = build_bundle(p.loo, W, KernelSpec("matern32", 4.0), design, measure)
     c_neg, rho_neg = pointwise_c_rho(bundle, [[-0.0]])
     c_pos, rho_pos = pointwise_c_rho(bundle, [[0.0]])
     assert np.array_equal(c_neg, c_pos) and np.array_equal(rho_neg, rho_pos)
@@ -347,7 +356,7 @@ def test_array_weights_lookup_follows_the_coincidence_rule():
     measure = uniform_measure(np.array([[0.0], [0.5], [1.0]]))
     p = SimpleKriging(KernelSpec("matern52", 3.0), design)
     W = p.weights_matrix(measure.points)
-    bundle = build_bundle(p.loo_operator(), W, KernelSpec("matern32", 4.0), design, measure)
+    bundle = build_bundle(p.loo, W, KernelSpec("matern32", 4.0), design, measure)
     assert 0.5 + 1e-16 != 0.5
     assert np.array_equal(bundle.weights.at([[0.5 + 1e-16], [-0.0]]), W[[1, 0]])
     with pytest.raises(DomainViolation, match="is 1e-12 from the nearest known point"):
@@ -375,7 +384,7 @@ def test_one_support_pass_per_bundle_and_residual_vector(monkeypatch):
     y = np.linspace(-1.0, 1.0, 12) + 0.5
     eps = p.loo_residuals(y)
     monkeypatch.setattr(moments.WeightSource, "block", counting)
-    bundle = build_bundle(p.loo_operator(), p, kern, design, measure)
+    bundle = build_bundle(p.loo, p, kern, design, measure)
     ise_blp(bundle, eps)
     ise_blup(bundle, eps)
     assert bundle.J > 0.0 and bundle.sum_to_one_defect > 0.0
@@ -387,7 +396,7 @@ def test_one_support_pass_per_bundle_and_residual_vector(monkeypatch):
     ise_blp(bundle, 2.0 * eps)
     assert sum(rows) == 2 * N
     rows.clear()
-    fresh = build_bundle(p.loo_operator(), p, kern, design, measure)
+    fresh = build_bundle(p.loo, p, kern, design, measure)
     trend_corrected_ise(fresh, y)
     trend_corrected_ise(fresh, y, estimator="blup")
     assert sum(rows) == N
@@ -410,7 +419,7 @@ def test_bundle_shared_by_threads_makes_one_pass(monkeypatch):
     N = 2 * moments.BLOCK
     measure = small_measure(2, N, seed=34)
     p = SimpleKriging(KernelSpec("matern52", 6.0), design)
-    bundle = build_bundle(p.loo_operator(), p, KernelSpec("matern32", 8.0), design, measure)
+    bundle = build_bundle(p.loo, p, KernelSpec("matern32", 8.0), design, measure)
     eps_sq = p.loo_residuals(np.linspace(-1.0, 1.0, 10)) ** 2
     monkeypatch.setattr(moments.WeightSource, "block", counting)
     results = []

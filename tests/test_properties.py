@@ -26,7 +26,7 @@ def bundles(draw):
     measure = small_measure(d, 32, seed=seed + 1)
     pred = SimpleKriging(KernelSpec("matern52", draw(st.floats(2.0, 20.0))), design)
     thetas = st.floats(3.0, 30.0)
-    R = pred.loo_operator()
+    R = pred.loo
     if draw(st.booleans()):
         bundle = build_bundle(R, pred, KernelSpec("matern32", draw(thetas)), design, measure)
     else:
@@ -92,7 +92,7 @@ def _three_estimates(design, measure, kern_p, kern_e, y):
     try:
         pred = SimpleKriging(kern_p, design)
         eps = pred.loo_residuals(y)
-        bundle = build_bundle(pred.loo_operator(), pred, kern_e, design, measure)
+        bundle = build_bundle(pred.loo, pred, kern_e, design, measure)
         return np.array([ise_loo(eps).value] + [
             est(bundle, eps, clamp=clamp).value
             for est in (ise_blp, ise_blup) for clamp in (True, False)])

@@ -87,7 +87,7 @@ def test_dominance_gap_at_independent_limit_grid_study():
     idx, lam = poly_basis(2, 50)
     pred = BayesPolynomial(idx, lam, 0.1, design)
     measure = sobol_measure(2, 2**10)
-    R = pred.loo_operator()
+    R = pred.loo
     bundle_true = build_bundle(R, pred, KernelSpec("matern32", 10.0),
                                design, measure, compute_Vn=True)
     lim = independent_limit_bundle(R, pred, design, measure)
