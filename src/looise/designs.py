@@ -235,13 +235,24 @@ RCOND_FLOOR = 1e-12
 
 def _loo_criterion(K: np.ndarray, y: np.ndarray, mean_mode: str) -> float:
     """Mean squared LOO residual of simple (zero mean) or ordinary
-    (constant mean) kriging with kernel matrix K."""
+    (constant mean) kriging with kernel matrix K.
+
+    The residuals are (M y)_i / M_ii (Dubrule 1983), with M = K^{-1} for a
+    zero mean and M = K^{-1} - a a^T / s, a = K^{-1} 1, s = 1^T a, for a
+    constant one, so only diag(K^{-1}) and one solve are formed.
+    """
     F = numerics.spd_factorize(K)
     if numerics.rcond_estimate(F) < RCOND_FLOOR:
         return math.inf  # residuals from a numerically singular solve are garbage
-    n = len(y)
-    M = numerics.inverse(F) if mean_mode == "zero" else numerics.bordered_inverse(F)[:n, :n]
-    resid = (M @ y) / np.diag(M)
+    diag = numerics.inverse_diagonal(F)
+    if mean_mode == "zero":
+        My = numerics.solve(F, y)
+    else:
+        My, a = numerics.solve(F, np.column_stack([y, np.ones(len(y))])).T
+        s = float(a.sum())
+        My = My - a * (float(a @ y) / s)
+        diag = diag - a * a / s
+    resid = My / diag
     return float(np.mean(resid * resid))
 
 
@@ -256,7 +267,9 @@ def theta_loo(y, design: Design, family: str, mean_mode: str = "zero",
     The criterion is the mean squared LOO residual of the simple-kriging
     predictor (``mean_mode="zero"``) or of the ordinary-kriging
     predictor (``mean_mode="constant"``) for the given family, as a
-    function of theta. Search: 60 log-spaced nodes on [1e-2, 1e3], then
+    function of theta; each evaluation factorizes K once and reads the
+    residuals from diag(K^{-1}) and one solve, without forming K^{-1}
+    (see ``_loo_criterion``). Search: 60 log-spaced nodes on [1e-2, 1e3], then
     golden-section refinement of the bracketing interval to 1e-4
     relative width. Deterministic. Raises DegenerateData when the
     criterion is infinite at every grid node.

@@ -250,8 +250,10 @@ def sigma2_estimators(y, kernel_e: KernelSpec, bundle: MomentBundle) -> dict:
 
     The bundle must have been built for the simple-kriging predictor of
     `kernel_e` (whose expected ISE is sigma^2 J), and its kernel matrix is
-    reused (BundleMismatch if it has none). Requires n >= 2; with a
-    single observation only the ML estimate exists.
+    reused (BundleMismatch if it has none). ml and loo read K^{-1} y from
+    one solve and diag(K^{-1}) from the triangular inverse, as the LOO
+    criterion of `designs.theta_loo` does. Requires n >= 2; with a single
+    observation only the ML estimate exists.
     """
     y = np.asarray(y, dtype=float)
     n = len(y)
@@ -260,9 +262,9 @@ def sigma2_estimators(y, kernel_e: KernelSpec, bundle: MomentBundle) -> dict:
     K = next((c.K for c in bundle.components if c.kernel == kernel_e), None)
     if K is None:
         raise BundleMismatch(f"the bundle has no component of kernel {kernel_e}")
-    M = numerics.inverse(numerics.spd_factorize(K))
-    My = M @ y
-    diag = np.diag(M)
+    F = numerics.spd_factorize(K)
+    My = numerics.solve(F, y)
+    diag = numerics.inverse_diagonal(F)
     eps = bundle.R.T @ y
     if bundle.J <= 0:
         raise DegenerateData("bundle has J <= 0")

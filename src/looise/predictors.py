@@ -92,7 +92,12 @@ def _reduced_design(design: Design, i: int) -> Design:
 
 
 class SimpleKriging(LinearPredictor):
-    """Posterior-mean predictor for a zero-mean GP: w(x) = K_n^{-1} k_n(x)."""
+    """Posterior-mean predictor for a zero-mean GP: w(x) = K_n^{-1} k_n(x).
+
+    The weights of a block of points are C K_n^{-1}, one multiply by the
+    explicit inverse (:func:`numerics.inverse`) that the LOO operator needs
+    anyway, rather than a triangular solve per point.
+    """
 
     def __init__(self, kernel: KernelSpec, design: Design):
         self.kernel = kernel
@@ -101,7 +106,7 @@ class SimpleKriging(LinearPredictor):
 
     def weights_matrix(self, X) -> np.ndarray:
         C = cross_matrix(self.kernel, self.design.points, as_points(X))
-        return numerics.solve(self._fact, C.T).T
+        return C @ numerics.inverse(self._fact)
 
     def _loo_matrix(self) -> np.ndarray:
         M = numerics.inverse(self._fact)
@@ -112,7 +117,8 @@ class SimpleKriging(LinearPredictor):
 
 
 class OrdinaryKriging(LinearPredictor):
-    """Kriging with unknown constant mean; weights constrained to sum to one."""
+    """Kriging with unknown constant mean; weights constrained to sum to one:
+    C K_n^{-1} + ((1 - C a) / s) a^T with a = K_n^{-1} 1 and s = 1^T a."""
 
     def __init__(self, kernel: KernelSpec, design: Design):
         self.kernel = kernel
@@ -123,7 +129,7 @@ class OrdinaryKriging(LinearPredictor):
 
     def weights_matrix(self, X) -> np.ndarray:
         C = cross_matrix(self.kernel, self.design.points, as_points(X))
-        base = numerics.solve(self._fact, C.T).T
+        base = C @ numerics.inverse(self._fact)
         mult = (1.0 - C @ self._a) / self._s
         return base + mult[:, None] * self._a[None, :]
 
@@ -227,7 +233,7 @@ class BayesPolynomial(LinearPredictor):
     def weights_matrix(self, X) -> np.ndarray:
         phi_new = tensor_basis(as_points(X), self.indices)
         C = (phi_new * self.prior_diag) @ self._phi.T
-        return numerics.solve(self._fact, C.T).T
+        return C @ numerics.inverse(self._fact)
 
     def _loo_matrix(self) -> np.ndarray:
         M = numerics.inverse(self._fact)

@@ -67,6 +67,26 @@ def test_solve_inverse_consistency():
     assert np.linalg.norm(X - np.eye(25)) < 1e-9
 
 
+def test_inverse_is_solved_once_and_read_only(monkeypatch):
+    F = numerics.spd_factorize(kernel_matrix(KernelSpec("matern32", 8.0),
+                                             regular_grid(2, 5).points))
+    solves = []
+    cho_solve = numerics.scipy.linalg.cho_solve
+    monkeypatch.setattr(numerics.scipy.linalg, "cho_solve",
+                        lambda *args, **kw: solves.append(args) or cho_solve(*args, **kw))
+    M = numerics.inverse(F)
+    assert numerics.inverse(F) is M
+    assert len(solves) == 1
+    with pytest.raises(ValueError):
+        M[0, 0] = 0.0
+
+
+def test_inverse_diagonal_matches_the_explicit_inverse():
+    K = kernel_matrix(KernelSpec("matern52", 6.0), regular_grid(2, 5).points)
+    diag = numerics.inverse_diagonal(numerics.spd_factorize(K))
+    assert np.allclose(diag, np.diag(np.linalg.inv(K)), rtol=1e-10, atol=0.0)
+
+
 def test_solve_dimension_mismatch():
     F = numerics.spd_factorize(np.eye(3))
     with pytest.raises(DimensionMismatch):

@@ -5,12 +5,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_design, small_measure
-from looise.designs import Design
+from looise import numerics
+from looise.designs import Design, _loo_criterion
 from looise.errors import LooiseError
 from looise.estimators import ise_blp, ise_blup, ise_loo, trend_corrected_ise
-from looise.kernels import KernelSpec
+from looise.kernels import KernelSpec, cross_matrix, kernel_matrix
 from looise.moments import build_bundle, mixture_bundle
-from looise.predictors import SimpleKriging
+from looise.predictors import (
+    BayesPolynomial,
+    EmpiricalMean,
+    OrdinaryKriging,
+    SimpleKriging,
+    loo_residuals_bruteforce,
+    poly_basis,
+    tensor_basis,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
 
@@ -124,3 +133,78 @@ def test_estimates_do_not_depend_on_the_order_of_the_design(problem, data):
     moved = Design(points=design.points[perm], provenance=design.provenance)
     _assert_same(_three_estimates(moved, measure, kern_p, kern_e, y[perm]),
                  _three_estimates(design, measure, kern_p, kern_e, y), rtol=1e-9)
+
+
+# The cached-inverse routes agree with the solve-based ones to rounding, which
+# grows with the condition number kappa(K): with BayesPolynomial's noise of
+# 0.05, kappa(K) reaches about 6e5, and the weights differ by up to 4e-11 of
+# max|W|. The bound is C_EPS * eps * kappa(K); over 1,500 random draws of
+# `problems` the largest observed multiple of eps * kappa(K) was 3.6.
+C_EPS = 16.0
+EPS = np.finfo(float).eps
+
+
+def _predictors(design, kern):
+    return [SimpleKriging(kern, design), OrdinaryKriging(kern, design),
+            BayesPolynomial(*poly_basis(design.d, 12, c=10.0), 0.05, design)]
+
+
+def _solved_weights(pred, X):
+    """Weights by a triangular solve per point, and the predictor's K."""
+    if isinstance(pred, BayesPolynomial):
+        phi = tensor_basis(pred.design.points, pred.indices)
+        K = (phi * pred.prior_diag) @ phi.T + pred.noise_var * np.eye(pred.n)
+        C = (tensor_basis(X, pred.indices) * pred.prior_diag) @ phi.T
+    else:
+        K = kernel_matrix(pred.kernel, pred.design.points)
+        C = cross_matrix(pred.kernel, pred.design.points, X)
+    F = numerics.spd_factorize(K)
+    W = numerics.solve(F, C.T).T
+    if isinstance(pred, OrdinaryKriging):
+        a = numerics.solve(F, np.ones(pred.n))
+        W = W + np.outer((1.0 - C @ a) / float(np.ones(pred.n) @ a), a)
+    return W, K
+
+
+@PROPERTY_SETTINGS
+@given(problem=problems())
+def test_weights_by_the_cached_inverse_match_the_solve(problem):
+    design, measure, kern_p, _, _ = problem
+    for pred in _predictors(design, kern_p):
+        W = pred.weights_matrix(measure.points)
+        want, K = _solved_weights(pred, measure.points)
+        bound = C_EPS * EPS * np.linalg.cond(K) * np.max(np.abs(want))
+        assert np.max(np.abs(W - want)) <= bound
+
+
+def _full_inverse_criterion(K, y, mean_mode):
+    F = numerics.spd_factorize(K)
+    n = len(y)
+    M = numerics.inverse(F) if mean_mode == "zero" else numerics.bordered_inverse(F)[:n, :n]
+    resid = (M @ y) / np.diag(M)
+    return float(np.mean(resid * resid))
+
+
+@PROPERTY_SETTINGS
+@given(problem=problems())
+def test_loo_criterion_matches_the_full_inverse(problem):
+    # the bound is relative to the criterion plus mean(y^2): for constant y
+    # and a constant mean, the residuals cancel to zero and both routes
+    # return rounding noise, which no bound relative to the criterion holds
+    design, _, _, kern_e, y = problem
+    K = kernel_matrix(kern_e, design.points)
+    for mean_mode in ("zero", "constant"):
+        want = _full_inverse_criterion(K, y, mean_mode)
+        bound = C_EPS * EPS * np.linalg.cond(K) * (want + np.mean(y * y))
+        assert abs(_loo_criterion(K, y, mean_mode) - want) <= bound
+
+
+@PROPERTY_SETTINGS
+@given(d=st.integers(1, 2), n=st.integers(3, 15), seed=st.integers(0, 10_000),
+       family=st.sampled_from(MATERN), theta=THETAS, data=st.data())
+def test_closed_form_loo_matches_refits(d, n, seed, family, theta, data):
+    design = random_design(d, n, seed=seed)
+    y = np.asarray(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
+    for pred in _predictors(design, KernelSpec(family, theta)) + [EmpiricalMean(design)]:
+        brute = loo_residuals_bruteforce(pred, y)
+        assert np.max(np.abs(pred.loo_residuals(y) - brute)) < 1e-8
