@@ -280,8 +280,26 @@ def _sweep_thetas(cfg: dict) -> list[float]:
     return list(np.geomspace(lo, hi, count))
 
 
+def _check_sweep_keys(cfg: dict) -> None:
+    """Reject the keys whose meaning sweep does not implement, rather than
+    write a CSV that silently ignores them."""
+    if cfg.get("trend.mode", "zero") != "zero":
+        raise ConfigError("trend.mode must be 'zero' for sweep; its estimates are not "
+                          "trend-corrected")
+    mixture = sorted(k for k in cfg if k.startswith("estimator.mixture."))
+    if mixture:
+        raise ConfigError(f"{mixture[0]}: sweep varies the range of one assumed kernel "
+                          "and takes no mixture")
+    if "sweep.oracle.family" not in cfg:
+        for key in ("estimator.vn", "sweep.oracle.theta", "sweep.oracle.nugget"):
+            if key in cfg:
+                raise ConfigError(f"{key} needs sweep.oracle.family; without an oracle "
+                                  "sweep writes no oracle columns")
+
+
 def cmd_sweep(args, extra) -> int:
     cfg = _load_config(args, extra)
+    _check_sweep_keys(cfg)
     design = _build_design(cfg)
     measure = _build_measure(cfg, design.d)
     predictor = _build_predictor(cfg, design)
@@ -291,16 +309,22 @@ def cmd_sweep(args, extra) -> int:
     thetas = _sweep_thetas(cfg)
     if not thetas:
         raise ConfigError("sweep grid is empty")
+    weights = moments.WeightSource(predictor, measure, design.n)  # one draw per block
+    jobs = []
     oracle = None
     if "sweep.oracle.family" in cfg:
         kern_true = _kernel_from(cfg, "sweep.oracle")
-        oracle = moments.build_bundle(predictor.loo, predictor, kern_true,
+        oracle = moments.build_bundle(predictor.loo, weights, kern_true,
                                       design, measure,
                                       compute_Vn=get_bool(cfg, "estimator.vn", False))
+        jobs.append((oracle, None))
+    bundles = [moments.build_bundle(predictor.loo, weights,
+                                    _kernel_from(cfg, "estimator.kernel", theta_override=theta),
+                                    design, measure) for theta in thetas]
+    eps_sq = eps ** 2 if clamp else None
+    moments.support_pass(jobs + [(bundle, eps_sq) for bundle in bundles])
     rows = []
-    for theta in thetas:
-        kern_e = _kernel_from(cfg, "estimator.kernel", theta_override=theta)
-        bundle = moments.build_bundle(predictor.loo, predictor, kern_e, design, measure)
+    for theta, bundle in zip(thetas, bundles):
         est = estimators.ise_blp(bundle, eps, clamp=clamp)
         if oracle is not None:
             rep = estimators.performance_report(bundle.gamma_blp, oracle)

@@ -41,6 +41,7 @@ __all__ = [
     "ise_blup",
     "performance_report",
     "estimator_dominance_check",
+    "trend_centering",
     "trend_corrected_ise",
     "optimal_mixture_weights",
     "sigma2_ml",
@@ -181,21 +182,12 @@ def estimator_dominance_check(bundle_e: MomentBundle, bundle_true: MomentBundle)
     }
 
 
-def trend_corrected_ise(bundle: MomentBundle, y, estimator: str = "blp",
-                        clamp: bool = True) -> IseEstimate:
-    """ISE estimate under a GP with unknown constant mean.
-
-    The mean is estimated by its BLUE under the bundle's own covariance
-    sum_k nu_k K_k (the kernel matrix of a single kernel), the weighted
-    estimate is computed on the centered observations, and the
-    deterministic term tau^2 * int (1 - w(x)^T 1)^2 dmu is added back.
-    For predictors whose weights sum to one the correction vanishes and
-    the result equals the uncorrected estimate on the raw data.
+def trend_centering(bundle: MomentBundle, y) -> tuple[float, np.ndarray]:
+    """The BLUE tau of a constant mean under the bundle's own covariance
+    sum_k nu_k K_k, and the LOO residuals R^T (y - tau) of the centered data.
 
     The independent-limit bundle has no covariance: BundleMismatch.
     """
-    if estimator not in ("blp", "blup"):
-        raise ValueError(f"estimator must be 'blp' or 'blup', not {estimator!r}")
     if any(c.K is None for c in bundle.components):
         raise BundleMismatch("the independent-limit bundle has no covariance matrix")
     y = _check_eps(bundle, y, "y")
@@ -205,7 +197,23 @@ def trend_corrected_ise(bundle: MomentBundle, y, estimator: str = "blp",
     if abs(s) < 1e-14:
         raise DegenerateConstraint("1^T Sigma^{-1} 1 is numerically zero")
     tau = float(a @ y) / s
-    eps_z = bundle.R.T @ (y - tau)
+    return tau, bundle.R.T @ (y - tau)
+
+
+def trend_corrected_ise(bundle: MomentBundle, y, estimator: str = "blp",
+                        clamp: bool = True, centering=None) -> IseEstimate:
+    """ISE estimate under a GP with unknown constant mean.
+
+    The mean is estimated by its BLUE under the bundle's own covariance
+    (:func:`trend_centering`, or `centering` when already computed), the
+    weighted estimate is computed on the centered observations, and the
+    deterministic term tau^2 * int (1 - w(x)^T 1)^2 dmu is added back.
+    For predictors whose weights sum to one the correction vanishes and
+    the result equals the uncorrected estimate on the raw data.
+    """
+    if estimator not in ("blp", "blup"):
+        raise ValueError(f"estimator must be 'blp' or 'blup', not {estimator!r}")
+    tau, eps_z = centering or trend_centering(bundle, y)
     base = (ise_blp if estimator == "blp" else ise_blup)(bundle, eps_z, clamp)
     correction = tau * tau * bundle.sum_to_one_defect
     return IseEstimate(value=base.value + correction, estimator=base.estimator,

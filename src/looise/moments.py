@@ -6,16 +6,27 @@ estimate is ever required. A :class:`MomentBundle` collects, for one
 assumed kernel (or a finite mixture of kernels, or the independent
 limit), the first two moments of the squared LOO residual vector
 (u and S), their cross moments with the integrated squared error
-(b and J), and optionally the second moment V of the ISE itself.
+(b and J), and optionally V, half the variance of the ISE itself.
 
 Integration against the measure is streamed in blocks: per-point
 cross-moment vectors c(x) are accumulated into b without materializing
-the (support size) x n array. A bundle makes this one pass on first
-demand, under a lock; it also integrates the clamped blp/blup estimates.
+the (support size) x n array. :func:`support_pass` is the one walk over
+the support blocks. It serves a batch of bundles (b, J and the clamped
+blp/blup integrals of given residuals) and of squared-error sums
+int (f - W y)^2 dmu at once: per block, each distinct weight source draws
+its rows once, and a cross-correlation cache that the caller keeps lets
+bundles and walks that share a kernel and a design build its block
+once. Every bundle keeps the arithmetic of a walk of its own. A bundle
+that is asked for b or J first makes a one-job walk, under its lock.
+
+V is the O(N^2) double integral of rho^4(x, x'). Its integrand is
+symmetric, so it is summed over each unordered pair of row blocks once.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import threading
 from dataclasses import dataclass, field
 
@@ -78,12 +89,13 @@ class WeightSource:
 
 
 def support_blocks(measure: IntegrationMeasure, weights: WeightSource | None = None,
-                   size: int = BLOCK):
-    """The one loop over the support, in blocks of `size` rows.
+                   size: int | None = None):
+    """The one loop over the support, in blocks of `size` rows (BLOCK by default).
 
     Yields (rows, X, mu, W): the slice of the block, its points, their
     measure weights and, when a weight source is given, its weight rows.
     """
+    size = size or BLOCK
     for lo in range(0, measure.size, size):
         hi = min(lo + size, measure.size)
         W = None if weights is None else weights.block(lo, hi)
@@ -104,7 +116,12 @@ class Component:
 @dataclass
 class MomentBundle:
     """b, J and the sum-to-one defect, int (1 - w(x)^T 1)^2 dmu, come from the
-    one support pass, run on first demand."""
+    support pass, run on first demand unless a batched walk filled them.
+
+    V is half the variance of the ISE, so that E[ISE^2] = J^2 + 2 V. For one
+    kernel it is the double integral of rho^4; under a mixture it is the
+    nu-weighted mean of the per-kernel V_k plus half the nu-weighted spread
+    of the per-kernel J_k around J."""
 
     u: np.ndarray
     S: np.ndarray
@@ -129,7 +146,7 @@ class MomentBundle:
         self._hq = None  # (h, q) of the unbiasedness constraint
         self._gamma_blp = None  # S^{-1} b
         self._clamped = {}  # eps^2 bytes -> (blp+, blup+ or None)
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # held by the walks and the lazy solves
 
     @property
     def n(self) -> int:
@@ -143,10 +160,9 @@ class MomentBundle:
         return self.V is not None
 
     def _cross_moments(self) -> tuple:
-        with self._lock:
-            if self._moments is None:
-                self._support_pass()
-            return self._moments
+        if self._moments is None:
+            support_pass([(self, None)])
+        return self._moments
 
     b = property(lambda self: self._cross_moments()[0])
     J = property(lambda self: self._cross_moments()[1])
@@ -175,41 +191,140 @@ class MomentBundle:
 
     def clamped_integrals(self, eps_sq: np.ndarray) -> tuple[float, float | None]:
         """The blp and blup pointwise estimates from eps_sq, clamped at zero and
-        integrated; blup is None when the constraint is degenerate."""
+        integrated: c(x)^T g (blp) and c(x)^T g + (rho^2(x) - c(x)^T h) u^T g / q
+        (blup), with g = S^{-1} eps_sq, h = S^{-1} u; blup is None when the
+        constraint is degenerate. Unless a walk already did, this makes a
+        one-job walk, which also fills b, J and the defect if still unknown."""
         key = eps_sq.tobytes()
-        with self._lock:
-            if key not in self._clamped:
-                self._clamped[key] = self._support_pass(eps_sq)
-            return self._clamped[key]
+        if key not in self._clamped:
+            support_pass([(self, eps_sq)])
+        return self._clamped[key]
 
-    def _support_pass(self, eps_sq: np.ndarray | None = None):
-        """The one pass: b, J and the defect unless known, and given eps_sq the
-        clamped integrals of c(x)^T g (blp) and of c(x)^T g + (rho^2(x) -
-        c(x)^T h) u^T g / q (blup), with g = S^{-1} eps_sq, h = S^{-1} u."""
-        fill = self._moments is None
-        b, J, defect, blp, blup = np.zeros(self.n), 0.0, 0.0, 0.0, 0.0
-        if eps_sq is not None:
-            if self._hq is None:  # one solve with two right-hand sides
-                g, h = self.solve_S(np.column_stack([eps_sq, self.u])).T.copy()
-                self._hq = (h, float(self.u @ h))
-            else:
-                g = self.solve_S(eps_sq)
-            h, q = self._hq
-            ug = float(self.u @ g)
-        for _, X, mu, W in support_blocks(self.measure, self.weights):
-            C_rows, rho = _c_rho(self.components, X, W, self.design, self.R)
-            if fill:
-                defect += _sum_to_one_defect(mu, W)
-                b += mu @ C_rows
-                J += float(mu @ rho)
+
+class _BundleIntegrals:
+    """One bundle's share of a walk: b, J and the defect unless known, and the
+    clamped blp/blup integrals of each residual vector it has not seen."""
+
+    def __init__(self, bundle: MomentBundle):
+        self.bundle = bundle
+        self.weights = bundle.weights
+        self.fill = bundle._moments is None
+        self.b, self.J, self.defect = np.zeros(bundle.n), 0.0, 0.0
+        self.clamped = {}  # eps^2 bytes -> [g, u^T g, blp, blup]
+
+    def add_residuals(self, eps_sq: np.ndarray) -> None:
+        bundle = self.bundle
+        key = eps_sq.tobytes()
+        if key in bundle._clamped or key in self.clamped:
+            return
+        if bundle._hq is None:  # one solve with two right-hand sides
+            g, h = bundle.solve_S(np.column_stack([eps_sq, bundle.u])).T.copy()
+            bundle._hq = (h, float(bundle.u @ h))
+        else:
+            g = bundle.solve_S(eps_sq)
+        self.clamped[key] = [g, float(bundle.u @ g), 0.0, 0.0]
+
+    def add_block(self, rows, X, mu, W, cross) -> None:
+        bundle = self.bundle
+        C_rows, rho = _c_rho(bundle.components, X, W, bundle.design, bundle.R, cross)
+        if self.fill:
+            self.defect += _sum_to_one_defect(mu, W)
+            self.b += mu @ C_rows
+            self.J += float(mu @ rho)
+        h, q = bundle._hq if self.clamped else (None, 0.0)
+        for acc in self.clamped.values():
+            g, ug = acc[0], acc[1]
+            vals = C_rows @ g
+            acc[2] += float(mu @ np.maximum(vals, 0.0))
+            if q > CONSTRAINT_TOL:
+                vals = vals + (rho - C_rows @ h) * (ug / q)
+                acc[3] += float(mu @ np.maximum(vals, 0.0))
+
+    def finish(self) -> None:
+        bundle = self.bundle
+        if self.fill:
+            bundle._moments = (self.b, self.J, self.defect)
+        degenerate = bundle._hq is None or bundle._hq[1] <= CONSTRAINT_TOL
+        for key, (_, _, blp, blup) in self.clamped.items():
+            bundle._clamped[key] = (blp, None if degenerate else blup)
+
+
+class _SquaredError:
+    """int (f - W y)^2 dmu of one predictor against known support values f."""
+
+    def __init__(self, f, weights: WeightSource, y):
+        self.fvals = np.asarray(f, dtype=float)
+        self.weights = weights
+        self.y = np.asarray(y, dtype=float)
+        self.total = 0.0
+
+    def add_block(self, rows, X, mu, W, cross) -> None:
+        diff = self.fvals[rows] - W @ self.y
+        self.total += float(mu @ (diff * diff))
+
+
+def support_pass(jobs, ise_jobs=(), cross: dict | None = None) -> list[float]:
+    """One walk over the support serving a batch of bundles and error sums.
+
+    `jobs` are (bundle, eps_sq or None) pairs. Each fills its bundle's b, J
+    and sum-to-one defect unless known and, given eps_sq, stores the clamped
+    blp/blup integrals that `clamped_integrals(eps_sq)` then returns.
+    `ise_jobs` are (f, weights, y) triples: support values of a known
+    function, a WeightSource and the observations; the walk integrates
+    (f - W y)^2 against the measure and returns these sums in order.
+
+    Per block, each distinct weight source (by identity) draws its rows once
+    and holds them only while its own jobs accumulate. `cross`, a dict the
+    caller keeps, shares the cross-correlations of the support with a
+    design: each (kernel, design) block is built once and kept there for
+    the other jobs of this walk and for later walks over the same measure.
+    It holds N x n values per kernel and design; without it each job builds
+    its own. Every job does the arithmetic of a walk of its own, in the
+    same order, so batching changes no bit of any result. All jobs must
+    share one measure.
+    """
+    jobs = list(jobs)
+    bundles = {id(bundle): bundle for bundle, _ in jobs}
+    with contextlib.ExitStack() as held:
+        for key in sorted(bundles):  # one lock order for every walk
+            held.enter_context(bundles[key]._lock)
+        integrals = {key: _BundleIntegrals(bundle) for key, bundle in bundles.items()}
+        for bundle, eps_sq in jobs:
             if eps_sq is not None:
-                vals = C_rows @ g
-                blp += float(mu @ np.maximum(vals, 0.0))
-                if q > CONSTRAINT_TOL:
-                    vals = vals + (rho - C_rows @ h) * (ug / q)
-                    blup += float(mu @ np.maximum(vals, 0.0))
-        self._moments = self._moments or (b, J, defect)
-        return None if eps_sq is None else (blp, blup if q > CONSTRAINT_TOL else None)
+                integrals[id(bundle)].add_residuals(eps_sq)
+        sums = [_SquaredError(*job) for job in ise_jobs]
+        _walk([acc for acc in integrals.values() if acc.fill or acc.clamped] + sums, cross)
+        for acc in integrals.values():
+            acc.finish()
+    return [err.total for err in sums]
+
+
+def _walk(accumulators, cross: dict | None) -> None:
+    groups = {}  # id(weight source) -> its accumulators, in order of appearance
+    for acc in accumulators:
+        groups.setdefault(id(acc.weights), []).append(acc)
+    if not groups:
+        return
+    sources = [group[0].weights for group in groups.values()]
+    measure = sources[0]._measure
+    if any(ws._measure is not measure for ws in sources):
+        raise DimensionMismatch("the jobs of one support pass must share one measure")
+    for rows, X, mu, _ in support_blocks(measure):
+        lookup = None if cross is None else functools.partial(
+            _shared_cross, cross, measure, rows.start, X)
+        for ws, group in zip(sources, groups.values()):
+            W = ws.block(rows.start, rows.stop)
+            for acc in group:
+                acc.add_block(rows, X, mu, W, lookup)
+
+
+def _shared_cross(cross: dict, measure, lo: int, X, kernel, design) -> np.ndarray:
+    """The cross-correlations of the support block at row `lo` with the design,
+    built once per `cross` dict."""
+    key = (kernel, id(design), id(measure), lo)
+    if key not in cross:  # design and measure ride along, so that their ids stay unique
+        cross[key] = (design, measure, cross_matrix(kernel, design.points, X))
+    return cross[key][2]
 
 
 def _sources(R, weights, measure: IntegrationMeasure):
@@ -217,6 +332,8 @@ def _sources(R, weights, measure: IntegrationMeasure):
     R = R.matrix if hasattr(R, "matrix") else np.asarray(R, dtype=float)
     if not isinstance(weights, WeightSource):
         weights = WeightSource(weights, measure, R.shape[0])
+    elif weights._measure is not measure:
+        raise DimensionMismatch("the weight source is drawn on another measure")
     return R, weights
 
 
@@ -227,11 +344,13 @@ def _component_for(kernel: KernelSpec | None, nu: float, R: np.ndarray,
     return Component(nu=nu, kernel=kernel, K=K, u=np.diag(A).copy(), rkr_sq=A * A)
 
 
-def _c_rho(components, X: np.ndarray, W: np.ndarray, design: Design, R: np.ndarray):
+def _c_rho(components, X: np.ndarray, W: np.ndarray, design: Design, R: np.ndarray,
+           cross=None):
     """Rows of the mixture c(x) and the mixture rho^2(x) on one block of points.
 
     Per component, c(x) = rho^2(x) u + 2 G(x)^{o2} with G = (R^T t(x))^T
-    and t(x) = k(x) - K w(x).
+    and t(x) = k(x) - K w(x). `cross(kernel, design)` supplies the
+    cross-correlations of X with the design when a walk shares them.
     """
     C_rows = np.zeros((len(X), R.shape[1]))
     rho_mix = np.zeros(len(X))
@@ -240,7 +359,8 @@ def _c_rho(components, X: np.ndarray, W: np.ndarray, design: Design, R: np.ndarr
             rho = 1.0 + np.sum(W * W, axis=1)
             G = W @ R
         else:
-            C = cross_matrix(comp.kernel, design.points, X)
+            C = (cross_matrix(comp.kernel, design.points, X) if cross is None
+                 else cross(comp.kernel, design))
             KW = W @ comp.K
             rho = ((1.0 + comp.kernel.nugget) - 2.0 * np.sum(W * C, axis=1)
                    + np.sum(KW * W, axis=1))
@@ -264,22 +384,32 @@ def _sum_to_one_defect(mu: np.ndarray, W: np.ndarray) -> float:
 
 
 def _vn_component(comp: Component, W: np.ndarray, design: Design,
-                  measure: IntegrationMeasure) -> float:
-    """Double integral of rho^4(x, x') against the measure, for one kernel."""
+                  measure: IntegrationMeasure) -> tuple[float, float]:
+    """Double integral of rho^4(x, x') against the measure for one kernel, and
+    the integral of its diagonal rho^2(x, x), which is the kernel's J.
+
+    rho^2(x, x') is symmetric, so each unordered pair of row blocks is
+    visited once: a block row is evaluated against itself and the columns
+    after it, and the blocks off the diagonal count twice.
+    """
     mu = measure.weights
     kernel = comp.kernel
     pts = measure.points
     C = cross_matrix(kernel, design.points, pts)
-    P = W @ comp.K
-    total = 0.0
+    T = C - W @ comp.K  # t(x) = k(x) - K w(x), so rho^2(x, x') = k(x, x') - w(x)^T k(x') - t(x)^T w(x')
+    total = diag = 0.0
     for rows, X, mu_rows, _ in support_blocks(measure, size=VN_BLOCK):
-        Kxx = cross_matrix(kernel, pts, X)
+        lo, m = rows.start, rows.stop - rows.start
+        cross = cross_matrix(kernel, pts[lo:], X)  # the block row, columns lo:
         if kernel.nugget:
-            cols = np.arange(rows.start, rows.stop)
-            Kxx[cols - rows.start, cols] += kernel.nugget
-        cross = Kxx - W[rows] @ C.T - C[rows] @ W.T + P[rows] @ W.T
-        total += float(mu_rows @ (cross * cross) @ mu)
-    return total
+            cross[np.arange(m), np.arange(m)] += kernel.nugget
+        cross -= W[rows] @ C[lo:].T
+        cross -= T[rows] @ W[lo:].T
+        diag += float(mu_rows @ np.diagonal(cross))
+        cross *= cross
+        row = mu_rows @ cross
+        total += float(row[:m] @ mu_rows) + 2.0 * float(row[m:] @ mu[rows.stop:])
+    return total, diag
 
 
 def _assemble(components, R, weights: WeightSource, design: Design,
@@ -295,8 +425,11 @@ def _assemble(components, R, weights: WeightSource, design: Design,
     V = None
     if compute_Vn:
         W_full = weights.full()
-        V = sum(comp.nu * _vn_component(comp, W_full, design, measure)
-                for comp in components)
+        VJ = [_vn_component(comp, W_full, design, measure) for comp in components]
+        V = sum(comp.nu * v for comp, (v, _) in zip(components, VJ))
+        if len(components) > 1:  # half the spread of the per-kernel J around J
+            J = sum(comp.nu * j for comp, (_, j) in zip(components, VJ))
+            V += 0.5 * sum(comp.nu * (j - J) ** 2 for comp, (_, j) in zip(components, VJ))
     return MomentBundle(u=u, S=S, V=V, R=R, design=design, measure=measure,
                         components=list(components), weights=weights)
 

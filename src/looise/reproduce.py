@@ -375,17 +375,19 @@ def run_table2(outdir: str, threads: int = 1, n_designs: int = 20) -> dict:
         omega = testbed.omega_n(y)
         theta_blp = clamp_theta(theta_loo(y, design, "matern52", mean_mode="constant"))
         kern_e = KernelSpec("matern52", theta_blp)
+        shared = {}  # C_e on the support, built once for all predictors
         loo_vals, blp_vals, true_vals = [], [], []
         for tp in theta_grid:
             pred = SimpleKriging(KernelSpec("matern32", tp), design)
-            eps = pred.loo_residuals(y)
-            loo_vals.append(estimators.ise_loo(eps).value)
-            W = pred.weights_matrix(measure.points)  # shared by bundle and true ISE
-            bundle = moments.build_bundle(pred.loo, W, kern_e, design, measure)
-            blp_vals.append(estimators.trend_corrected_ise(bundle, y).value)
-            true_vals.append(true_ise(fvals, W, y, measure))
-        mean_pred = EmpiricalMean(design)
-        ise_mean = true_ise(fvals, mean_pred, y, measure)
+            loo_vals.append(estimators.ise_loo(pred.loo_residuals(y)).value)
+            weights = moments.WeightSource(pred, measure, design.n)  # bundle and true ISE
+            bundle = moments.build_bundle(pred.loo, weights, kern_e, design, measure)
+            centering = estimators.trend_centering(bundle, y)
+            true_vals += moments.support_pass([(bundle, centering[1] ** 2)],
+                                              [(fvals, weights, y)], cross=shared)
+            blp_vals.append(
+                estimators.trend_corrected_ise(bundle, y, centering=centering).value)
+        ise_mean = true_ise(fvals, EmpiricalMean(design), y, measure)
         sel_oracle = true_vals[int(np.argmin(true_vals))]
         sel_loo = true_vals[int(np.argmin(loo_vals))]
         sel_blp = true_vals[int(np.argmin(blp_vals))]

@@ -13,7 +13,7 @@ from . import numerics, rng
 from .designs import IntegrationMeasure, sobol_points
 from .errors import DomainViolation
 from .kernels import KernelSpec, PointIndex, coincide, cross_matrix, kernel_matrix
-from .moments import WeightSource, support_blocks
+from .moments import WeightSource, support_pass
 
 
 def sample_gp(kernel: KernelSpec, X, seed: int, *stream_path: int) -> np.ndarray:
@@ -201,12 +201,5 @@ def true_ise(f, weights, y, measure: IntegrationMeasure) -> float:
     predictor or its (N, n) weight table on the support.
     """
     y = np.asarray(y, dtype=float)
-    if callable(f):
-        fvals = np.asarray(f(measure.points), dtype=float)
-    else:
-        fvals = np.asarray(f, dtype=float)
-    total = 0.0
-    for rows, _, mu, W in support_blocks(measure, WeightSource(weights, measure, len(y))):
-        diff = fvals[rows] - W @ y
-        total += float(mu @ (diff * diff))
-    return total
+    fvals = f(measure.points) if callable(f) else f
+    return support_pass([], [(fvals, WeightSource(weights, measure, len(y)), y)])[0]

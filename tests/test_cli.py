@@ -279,6 +279,36 @@ def test_mixture_constant_trend_centres_under_the_mixture_covariance(tmp_path, c
                       atol=0.0)
 
 
+@pytest.mark.parametrize("extra, key", [
+    ("trend.mode = constant\n", "trend.mode"),
+    ("estimator.mixture.families = matern32,gaussian\n"
+     "estimator.mixture.thetas = 4,9\nestimator.mixture.weights = 0.5,0.5\n",
+     "estimator.mixture.families"),
+    ("estimator.mixture.weights = 1\n", "estimator.mixture.weights"),
+    ("estimator.vn = true\n", "estimator.vn"),
+    ("sweep.oracle.theta = 8.0\n", "sweep.oracle.theta"),
+    ("sweep.oracle.nugget = 0.1\n", "sweep.oracle.nugget"),
+])
+def test_sweep_rejects_keys_it_would_ignore(tmp_path, capsys, extra, key):
+    ycsv = write(tmp_path, "y.csv", "y\n" + "\n".join(["0.5"] * 16) + "\n")
+    cfg = write(tmp_path, "run.cfg", SWEEP_CONFIG + f"data.file = {ycsv}\n"
+                + "sweep.thetas = 2,8\n" + extra)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_accepts_zero_trend_and_oracle_keys(tmp_path, capsys):
+    ycsv = write(tmp_path, "y.csv", "y\n" + "\n".join(["0.5"] * 16) + "\n")
+    cfg = write(tmp_path, "run.cfg", SWEEP_CONFIG + f"data.file = {ycsv}\n"
+                + "sweep.thetas = 2,8\ntrend.mode = zero\nestimator.vn = true\n"
+                + "sweep.oracle.family = matern32\nsweep.oracle.theta = 8.0\n"
+                + "sweep.oracle.nugget = 0.0\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert len((tmp_path / "sweep.csv").read_text().strip().splitlines()) == 3
+
+
 def test_sweep_solves_s_gamma_b_once_per_theta(tmp_path, capsys, monkeypatch):
     from looise.moments import MomentBundle
 

@@ -210,6 +210,21 @@ def test_matched_blup_predictor_bias_identity():
     assert np.isclose(rep.bias, expected, rtol=1e-8)
 
 
+def test_mixture_mse_is_the_nu_mixture_of_single_kernel_mses():
+    # E[ISE^2] under a mixture is sum_k nu_k (J_k^2 + 2 V_k), not J^2 + 2 sum_k nu_k V_k
+    from looise.designs import sobol_design, sobol_measure
+
+    design = sobol_design(2, 12, scramble_seed=3)
+    p = SimpleKriging(KernelSpec("matern52", 4.0), design)
+    measure = sobol_measure(2, 256)
+    kernels = [KernelSpec("matern32", 2.0), KernelSpec("gaussian", 20.0)]
+    mix = mixture_bundle(kernels, [0.5, 0.5], p.loo, p, design, measure, compute_Vn=True)
+    singles = [build_bundle(p.loo, p, k, design, measure, compute_Vn=True) for k in kernels]
+    for gamma in (np.zeros(12), np.full(12, 1.0 / 12)):
+        want = sum(0.5 * performance_report(gamma, b).mse for b in singles)
+        assert np.isclose(performance_report(gamma, mix).mse, want, rtol=1e-12, atol=0.0)
+
+
 def test_blp_beats_other_weights_under_matched_kernel():
     gen = np.random.default_rng(0)
     for seed in range(20):

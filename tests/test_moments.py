@@ -440,3 +440,126 @@ def test_bundle_shared_by_threads_makes_one_pass(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert len(results) == 6 and all(r == results[0] for r in results)
     assert sum(rows) == N
+
+
+def _vn_full_loop(kernel, W, design, measure, block):
+    """V_n as a loop over row blocks against every column, each block pair twice."""
+    mu, pts = measure.weights, measure.points
+    C = cross_matrix(kernel, design.points, pts)
+    P = W @ kernel_matrix(kernel, design.points)
+    total = 0.0
+    for lo in range(0, measure.size, block):
+        hi = min(lo + block, measure.size)
+        Kxx = cross_matrix(kernel, pts, pts[lo:hi])
+        if kernel.nugget:
+            cols = np.arange(lo, hi)
+            Kxx[cols - lo, cols] += kernel.nugget
+        cross = Kxx - W[lo:hi] @ C.T - C[lo:hi] @ W.T + P[lo:hi] @ W.T
+        total += float(mu[lo:hi] @ (cross * cross) @ mu)
+    return total
+
+
+def test_vn_over_block_pairs_equals_the_full_block_loop(monkeypatch):
+    import looise.moments as moments
+
+    block = 7
+    monkeypatch.setattr(moments, "VN_BLOCK", block)
+    design = random_design(2, 9, seed=41)
+    measure = small_measure(2, 40, seed=42)  # 40 = 5 * 7 + 5: the last block is partial
+    p = SimpleKriging(KernelSpec("matern52", 5.0), design)
+    W = p.weights_matrix(measure.points)
+    kernels = [KernelSpec("matern32", 6.0, nugget=0.05), KernelSpec("gaussian", 12.0)]
+    singles = [build_bundle(p.loo, p, k, design, measure, compute_Vn=True) for k in kernels]
+    full = [_vn_full_loop(k, W, design, measure, block) for k in kernels]
+    for bundle, want in zip(singles, full):
+        assert np.isclose(bundle.V, want, rtol=1e-12, atol=0.0)
+    nu = np.array([0.3, 0.7])
+    mix = mixture_bundle(kernels, nu, p.loo, p, design, measure, compute_Vn=True)
+    J = np.array([b.J for b in singles])
+    want = nu @ full + 0.5 * nu @ (J - nu @ J) ** 2  # E[ISE^2] = sum_k nu_k (J_k^2 + 2 V_k)
+    assert np.isclose(mix.V, want, rtol=1e-12, atol=0.0)
+
+
+def test_a_shared_cross_dict_builds_each_kernel_block_once(monkeypatch):
+    import looise.moments as moments
+
+    calls = []
+    build = moments.cross_matrix
+
+    def counting(kernel, X, Xnew):
+        calls.append(kernel)
+        return build(kernel, X, Xnew)
+
+    monkeypatch.setattr(moments, "BLOCK", 16)
+    design = random_design(2, 8, seed=51)
+    measure = small_measure(2, 40, seed=52)  # three blocks, the last one partial
+    kern = KernelSpec("matern32", 7.0)
+    preds = [SimpleKriging(KernelSpec("matern52", t), design) for t in (4.0, 9.0)]
+    W = [p.weights_matrix(measure.points) for p in preds]  # array-backed: no cross_matrix
+    bundles = [build_bundle(p.loo, w, kern, design, measure) for p, w in zip(preds, W)]
+    monkeypatch.setattr(moments, "cross_matrix", counting)
+    shared = {}
+    for bundle in bundles:  # two walks, one dict
+        moments.support_pass([(bundle, None)], cross=shared)
+    assert calls == [kern] * 3
+    fresh = [build_bundle(p.loo, w, kern, design, measure) for p, w in zip(preds, W)]
+    moments.support_pass([(bundle, None) for bundle in fresh])
+    assert len(calls) == 3 + 2 * 3
+    for a, b in zip(bundles, fresh):
+        assert a.b.tobytes() == b.b.tobytes() and a.J == b.J
+
+
+def test_overlapping_walks_from_threads_make_one_pass(monkeypatch):
+    import sys
+    import threading
+
+    import looise.moments as moments
+
+    rows = []
+    draw = moments.WeightSource.block
+
+    def counting(self, lo, hi):
+        rows.append(hi - lo)
+        return draw(self, lo, hi)
+
+    design = random_design(2, 10, seed=53)
+    measure = small_measure(2, 64, seed=54)
+    p = SimpleKriging(KernelSpec("matern52", 6.0), design)
+    weights = moments.WeightSource(p, measure, design.n)
+    bundles = [build_bundle(p.loo, weights, KernelSpec("matern32", t), design, measure)
+               for t in (4.0, 8.0, 16.0)]
+    monkeypatch.setattr(moments.WeightSource, "block", counting)
+    orders = [bundles, bundles[::-1], bundles[1:] + bundles[:1]] * 2  # opposite lock orders
+    errors = []
+
+    def walk(order):
+        try:
+            moments.support_pass([(b, None) for b in order])
+        except Exception as exc:  # reported below; a thread swallows it otherwise
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk, args=(order,)) for order in orders]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    assert sum(rows) == measure.size  # the first walk fills all three bundles
+    assert all(b._moments is not None for b in bundles)
+
+
+def test_a_weight_source_on_another_measure_is_rejected():
+    import looise.moments as moments
+    from looise.errors import DimensionMismatch
+
+    design = random_design(1, 5, seed=55)
+    p = SimpleKriging(KernelSpec("matern52", 6.0), design)
+    weights = moments.WeightSource(p, small_measure(1, 32, seed=56), design.n)
+    with pytest.raises(DimensionMismatch, match="another measure"):
+        build_bundle(p.loo, weights, KernelSpec("matern32", 8.0), design,
+                     small_measure(1, 32, seed=57))

@@ -1,6 +1,7 @@
 """Property tests over random inputs: invariants the maths guarantees."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,14 @@ from looise.designs import Design, _loo_criterion
 from looise.errors import LooiseError
 from looise.estimators import ise_blp, ise_blup, ise_loo, trend_corrected_ise
 from looise.kernels import KernelSpec, cross_matrix, kernel_matrix
-from looise.moments import build_bundle, mixture_bundle
+from looise import moments
+from looise.moments import (
+    WeightSource,
+    build_bundle,
+    independent_limit_bundle,
+    mixture_bundle,
+    support_pass,
+)
 from looise.predictors import (
     BayesPolynomial,
     EmpiricalMean,
@@ -208,3 +216,90 @@ def test_closed_form_loo_matches_refits(d, n, seed, family, theta, data):
     for pred in _predictors(design, KernelSpec(family, theta)) + [EmpiricalMean(design)]:
         brute = loo_residuals_bruteforce(pred, y)
         assert np.max(np.abs(pred.loo_residuals(y) - brute)) < 1e-8
+
+
+# a few ranges, so that bundles of one walk share kernels
+WALK_THETAS = st.sampled_from([4.0, 9.0, 25.0])
+
+
+@st.composite
+def walks(draw):
+    """A batch of walk jobs over one support that does not fill its last
+    block: bundles under one kernel, a two-kernel mixture or the
+    independent limit, on predictor- or array-backed weight sources shared
+    between jobs, with or without residuals, and squared-error sums; the
+    walk shares its cross-correlations between bundles or not."""
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(4, 8))
+    seed = draw(st.integers(0, 10_000))
+    block = draw(st.integers(3, 9))
+    N = draw(st.integers(10, 40).filter(lambda N: N % block))
+    n_sources = draw(st.integers(1, 3))
+    sources = [(draw(st.floats(2.0, 20.0)), draw(st.booleans())) for _ in range(n_sources)]
+    source = st.integers(0, n_sources - 1)
+    jobs = draw(st.lists(st.tuples(source, st.sampled_from(["single", "mixture", "limit"]),
+                                   WALK_THETAS, WALK_THETAS, st.floats(0.05, 0.95),
+                                   st.booleans()), min_size=1, max_size=6))
+    errors = draw(st.lists(source, max_size=3))
+    return dict(d=d, n=n, seed=seed, block=block, N=N, sources=sources, jobs=jobs,
+                errors=errors, shared=draw(st.booleans()))
+
+
+def _walk_jobs(spec):
+    """Fresh bundles and weight sources for the spec, built the same way each call."""
+    design = random_design(spec["d"], spec["n"], seed=spec["seed"])
+    measure = small_measure(spec["d"], spec["N"], seed=spec["seed"] + 1)
+    y = np.sin(7.0 * design.points.sum(axis=1))
+    preds, sources = [], []
+    for theta_p, array_backed in spec["sources"]:
+        pred = SimpleKriging(KernelSpec("matern52", theta_p), design)
+        weights = pred.weights_matrix(measure.points) if array_backed else pred
+        preds.append(pred)
+        sources.append(WeightSource(weights, measure, design.n))
+    jobs = []
+    for i, kind, t1, t2, nu, with_eps in spec["jobs"]:
+        R, ws = preds[i].loo, sources[i]
+        if kind == "single":
+            bundle = build_bundle(R, ws, KernelSpec("matern32", t1), design, measure)
+        elif kind == "mixture":
+            kernels = [KernelSpec("matern32", t1), KernelSpec("gaussian", t2)]
+            bundle = mixture_bundle(kernels, [nu, 1.0 - nu], R, ws, design, measure)
+        else:
+            bundle = independent_limit_bundle(R, ws, design, measure)
+        jobs.append((bundle, preds[i].loo_residuals(y) ** 2 if with_eps else None))
+    fvals = np.cos(5.0 * measure.points.sum(axis=1))
+    return jobs, [(fvals, sources[i], y) for i in spec["errors"]]
+
+
+def _walk_results(jobs):
+    return [(b._moments[0].tobytes(), b._moments[1], b._moments[2],
+             None if eps_sq is None else b._clamped[eps_sq.tobytes()])
+            for b, eps_sq in jobs]
+
+
+@PROPERTY_SETTINGS
+@given(spec=walks())
+def test_a_batched_walk_equals_one_bundle_walks_bit_for_bit(spec):
+    draws = []
+    block = WeightSource.block
+
+    def counting(self, lo, hi):
+        draws.append((id(self), lo, hi))
+        return block(self, lo, hi)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moments, "BLOCK", spec["block"])
+        mp.setattr(WeightSource, "block", counting)
+        jobs, errors = _walk_jobs(spec)
+        batched = support_pass(jobs, errors, cross={} if spec["shared"] else None)
+        walked = {id(b.weights) for b, _ in jobs} | {id(ws) for _, ws, _ in errors}
+        for source in walked:  # each source draws every support row once
+            rows = sorted((lo, hi) for sid, lo, hi in draws if sid == source)
+            assert [lo for lo, _ in rows] == list(range(0, spec["N"], spec["block"]))
+            assert sum(hi - lo for lo, hi in rows) == spec["N"]
+        alone_jobs, alone_errors = _walk_jobs(spec)
+        for job in alone_jobs:
+            support_pass([job])
+        alone = [support_pass([], [job])[0] for job in alone_errors]
+    assert batched == alone
+    assert _walk_results(jobs) == _walk_results(alone_jobs)
