@@ -155,10 +155,6 @@ class MomentBundle:
     def solve_S(self, rhs) -> np.ndarray:
         return numerics.solve(self.S_fact, rhs)
 
-    @property
-    def vn_included(self) -> bool:
-        return self.V is not None
-
     def _cross_moments(self) -> tuple:
         if self._moments is None:
             support_pass([(self, None)])

@@ -30,10 +30,6 @@ class LooOperator:
     matrix: np.ndarray
     full_rank: bool
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
 
 class LinearPredictor:
     """Base class; subclasses bind to a design and stay immutable."""

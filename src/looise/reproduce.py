@@ -2,10 +2,11 @@
 
 Every experiment is a pure function of its fixed seeds. Results are
 plot-ready CSV files plus a JSON manifest recording seeds, scales and
-tolerances. Replication loops run on a thread pool (linear-algebra
-kernels release the GIL); per-replication random streams are split by
-index, so results are identical for any pool size and are always
-written in replication order.
+tolerances. Every target walks the support once per predictor, for all
+its bundles, residuals and true ISE. Replication loops run on a thread
+pool (linear-algebra kernels release the GIL); per-replication random
+streams are split by index, so results are identical for any pool size
+and are always written in replication order.
 """
 
 from __future__ import annotations
@@ -84,11 +85,40 @@ def write_manifest(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _emit(outdir: str, name: str, header: list[str], rows: list[tuple],
+          manifest: dict) -> str:
+    """Write <name>.csv and <name>_manifest.json; returns the CSV's path."""
+    path = os.path.join(outdir, f"{name}.csv")
+    write_csv(path, header, rows)
+    write_manifest(os.path.join(outdir, f"{name}_manifest.json"),
+                   {"experiment": name, **manifest})
+    return path
+
+
 def _map_ordered(fn, indices, threads: int):
     if threads <= 1:
         return [fn(i) for i in indices]
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, indices))
+
+
+def _walk(pred, measure, kernels, residuals=lambda bundle: (), truth=None, oracle=None):
+    """The bundles of `pred` under each assumed kernel (None: the independent
+    limit) on one weight source, the `oracle` bundle's when one rides along.
+
+    One support pass fills them and integrates the clamped blp/blup estimates
+    of each residual vector in residuals(bundle) and, given truth = (f, y)
+    with f the function's values on the support, the true ISE of `pred`,
+    which is returned with the bundles (None without `truth`)."""
+    weights = oracle.weights if oracle else moments.WeightSource(pred, measure, pred.n)
+    bundles = [moments.independent_limit_bundle(pred.loo, weights, pred.design, measure)
+               if kern is None else
+               moments.build_bundle(pred.loo, weights, kern, pred.design, measure)
+               for kern in kernels]
+    jobs = [(b, None) for b in bundles + ([oracle] if oracle else [])]
+    jobs += [(b, eps**2) for b in bundles for eps in residuals(b)]
+    sums = moments.support_pass(jobs, [(truth[0], weights, truth[1])] if truth else [])
+    return bundles, (sums[0] if sums else None)
 
 
 # ---------------------------------------------------------------------------
@@ -101,30 +131,35 @@ TABLE1_REFERENCE = {
     "blup": {"e_ise": 0.187, "mse_trivial": 0.035, "e_loo": 0.731,
              "mse_loo": 0.338, "e_blp_limit": 0.478, "mse_blp_limit": 0.103},
 }
+ORACLE_THETAS = sorted(set(np.logspace(np.log10(0.05), np.log10(20.0), 25)) | {10.0})
 
 
-def _grid_study_predictor(row: str):
+def _grid_study(row: str):
+    """The predictor of one row of the grid study, its support, and the
+    oracle: its bundle under the generating matern32 theta=10, with V_n."""
     design = regular_grid(2, 10)
     if row == "poly":
         idx, lam = poly_basis(2, 50, c=1000.0, t=2.0)
-        return design, BayesPolynomial(idx, lam, 0.1, design)
-    return design, SimpleKriging(KernelSpec("matern52", 5.0), design)
+        pred = BayesPolynomial(idx, lam, 0.1, design)
+    else:
+        pred = SimpleKriging(KernelSpec("matern52", 5.0), design)
+    measure = sobol_measure(2, 2**10)
+    oracle = moments.build_bundle(pred.loo, moments.WeightSource(pred, measure, design.n),
+                                  KernelSpec("matern32", 10.0), design, measure,
+                                  compute_Vn=True)
+    return pred, measure, oracle
 
 
 def table1_values(row: str) -> dict:
     """The six exact performance numbers for one predictor row."""
-    design, pred = _grid_study_predictor(row)
-    measure = sobol_measure(2, 2**10)
-    ktrue = KernelSpec("matern32", 10.0)
-    R = pred.loo
-    bundle = moments.build_bundle(R, pred, ktrue, design, measure, compute_Vn=True)
-    n = design.n
-    rep_loo = estimators.performance_report(np.full(n, 1.0 / n), bundle)
-    limit = moments.independent_limit_bundle(R, pred, design, measure)
-    rep_lim = estimators.performance_report(limit.gamma_blp, bundle)
+    pred, measure, oracle = _grid_study(row)
+    (limit,), _ = _walk(pred, measure, [None], oracle=oracle)
+    n = pred.n
+    rep_loo = estimators.performance_report(np.full(n, 1.0 / n), oracle)
+    rep_lim = estimators.performance_report(limit.gamma_blp, oracle)
     return {
-        "e_ise": bundle.J,
-        "mse_trivial": bundle.J**2 + 2.0 * bundle.V,
+        "e_ise": oracle.J,
+        "mse_trivial": oracle.J**2 + 2.0 * oracle.V,
         "e_loo": rep_loo.e_estimate,
         "mse_loo": rep_loo.mse,
         "e_blp_limit": rep_lim.e_estimate,
@@ -134,18 +169,14 @@ def table1_values(row: str) -> dict:
 
 @register("table1")
 def run_table1(outdir: str, threads: int = 1) -> dict:
+    values = {row: table1_values(row) for row in ("poly", "blup")}
     rows = []
-    values = {}
-    for row in ("poly", "blup"):
-        got = table1_values(row)
-        values[row] = got
+    for row, got in values.items():
         for key, val in got.items():
             ref = TABLE1_REFERENCE[row][key]
             rows.append((row, key, val, ref, abs(val - ref) / abs(ref)))
-    path = os.path.join(outdir, "table1.csv")
-    write_csv(path, ["row", "quantity", "value", "reference_value", "rel_err"], rows)
-    write_manifest(os.path.join(outdir, "table1_manifest.json"), {
-        "experiment": "table1",
+    path = _emit(outdir, "table1", ["row", "quantity", "value", "reference_value",
+                                    "rel_err"], rows, {
         "design": "regular grid 10x10 on [0,1]^2",
         "measure": "first 2^10 unscrambled Sobol points",
         "generating_kernel": "matern32 theta=10",
@@ -155,40 +186,27 @@ def run_table1(outdir: str, threads: int = 1) -> dict:
     return {"csv": path, "values": values}
 
 
-def _oracle_sweep(name: str, weight_rule, outdir: str, threads: int):
+def _oracle_sweep(name: str, weight_rule, outdir: str, manifest: dict):
     """Exact E, MSE and bias of the estimate with weights weight_rule(bundle)
-    vs the assumed range, for the kriging predictor row of the grid study
-    (oracle mode). Writes <name>.csv; returns the grid, rows and path."""
-    design, pred = _grid_study_predictor("blup")
-    measure = sobol_measure(2, 2**10)
-    ktrue = KernelSpec("matern32", 10.0)
-    R = pred.loo
-    bundle_true = moments.build_bundle(R, pred, ktrue, design, measure, compute_Vn=True)
-    thetas = sorted(set(np.logspace(np.log10(0.05), np.log10(20.0), 25)) | {10.0})
-
-    def one(theta):
-        be = moments.build_bundle(R, pred, KernelSpec("matern32", theta),
-                                  design, measure)
-        rep = estimators.performance_report(weight_rule(be), bundle_true)
-        return (theta, rep.e_estimate, rep.mse, rep.bias)
-
-    rows = _map_ordered(one, thetas, threads)
-    path = os.path.join(outdir, f"{name}.csv")
-    write_csv(path, ["theta_blp", "e_estimate", "mse", "bias"], rows)
-    return thetas, rows, path
+    at each assumed range of ORACLE_THETAS, for the kriging row of the grid
+    study (oracle mode): the oracle and all ranges share one walk. Writes
+    <name>.csv and its manifest; returns the rows and the CSV's path."""
+    pred, measure, oracle = _grid_study("blup")
+    bundles, _ = _walk(pred, measure, [KernelSpec("matern32", t) for t in ORACLE_THETAS],
+                       oracle=oracle)
+    reports = [estimators.performance_report(weight_rule(be), oracle) for be in bundles]
+    rows = [(t, r.e_estimate, r.mse, r.bias) for t, r in zip(ORACLE_THETAS, reports)]
+    header = ["theta_blp", "e_estimate", "mse", "bias"]
+    return rows, _emit(outdir, name, header, rows, {
+        "generating_kernel": "matern32 theta=10", "vn_included": True, "seeds": {},
+        **manifest})
 
 
 @register("fig3")
 def run_fig3(outdir: str, threads: int = 1) -> dict:
     """The oracle sweep for the best linear weights S^{-1} b."""
-    thetas, rows, path = _oracle_sweep("fig3", lambda be: be.gamma_blp, outdir, threads)
-    write_manifest(os.path.join(outdir, "fig3_manifest.json"), {
-        "experiment": "fig3",
-        "theta_grid": [float(t) for t in thetas],
-        "generating_kernel": "matern32 theta=10",
-        "vn_included": True,
-        "seeds": {},
-    })
+    rows, path = _oracle_sweep("fig3", lambda be: be.gamma_blp, outdir,
+                               {"theta_grid": [float(t) for t in ORACLE_THETAS]})
     argmin = rows[int(np.argmin([r[2] for r in rows]))][0]
     return {"csv": path, "rows": rows, "mse_argmin_theta": float(argmin)}
 
@@ -196,11 +214,8 @@ def run_fig3(outdir: str, threads: int = 1) -> dict:
 @register("fig5")
 def run_fig5(outdir: str, threads: int = 1) -> dict:
     """Same sweep for the unbiasedness-constrained weights."""
-    _, rows, path = _oracle_sweep("fig5", estimators.blup_weights, outdir, threads)
-    write_manifest(os.path.join(outdir, "fig5_manifest.json"), {
-        "experiment": "fig5", "estimator": "unbiased weights",
-        "generating_kernel": "matern32 theta=10", "vn_included": True, "seeds": {},
-    })
+    rows, path = _oracle_sweep("fig5", estimators.blup_weights, outdir,
+                               {"estimator": "unbiased weights"})
     at10 = min(rows, key=lambda r: abs(r[0] - 10.0))
     return {"csv": path, "rows": rows, "bias_at_theta0": float(at10[3])}
 
@@ -212,33 +227,41 @@ def run_fig5(outdir: str, threads: int = 1) -> dict:
 FIG1_SEED = 20240817
 
 
+def _gp_realization():
+    """The matern32 theta=5 GP path of fig1 and fig2, pinned on the support first."""
+    f = testbed.GpSampleFunction(KernelSpec("matern32", 5.0), seed=FIG1_SEED)
+    measure = sobol_measure(1, 2**10)
+    f.evaluate(measure.points)
+    return f, measure
+
+
+def _gp_row(pred, f, measure) -> tuple:
+    """ise_true, ise_loo, ise_blp, e_ise, e_loo and e_blp of one predictor of the
+    realization f, under its generating kernel, from one walk."""
+    y = f.evaluate(pred.design.points)
+    eps = pred.loo_residuals(y)
+    (bundle,), ise = _walk(pred, measure, [f.kernel], lambda b: [eps],
+                           (f(measure.points), y))
+    n = pred.n
+    rep_loo = estimators.performance_report(np.full(n, 1.0 / n), bundle)
+    rep_blp = estimators.performance_report(bundle.gamma_blp, bundle)
+    return (ise, estimators.ise_loo(eps).value, estimators.ise_blp(bundle, eps).value,
+            bundle.J, rep_loo.e_estimate, rep_blp.e_estimate)
+
+
 @register("fig1")
 def run_fig1(outdir: str, threads: int = 1) -> dict:
-    ktrue = KernelSpec("matern32", 5.0)
-    f = testbed.GpSampleFunction(ktrue, seed=FIG1_SEED)
-    measure = sobol_measure(1, 2**10)
-    f.evaluate(measure.points)  # pin the realization on the support first
-    deltas = np.geomspace(0.005, 0.1, 15)
+    f, measure = _gp_realization()
     base = np.array([0.0, 0.2, 0.4, 0.6, 0.8])
     rows = []
-    for delta in deltas:
+    for delta in np.geomspace(0.005, 0.1, 15):
         design = Design(points=np.sort(np.concatenate([base, base + delta]))[:, None])
         pred = SimpleKriging(KernelSpec("matern52", 2.0), design)
-        y = f.evaluate(design.points)
-        ise = true_ise(f, pred, y, measure)
-        eps = pred.loo_residuals(y)
-        bundle = moments.build_bundle(pred.loo, pred, ktrue, design, measure)
-        est_loo = estimators.ise_loo(eps).value
-        est_blp = estimators.ise_blp(bundle, eps, clamp=True).value
-        n = design.n
-        rep_loo = estimators.performance_report(np.full(n, 1.0 / n), bundle)
-        rep_blp = estimators.performance_report(bundle.gamma_blp, bundle)
-        rows.append((delta, est_loo / ise, est_blp / ise,
-                     rep_loo.e_estimate / bundle.J, rep_blp.e_estimate / bundle.J))
-    path = os.path.join(outdir, "fig1.csv")
-    write_csv(path, ["delta", "ratio_loo", "ratio_blp", "eratio_loo", "eratio_blp"], rows)
-    write_manifest(os.path.join(outdir, "fig1_manifest.json"), {
-        "experiment": "fig1", "seeds": {"realization": FIG1_SEED},
+        ise, est_loo, est_blp, J, e_loo, e_blp = _gp_row(pred, f, measure)
+        rows.append((delta, est_loo / ise, est_blp / ise, e_loo / J, e_blp / J))
+    path = _emit(outdir, "fig1", ["delta", "ratio_loo", "ratio_blp", "eratio_loo",
+                                  "eratio_blp"], rows, {
+        "seeds": {"realization": FIG1_SEED},
         "generating_kernel": "matern32 theta=5",
         "predictor": "simple kriging matern52 theta=2",
     })
@@ -247,29 +270,14 @@ def run_fig1(outdir: str, threads: int = 1) -> dict:
 
 @register("fig2")
 def run_fig2(outdir: str, threads: int = 1) -> dict:
-    ktrue = KernelSpec("matern32", 5.0)
-    f = testbed.GpSampleFunction(ktrue, seed=FIG1_SEED)
-    measure = sobol_measure(1, 2**10)
-    f.evaluate(measure.points)
+    f, measure = _gp_realization()
     design = Design(points=np.arange(10)[:, None] / 10.0)
-    y = f.evaluate(design.points)
-    rows = []
-    for theta_p in np.linspace(1.0, 10.0, 19):
-        pred = SimpleKriging(KernelSpec("matern32", theta_p), design)
-        eps = pred.loo_residuals(y)
-        bundle = moments.build_bundle(pred.loo, pred, ktrue, design, measure)
-        n = design.n
-        rep_loo = estimators.performance_report(np.full(n, 1.0 / n), bundle)
-        rep_blp = estimators.performance_report(bundle.gamma_blp, bundle)
-        rows.append((theta_p, true_ise(f, pred, y, measure),
-                     estimators.ise_loo(eps).value,
-                     estimators.ise_blp(bundle, eps, clamp=True).value,
-                     bundle.J, rep_loo.e_estimate, rep_blp.e_estimate))
-    path = os.path.join(outdir, "fig2.csv")
-    write_csv(path, ["theta_p", "ise_true", "ise_loo", "ise_blp",
-                     "e_ise", "e_loo", "e_blp"], rows)
-    write_manifest(os.path.join(outdir, "fig2_manifest.json"), {
-        "experiment": "fig2", "seeds": {"realization": FIG1_SEED},
+    rows = [(theta_p, *_gp_row(SimpleKriging(KernelSpec("matern32", theta_p), design),
+                               f, measure))
+            for theta_p in np.linspace(1.0, 10.0, 19)]
+    path = _emit(outdir, "fig2", ["theta_p", "ise_true", "ise_loo", "ise_blp",
+                                  "e_ise", "e_loo", "e_blp"], rows, {
+        "seeds": {"realization": FIG1_SEED},
         "design": "uniform 10-point grid {0,...,0.9}",
     })
     return {"csv": path, "rows": rows}
@@ -289,11 +297,10 @@ def _env_setup():
     return candidates, measure, fvals
 
 
-def _env_one_design(rep: int, candidates, theta_p: float = 1.0):
+def _env_design(candidates, rep: int):
+    """The packed 200-point design of one replication and its observations."""
     design = greedy_packing(candidates, 200, a=0.2, seed=ENV_SEED + rep)
-    pred = SimpleKriging(KernelSpec("matern32", theta_p), design)
-    y = environmental_values(design.points)
-    return design, pred, y
+    return design, environmental_values(design.points)
 
 
 @register("fig7")
@@ -301,25 +308,19 @@ def run_fig7(outdir: str, threads: int = 1, n_designs: int = 20) -> dict:
     candidates, measure, fvals = _env_setup()
 
     def one(rep: int):
-        design, pred, y = _env_one_design(rep, candidates)
-        omega = testbed.omega_n(y)
-        ise = true_ise(fvals, pred, y, measure)
+        design, y = _env_design(candidates, rep)
+        pred = SimpleKriging(KernelSpec("matern32", 1.0), design)
         eps = pred.loo_residuals(y)
-        est_loo = estimators.ise_loo(eps).value
-        theta_hat = theta_loo(y, design, "matern52", mean_mode="zero")
-        theta_blp = clamp_theta(theta_hat)
-        bundle = moments.build_bundle(pred.loo, pred,
-                                      KernelSpec("matern52", theta_blp),
-                                      design, measure)
-        est_blp = estimators.ise_blp(bundle, eps, clamp=True).value
-        return (rep, omega, ise, est_loo, est_blp, theta_blp)
+        theta_blp = clamp_theta(theta_loo(y, design, "matern52", mean_mode="zero"))
+        (bundle,), ise = _walk(pred, measure, [KernelSpec("matern52", theta_blp)],
+                               lambda b: [eps], (fvals, y))
+        return (rep, testbed.omega_n(y), ise, estimators.ise_loo(eps).value,
+                estimators.ise_blp(bundle, eps).value, theta_blp)
 
     rows = _map_ordered(one, range(n_designs), threads)
-    path = os.path.join(outdir, "fig7.csv")
-    write_csv(path, ["replication", "omega_n", "ise_true", "ise_loo", "ise_blp",
-                     "theta_blp"], rows)
-    write_manifest(os.path.join(outdir, "fig7_manifest.json"), {
-        "experiment": "fig7", "n_designs": n_designs, "design_size": 200,
+    path = _emit(outdir, "fig7", ["replication", "omega_n", "ise_true", "ise_loo",
+                                  "ise_blp", "theta_blp"], rows, {
+        "n_designs": n_designs, "design_size": 200,
         "support": "first 2^12 Sobol points", "seeds": {"design_base": ENV_SEED},
         "predictor": "simple kriging matern32 theta=1",
         "theta_blp": "LOO-selected, clamped to [5, 50]",
@@ -330,32 +331,32 @@ def run_fig7(outdir: str, threads: int = 1, n_designs: int = 20) -> dict:
 @register("fig8")
 def run_fig8(outdir: str, threads: int = 1) -> dict:
     candidates, measure, fvals = _env_setup()
-    design = greedy_packing(candidates, 200, a=0.2, seed=ENV_SEED)
+    design, y = _env_design(candidates, 0)
     theta_p = theta_packing_rule(design)
     pred = SimpleKriging(KernelSpec("matern32", theta_p), design)
-    y = environmental_values(design.points)
-    ise = true_ise(fvals, pred, y, measure)
     eps = pred.loo_residuals(y)
     est_loo = estimators.ise_loo(eps).value
     theta_zero = clamp_theta(theta_loo(y, design, "matern52", mean_mode="zero"))
     theta_const = clamp_theta(theta_loo(y, design, "matern52", mean_mode="constant"))
-
-    def one(theta):
-        kern = KernelSpec("matern52", theta)
-        bundle = moments.build_bundle(pred.loo, pred, kern, design, measure)
-        plain = estimators.ise_blp(bundle, eps, clamp=True).value
-        corrected = estimators.trend_corrected_ise(bundle, y).value
-        return (theta, plain, corrected)
-
     thetas = list(np.geomspace(5.0, 50.0, 13))
     for extra in (theta_zero, theta_const):
         if all(abs(extra - t) > 1e-9 for t in thetas):
             thetas.append(extra)
-    rows = _map_ordered(one, sorted(thetas), threads)
-    path = os.path.join(outdir, "fig8.csv")
-    write_csv(path, ["theta_blp", "ise_blp_zero_mean", "ise_blp_trend"], rows)
-    write_manifest(os.path.join(outdir, "fig8_manifest.json"), {
-        "experiment": "fig8", "seeds": {"design": ENV_SEED},
+    thetas.sort()
+    centerings = []  # (tau, R^T (y - tau)) of each range, in order
+
+    def residuals(bundle):  # plain and trend-centred, all ranges in one walk
+        centerings.append(estimators.trend_centering(bundle, y))
+        return eps, centerings[-1][1]
+
+    bundles, ise = _walk(pred, measure, [KernelSpec("matern52", t) for t in thetas],
+                         residuals, (fvals, y))
+    rows = [(theta, estimators.ise_blp(bundle, eps).value,
+             estimators.trend_corrected_ise(bundle, y, centering=centering).value)
+            for theta, bundle, centering in zip(thetas, bundles, centerings)]
+    path = _emit(outdir, "fig8", ["theta_blp", "ise_blp_zero_mean", "ise_blp_trend"],
+                 rows, {
+        "seeds": {"design": ENV_SEED},
         "theta_p": theta_p, "ise_true": ise, "ise_loo": est_loo,
         "theta_loo_zero_mean": theta_zero, "theta_loo_constant": theta_const,
     })
@@ -370,8 +371,7 @@ def run_table2(outdir: str, threads: int = 1, n_designs: int = 20) -> dict:
     theta_grid = np.arange(5.0, 51.0, 1.0)
 
     def one(rep: int):
-        design = greedy_packing(candidates, 200, a=0.2, seed=ENV_SEED + rep)
-        y = environmental_values(design.points)
+        design, y = _env_design(candidates, rep)
         omega = testbed.omega_n(y)
         theta_blp = clamp_theta(theta_loo(y, design, "matern52", mean_mode="constant"))
         kern_e = KernelSpec("matern52", theta_blp)
@@ -395,17 +395,15 @@ def run_table2(outdir: str, threads: int = 1, n_designs: int = 20) -> dict:
                 ise_mean / omega)
 
     rows = _map_ordered(one, range(n_designs), threads)
-    path = os.path.join(outdir, "table2.csv")
-    write_csv(path, ["replication", "ise_sel_oracle", "ise_sel_loo",
-                     "ise_sel_blp", "ise_empirical_mean"], rows)
     means = {
         "oracle": float(np.mean([r[1] for r in rows])),
         "loo": float(np.mean([r[2] for r in rows])),
         "blp": float(np.mean([r[3] for r in rows])),
         "empirical_mean": float(np.mean([r[4] for r in rows])),
     }
-    write_manifest(os.path.join(outdir, "table2_manifest.json"), {
-        "experiment": "table2", "n_designs": n_designs,
+    path = _emit(outdir, "table2", ["replication", "ise_sel_oracle", "ise_sel_loo",
+                                    "ise_sel_blp", "ise_empirical_mean"], rows, {
+        "n_designs": n_designs,
         "theta_grid": [float(t) for t in theta_grid],
         "seeds": {"design_base": ENV_SEED}, "means": means,
         "reference_means_full_scale": {"oracle": 0.197, "loo": 0.238, "blp": 0.224,
@@ -431,11 +429,8 @@ def run_suppC(outdir: str, threads: int = 1) -> dict:
         theta_p = theta_from_coverage("matern52", Dn5, 0.25)
         theta_e = theta_from_coverage("inverse-multiquadric", Dn5, 0.25)
         pred = SimpleKriging(KernelSpec("matern52", theta_p), design)
-        R = pred.loo
-        bundle_true = moments.build_bundle(R, pred, ktrue, design, measure)
-        bundle_e = moments.build_bundle(R, pred,
-                                        KernelSpec("inverse-multiquadric", theta_e),
-                                        design, measure)
+        (bundle_true, bundle_e), _ = _walk(
+            pred, measure, [ktrue, KernelSpec("inverse-multiquadric", theta_e)])
         rep_loo = estimators.performance_report(np.full(n, 1.0 / n), bundle_true)
         rep_blp = estimators.performance_report(bundle_e.gamma_blp, bundle_true)
         rep_blup = estimators.performance_report(estimators.blup_weights(bundle_e),
@@ -444,12 +439,10 @@ def run_suppC(outdir: str, threads: int = 1) -> dict:
                      rep_loo.e_estimate, rep_loo.mse,
                      rep_blp.e_estimate, rep_blp.mse,
                      rep_blup.e_estimate, rep_blup.mse))
-    path = os.path.join(outdir, "suppC.csv")
-    write_csv(path, ["n", "d_n5", "theta_p", "theta_blp", "e_ise",
-                     "e_loo", "mse_loo", "e_blp", "mse_blp",
-                     "e_blup", "mse_blup"], rows)
-    write_manifest(os.path.join(outdir, "suppC_manifest.json"), {
-        "experiment": "suppC", "d": d, "support": "2^15 Sobol",
+    path = _emit(outdir, "suppC", ["n", "d_n5", "theta_p", "theta_blp", "e_ise",
+                                   "e_loo", "mse_loo", "e_blp", "mse_blp",
+                                   "e_blup", "mse_blup"], rows, {
+        "d": d, "support": "2^15 Sobol",
         "note": "desk scale: d<=4, n<=400; V term omitted",
         "seeds": {"design_scramble": 11},
     })
@@ -482,20 +475,17 @@ def run_suppF1(outdir: str, threads: int = 1, n_reps: int = 10) -> dict:
         pred = SimpleKriging(KernelSpec("matern52", theta_p), design)
         eps = pred.loo_residuals(y)
         theta_e = theta_loo(y, design, "inverse-multiquadric", mean_mode="zero")
-        bundle = moments.build_bundle(pred.loo, pred,
-                                      KernelSpec("inverse-multiquadric", theta_e),
-                                      design, measure)
-        return (rep, true_ise(f, pred, y, measure),
-                estimators.ise_loo(eps).value,
-                estimators.ise_blp(bundle, eps, clamp=True).value,
-                estimators.ise_blup(bundle, eps, clamp=True).value)
+        kern_e = KernelSpec("inverse-multiquadric", theta_e)
+        (bundle,), ise = _walk(pred, measure, [kern_e], lambda b: [eps],
+                               (f(measure.points), y))
+        return (rep, ise, estimators.ise_loo(eps).value,
+                estimators.ise_blp(bundle, eps).value,
+                estimators.ise_blup(bundle, eps).value)
 
     rows = _map_ordered(one, range(n_reps), threads)
-    path = os.path.join(outdir, "suppF1.csv")
-    write_csv(path, ["replication", "ise_true", "ise_loo", "ise_blp", "ise_blup"],
-              rows)
-    write_manifest(os.path.join(outdir, "suppF1_manifest.json"), {
-        "experiment": "suppF1", "d": d, "n": n, "m": n, "n_reps": n_reps,
+    path = _emit(outdir, "suppF1", ["replication", "ise_true", "ise_loo", "ise_blp",
+                                    "ise_blup"], rows, {
+        "d": d, "n": n, "m": n, "n_reps": n_reps,
         "seeds": {"anchors_base": SUPPF_SEED, "design_scramble": 21},
     })
     return {"csv": path, "rows": rows}
@@ -517,26 +507,23 @@ def run_suppF2(outdir: str, threads: int = 1, n_reps: int = 20) -> dict:
                             nugget=gamma**2)
         pred = SimpleKriging(KernelSpec("matern52", theta_p, nugget=gamma**2), design)
         eps = pred.loo_residuals(y)
-        ise = true_ise(f, pred, y, measure)
-        est_loo = estimators.ise_loo(eps).value
-        out = []
+        kernels = []
         for factor in r_factors:
             r_e = factor * gamma**2
             theta_e = theta_loo(y, design, "inverse-multiquadric",
                                 mean_mode="zero", nugget=r_e)
-            kern_e = KernelSpec("inverse-multiquadric", theta_e, nugget=r_e)
-            bundle = moments.build_bundle(pred.loo, pred, kern_e, design, measure)
-            out.append((rep, factor, ise, est_loo,
-                        estimators.ise_blp(bundle, eps, clamp=True).value,
-                        estimators.ise_blup(bundle, eps, clamp=True).value))
-        return out
+            kernels.append(KernelSpec("inverse-multiquadric", theta_e, nugget=r_e))
+        bundles, ise = _walk(pred, measure, kernels, lambda b: [eps],
+                             (f(measure.points), y))
+        est_loo = estimators.ise_loo(eps).value
+        return [(rep, factor, ise, est_loo, estimators.ise_blp(bundle, eps).value,
+                 estimators.ise_blup(bundle, eps).value)
+                for factor, bundle in zip(r_factors, bundles)]
 
     rows = [row for chunk in _map_ordered(one, range(n_reps), threads) for row in chunk]
-    path = os.path.join(outdir, "suppF2.csv")
-    write_csv(path, ["replication", "r_factor", "ise_true", "ise_loo",
-                     "ise_blp", "ise_blup"], rows)
-    write_manifest(os.path.join(outdir, "suppF2_manifest.json"), {
-        "experiment": "suppF2", "d": d, "n": n, "m": n, "noise_sd": gamma,
+    path = _emit(outdir, "suppF2", ["replication", "r_factor", "ise_true", "ise_loo",
+                                    "ise_blp", "ise_blup"], rows, {
+        "d": d, "n": n, "m": n, "noise_sd": gamma,
         "n_reps": n_reps, "r_factors": list(r_factors),
         "seeds": {"anchors_base": SUPPF_SEED + 1000, "noise_base": SUPPF_SEED + 2000,
                   "design_scramble": 31},

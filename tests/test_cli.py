@@ -521,11 +521,19 @@ def test_reproduce_suppf1_structure(tmp_path, capsys):
 
 
 def test_reproduce_deterministic_outputs(tmp_path, capsys):
+    # targets whose replications run on the pool give the same bytes for any size
+    from looise.reproduce import run_fig7, run_suppF2
+
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["reproduce", "fig1", "--out", str(out1)]) == 0
-    assert main(["reproduce", "fig1", "--out", str(out2), "--threads", "4"]) == 0
+    assert main(["reproduce", "suppF1", "--out", str(out1), "--threads", "1"]) == 0
+    assert main(["reproduce", "suppF1", "--out", str(out2), "--threads", "4"]) == 0
     capsys.readouterr()
-    assert (out1 / "fig1.csv").read_bytes() == (out2 / "fig1.csv").read_bytes()
+    run_fig7(str(out1), threads=1, n_designs=3)
+    run_fig7(str(out2), threads=2, n_designs=3)
+    run_suppF2(str(out1), threads=1, n_reps=3)
+    run_suppF2(str(out2), threads=2, n_reps=3)
+    for name in ("suppF1.csv", "fig7.csv", "suppF2.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_format_flag_is_rejected(capsys):

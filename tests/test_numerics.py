@@ -18,16 +18,6 @@ def test_factorize_identity():
     assert F.jitter_applied == 0.0
 
 
-def test_factorize_kernel_matrix_grid():
-    K = kernel_matrix(KernelSpec("matern32", 10.0), regular_grid(2, 10).points)
-    # brute-force eigensolve confirms strict positive definiteness
-    assert np.linalg.eigvalsh(K).min() > 0
-    F = numerics.spd_factorize(K)
-    assert F.jitter_applied == 0.0
-    rel = np.linalg.norm(F.reconstruct() - K) / np.linalg.norm(K)
-    assert rel < 1e-10
-
-
 def test_asymmetric_rejected():
     A = np.eye(3)
     A[0, 1] = 1e-6
@@ -93,18 +83,6 @@ def test_solve_dimension_mismatch():
         numerics.solve(F, np.ones(4))
 
 
-def test_solve_roundtrip_on_kernel_matrices():
-    gen = np.random.default_rng(7)
-    for trial in range(8):
-        pts = gen.uniform(size=(12, 2))
-        theta = float(gen.uniform(2.0, 20.0))
-        K = kernel_matrix(KernelSpec("matern32", theta), pts)
-        F = numerics.spd_factorize(K)
-        x = gen.standard_normal(12)
-        out = numerics.solve(F, K @ x)
-        assert np.linalg.norm(out - x) / np.linalg.norm(x) < 1e-8
-
-
 def test_bordered_inverse_identity_2x2():
     Mbar = numerics.bordered_inverse(numerics.spd_factorize(np.eye(2)))
     assert np.isclose(Mbar[0, 0], 0.5)
@@ -117,13 +95,6 @@ def test_bordered_inverse_n1():
     K11 = 2.5
     Mbar = numerics.bordered_inverse(numerics.spd_factorize(np.array([[K11]])))
     assert np.allclose(Mbar, np.array([[0.0, 1.0], [1.0, -K11]]))
-
-
-def test_bordered_inverse_consistency():
-    K = kernel_matrix(KernelSpec("gaussian", 4.0), np.linspace(0, 1, 6)[:, None])
-    Mbar = numerics.bordered_inverse(numerics.spd_factorize(K))
-    Kbar = np.block([[K, np.ones((6, 1))], [np.ones((1, 6)), np.zeros((1, 1))]])
-    assert np.linalg.norm(Mbar @ Kbar - np.eye(7)) < 1e-9
 
 
 def test_bordered_inverse_guards_breakdown():

@@ -98,6 +98,29 @@ def test_dominance_gap_at_independent_limit_grid_study():
     assert abs(gap - (12.785 - 0.082)) <= 0.02 * (12.785 - 0.082)
 
 
+def test_each_predictor_draws_its_weights_over_the_support_once(tmp_path, monkeypatch):
+    # fig2 evaluates 19 predictors, each in one walk for its bundle, its
+    # residuals and its true ISE; fig3 puts the oracle and all 26 assumed
+    # ranges of its one predictor on one weight source and one walk
+    from looise import moments
+    from looise.reproduce import run_fig2, run_fig3
+
+    rows = []
+    draw = moments.WeightSource.block
+
+    def counting(self, lo, hi):
+        rows.append(hi - lo)
+        return draw(self, lo, hi)
+
+    monkeypatch.setattr(moments.WeightSource, "block", counting)
+    N = 2**10  # the support of both targets
+    run_fig2(str(tmp_path))
+    assert sum(rows) == 19 * N
+    rows.clear()
+    run_fig3(str(tmp_path))
+    assert sum(rows) == N
+
+
 def test_suppf1_replications_differ(tmp_path):
     out = run_suppF1(str(tmp_path), n_reps=3)
     vals = np.array(out["rows"])[:, 1]
