@@ -57,6 +57,9 @@ def _load_config(args, extra: dict[str, str]) -> dict[str, str]:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
     cfg = apply_overrides(cfg, extra)
+    if "threads" in cfg and args.command != "reproduce":
+        raise ConfigError("threads sizes only the replication pool of reproduce; "
+                          f"{args.command} runs on every CPU the process may use")
     for key in ("seed", "threads"):
         if getattr(args, key, None) is not None:
             cfg[key] = str(getattr(args, key))

@@ -99,21 +99,27 @@ class KernelSpec:
             raise ValueError("nugget must be >= 0")
 
 
-def correlation(family: str, s):
-    """psi_family(s) for scaled distance s = theta * r, vectorized over s."""
+def correlation(family: str, s, out=None):
+    """psi_family(s) for scaled distance s = theta * r, vectorized over s; written
+    into `out`, which may be `s` itself, with the same operations either way."""
     s = np.asarray(s, dtype=float)
+    out = np.empty(s.shape) if out is None else out
     if family == "matern12":
-        return np.exp(-s)
+        return np.exp(np.negative(s, out=out), out=out)
     if family == "matern32":
-        t = _SQRT3 * s
-        return (1.0 + t) * np.exp(-t)
+        t = np.multiply(_SQRT3, s, out=out)
+        e = np.negative(t, out=np.empty(s.shape))
+        return np.multiply(np.add(1.0, t, out=out), np.exp(e, out=e), out=out)
     if family == "matern52":
-        t = _SQRT5 * s
-        return (1.0 + t + (5.0 / 3.0) * s * s) * np.exp(-t)
+        t = np.multiply(_SQRT5, s, out=np.empty(s.shape))
+        sq = np.multiply(5.0 / 3.0, s, out=np.empty(s.shape))
+        sq *= s  # read s before out, which may alias it, is written
+        np.add(np.add(1.0, t, out=out), sq, out=out)
+        return np.multiply(out, np.exp(np.negative(t, out=t), out=t), out=out)
     if family == "gaussian":
-        return np.exp(-s * s)
+        return np.exp(np.multiply(np.negative(s), s, out=out), out=out)
     if family == "inverse-multiquadric":
-        return 1.0 / (1.0 + s * s)
+        return np.divide(1.0, np.add(1.0, np.multiply(s, s, out=out), out=out), out=out)
     raise ValueError(f"unknown kernel family {family!r}")
 
 
@@ -173,4 +179,6 @@ def cross_matrix(spec: KernelSpec, X, Xnew) -> np.ndarray:
         raise DimensionMismatch(
             f"design dimension {X.shape[1]} != point dimension {Xnew.shape[1]}"
         )
-    return correlation(spec.family, spec.theta * distances(Xnew, X))
+    S = distances(Xnew, X)
+    S *= spec.theta
+    return correlation(spec.family, S, out=S)

@@ -21,6 +21,11 @@ that is asked for b or J first makes a one-job walk, under its lock.
 
 V is the O(N^2) double integral of rho^4(x, x'). Its integrand is
 symmetric, so it is summed over each unordered pair of row blocks once.
+
+Both integrals are ordered folds: each row block runs on a thread of
+:func:`numerics.map_ordered` and returns its own terms, and the calling
+thread adds them in block order with the expressions of a serial loop.
+BLOCK and VN_BLOCK alone fix the blocks, so no bit depends on the workers.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .errors import (
 )
 from .kernels import KernelSpec, PointIndex, cross_matrix, kernel_matrix
 
-BLOCK = 4096  # support rows per block of the single integrals
+BLOCK = 1024  # support rows per block of the single integrals
 VN_BLOCK = 512  # rows per block of the O(N^2) V_n double integral
 CONSTRAINT_TOL = 1e-14  # q = u^T S^{-1} u at or below this: degenerate constraint
 
@@ -81,11 +86,6 @@ class WeightSource:
             index = PointIndex(self._measure.points)
             self._fn = lambda X: self._array[index.rows(X)]
         return np.asarray(self._fn(X), dtype=float)
-
-    def full(self) -> np.ndarray:
-        if self._array is not None:
-            return self._array
-        return self.at(self._measure.points)
 
 
 def support_blocks(measure: IntegrationMeasure, weights: WeightSource | None = None,
@@ -220,21 +220,33 @@ class _BundleIntegrals:
             g = bundle.solve_S(eps_sq)
         self.clamped[key] = [g, float(bundle.u @ g), 0.0, 0.0]
 
-    def add_block(self, rows, X, mu, W, cross) -> None:
+    def terms(self, rows, X, mu, W, cross) -> tuple:
+        """One block's terms, changing nothing: (defect, mu @ C_rows, mu @ rho)
+        or None when b and J are known, and (blp+, blup+) per residual vector."""
         bundle = self.bundle
         C_rows, rho = _c_rho(bundle.components, X, W, bundle.design, bundle.R, cross)
-        if self.fill:
-            self.defect += _sum_to_one_defect(mu, W)
-            self.b += mu @ C_rows
-            self.J += float(mu @ rho)
+        known = None if not self.fill else (
+            _sum_to_one_defect(mu, W), mu @ C_rows, float(mu @ rho))
         h, q = bundle._hq if self.clamped else (None, 0.0)
-        for acc in self.clamped.values():
-            g, ug = acc[0], acc[1]
+        clamped = []
+        for g, ug, _, _ in self.clamped.values():
             vals = C_rows @ g
-            acc[2] += float(mu @ np.maximum(vals, 0.0))
+            blp, blup = float(mu @ np.maximum(vals, 0.0)), 0.0
             if q > CONSTRAINT_TOL:
                 vals = vals + (rho - C_rows @ h) * (ug / q)
-                acc[3] += float(mu @ np.maximum(vals, 0.0))
+                blup = float(mu @ np.maximum(vals, 0.0))
+            clamped.append((blp, blup))
+        return known, clamped
+
+    def add(self, terms: tuple) -> None:
+        known, clamped = terms
+        if known is not None:
+            self.defect += known[0]
+            self.b += known[1]
+            self.J += known[2]
+        for acc, (blp, blup) in zip(self.clamped.values(), clamped):
+            acc[2] += blp
+            acc[3] += blup
 
     def finish(self) -> None:
         bundle = self.bundle
@@ -254,9 +266,12 @@ class _SquaredError:
         self.y = np.asarray(y, dtype=float)
         self.total = 0.0
 
-    def add_block(self, rows, X, mu, W, cross) -> None:
+    def terms(self, rows, X, mu, W, cross) -> float:
         diff = self.fvals[rows] - W @ self.y
-        self.total += float(mu @ (diff * diff))
+        return float(mu @ (diff * diff))
+
+    def add(self, term: float) -> None:
+        self.total += term
 
 
 def support_pass(jobs, ise_jobs=(), cross: dict | None = None) -> list[float]:
@@ -270,9 +285,9 @@ def support_pass(jobs, ise_jobs=(), cross: dict | None = None) -> list[float]:
     (f - W y)^2 against the measure and returns these sums in order.
 
     Per block, each distinct weight source (by identity) draws its rows once
-    and holds them only while its own jobs accumulate. `cross`, a dict the
-    caller keeps, shares the cross-correlations of the support with a
-    design: each (kernel, design) block is built once and kept there for
+    and holds them only while its own jobs compute their terms. `cross`, a
+    dict the caller keeps, shares the cross-correlations of the support with
+    a design: each (kernel, design) block is built once and kept there for
     the other jobs of this walk and for later walks over the same measure.
     It holds N x n values per kernel and design; without it each job builds
     its own. Every job does the arithmetic of a walk of its own, in the
@@ -305,18 +320,27 @@ def _walk(accumulators, cross: dict | None) -> None:
     measure = sources[0]._measure
     if any(ws._measure is not measure for ws in sources):
         raise DimensionMismatch("the jobs of one support pass must share one measure")
-    for rows, X, mu, _ in support_blocks(measure):
+
+    def block_terms(block) -> list:
+        rows, X, mu, _ = block
         lookup = None if cross is None else functools.partial(
             _shared_cross, cross, measure, rows.start, X)
+        terms = []
         for ws, group in zip(sources, groups.values()):
             W = ws.block(rows.start, rows.stop)
-            for acc in group:
-                acc.add_block(rows, X, mu, W, lookup)
+            terms += [acc.terms(rows, X, mu, W, lookup) for acc in group]
+        return terms
+
+    ordered = [acc for group in groups.values() for acc in group]
+    for terms in numerics.map_ordered(block_terms, support_blocks(measure)):
+        for acc, term in zip(ordered, terms):
+            acc.add(term)
 
 
 def _shared_cross(cross: dict, measure, lo: int, X, kernel, design) -> np.ndarray:
     """The cross-correlations of the support block at row `lo` with the design,
-    built once per `cross` dict."""
+    built once per `cross` dict (each block has its own key, so no two workers
+    build one entry)."""
     key = (kernel, id(design), id(measure), lo)
     if key not in cross:  # design and measure ride along, so that their ids stay unique
         cross[key] = (design, measure, cross_matrix(kernel, design.points, X))
@@ -393,18 +417,25 @@ def _vn_component(comp: Component, W: np.ndarray, design: Design,
     pts = measure.points
     C = cross_matrix(kernel, design.points, pts)
     T = C - W @ comp.K  # t(x) = k(x) - K w(x), so rho^2(x, x') = k(x, x') - w(x)^T k(x') - t(x)^T w(x')
-    total = diag = 0.0
-    for rows, X, mu_rows, _ in support_blocks(measure, size=VN_BLOCK):
+
+    def block_row(block) -> tuple[float, float, float]:
+        rows, X, mu_rows, _ = block
         lo, m = rows.start, rows.stop - rows.start
         cross = cross_matrix(kernel, pts[lo:], X)  # the block row, columns lo:
         if kernel.nugget:
             cross[np.arange(m), np.arange(m)] += kernel.nugget
         cross -= W[rows] @ C[lo:].T
         cross -= T[rows] @ W[lo:].T
-        diag += float(mu_rows @ np.diagonal(cross))
+        diag = float(mu_rows @ np.diagonal(cross))
         cross *= cross
         row = mu_rows @ cross
-        total += float(row[:m] @ mu_rows) + 2.0 * float(row[m:] @ mu[rows.stop:])
+        return float(row[:m] @ mu_rows), 2.0 * float(row[m:] @ mu[rows.stop:]), diag
+
+    total = diag = 0.0
+    for own, off, d in numerics.map_ordered(block_row,
+                                             support_blocks(measure, size=VN_BLOCK)):
+        total += own + off
+        diag += d
     return total, diag
 
 
@@ -420,7 +451,7 @@ def _assemble(components, R, weights: WeightSource, design: Design,
 
     V = None
     if compute_Vn:
-        W_full = weights.full()
+        W_full = weights.block(0, measure.size)
         VJ = [_vn_component(comp, W_full, design, measure) for comp in components]
         V = sum(comp.nu * v for comp, (v, _) in zip(components, VJ))
         if len(components) > 1:  # half the spread of the per-kernel J around J

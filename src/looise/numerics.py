@@ -11,14 +11,17 @@ process. Otherwise each pool starts one thread per core, the two contend
 for the cores, and the BLAS thread count changes the last bits of
 results; with one thread each, results are the same for any
 replication-pool size. What the pin did is kept in ``BLAS_PIN``.
+Parallel work runs on Python threads instead, through :func:`map_ordered`.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import ctypes
 import glob
 import os
 import sys
+import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -103,6 +106,32 @@ def pin_blas_threads() -> BlasPin:
 
 
 BLAS_PIN = pin_blas_threads()
+
+_POOL = threading.local()  # .worker is True on the threads map_ordered starts
+
+
+def default_workers() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # Linux; elsewhere every CPU counts
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def map_ordered(fn, items, workers: int | None = None) -> list:
+    """[fn(item) for item in items], computed on a pool of threads.
+
+    `workers` defaults to :func:`default_workers` and is capped at the number
+    of items. The map runs inline when one worker remains and when it is
+    called from a worker of a map_ordered pool, so nested maps never start
+    more threads than the outer one. Results come back in input order.
+    """
+    items = list(items)
+    workers = min(default_workers() if workers is None else workers, len(items))
+    if workers <= 1 or getattr(_POOL, "worker", False):
+        return [fn(item) for item in items]
+    with concurrent.futures.ThreadPoolExecutor(
+            max_workers=workers, initializer=lambda: setattr(_POOL, "worker", True)) as pool:
+        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)

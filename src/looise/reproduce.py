@@ -3,15 +3,15 @@
 Every experiment is a pure function of its fixed seeds. Results are
 plot-ready CSV files plus a JSON manifest recording seeds, scales and
 tolerances. Every target walks the support once per predictor, for all
-its bundles, residuals and true ISE. Replication loops run on a thread
-pool (linear-algebra kernels release the GIL); per-replication random
-streams are split by index, so results are identical for any pool size
-and are always written in replication order.
+its bundles, residuals and true ISE. Replication loops run on a pool of
+`threads` threads (linear-algebra kernels release the GIL), whose walks
+then run inline; with one thread the walks use every CPU instead.
+Per-replication random streams are split by index, so results are
+identical for any pool size and are always written in replication order.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import os
 import numpy as np
@@ -93,13 +93,6 @@ def _emit(outdir: str, name: str, header: list[str], rows: list[tuple],
     write_manifest(os.path.join(outdir, f"{name}_manifest.json"),
                    {"experiment": name, **manifest})
     return path
-
-
-def _map_ordered(fn, indices, threads: int):
-    if threads <= 1:
-        return [fn(i) for i in indices]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, indices))
 
 
 def _walk(pred, measure, kernels, residuals=lambda bundle: (), truth=None, oracle=None):
@@ -317,7 +310,7 @@ def run_fig7(outdir: str, threads: int = 1, n_designs: int = 20) -> dict:
         return (rep, testbed.omega_n(y), ise, estimators.ise_loo(eps).value,
                 estimators.ise_blp(bundle, eps).value, theta_blp)
 
-    rows = _map_ordered(one, range(n_designs), threads)
+    rows = numerics.map_ordered(one, range(n_designs), threads)
     path = _emit(outdir, "fig7", ["replication", "omega_n", "ise_true", "ise_loo",
                                   "ise_blp", "theta_blp"], rows, {
         "n_designs": n_designs, "design_size": 200,
@@ -394,7 +387,7 @@ def run_table2(outdir: str, threads: int = 1, n_designs: int = 20) -> dict:
         return (rep, sel_oracle / omega, sel_loo / omega, sel_blp / omega,
                 ise_mean / omega)
 
-    rows = _map_ordered(one, range(n_designs), threads)
+    rows = numerics.map_ordered(one, range(n_designs), threads)
     means = {
         "oracle": float(np.mean([r[1] for r in rows])),
         "loo": float(np.mean([r[2] for r in rows])),
@@ -482,7 +475,7 @@ def run_suppF1(outdir: str, threads: int = 1, n_reps: int = 10) -> dict:
                 estimators.ise_blp(bundle, eps).value,
                 estimators.ise_blup(bundle, eps).value)
 
-    rows = _map_ordered(one, range(n_reps), threads)
+    rows = numerics.map_ordered(one, range(n_reps), threads)
     path = _emit(outdir, "suppF1", ["replication", "ise_true", "ise_loo", "ise_blp",
                                     "ise_blup"], rows, {
         "d": d, "n": n, "m": n, "n_reps": n_reps,
@@ -520,7 +513,8 @@ def run_suppF2(outdir: str, threads: int = 1, n_reps: int = 20) -> dict:
                  estimators.ise_blup(bundle, eps).value)
                 for factor, bundle in zip(r_factors, bundles)]
 
-    rows = [row for chunk in _map_ordered(one, range(n_reps), threads) for row in chunk]
+    rows = [row for chunk in numerics.map_ordered(one, range(n_reps), threads)
+            for row in chunk]
     path = _emit(outdir, "suppF2", ["replication", "r_factor", "ise_true", "ise_loo",
                                     "ise_blp", "ise_blup"], rows, {
         "d": d, "n": n, "m": n, "noise_sd": gamma,

@@ -478,6 +478,15 @@ def test_estimate_rejects_the_vn_key(tmp_path, capsys):
     assert "only the oracle columns of sweep" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["estimate", "sweep", "design"])
+def test_threads_key_is_rejected_where_nothing_reads_it(tmp_path, capsys, command):
+    ycsv = write(tmp_path, "y.csv", "y\n" + "\n".join(["0.5"] * 10) + "\n")
+    cfg = write(tmp_path, "run.cfg", BASE_CONFIG + f"data.file = {ycsv}\nthreads = 7\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "replication pool of reproduce" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["estimate", "--threads", "2"],
     ["sweep", "--threads", "2"],

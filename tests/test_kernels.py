@@ -108,6 +108,39 @@ def test_distances_equal_the_naive_broadcast(d):
     assert np.array_equal(kernel_matrix(spec, X), correlation(spec.family, 3.0 * naive_xx))
 
 
+def psi_vectorized(family, s):
+    """The numpy expressions of correlation before it took `out`; the operations,
+    in their order, that every form of it must keep bit for bit."""
+    s = np.asarray(s, dtype=float)
+    if family == "matern12":
+        return np.exp(-s)
+    if family == "matern32":
+        t = math.sqrt(3.0) * s
+        return (1.0 + t) * np.exp(-t)
+    if family == "matern52":
+        t = math.sqrt(5.0) * s
+        return (1.0 + t + (5.0 / 3.0) * s * s) * np.exp(-t)
+    if family == "gaussian":
+        return np.exp(-s * s)
+    return 1.0 / (1.0 + s * s)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_correlation_into_out_keeps_every_bit(family):
+    gen = np.random.default_rng(7)
+    for s in (np.float64(0.7), np.array(1.3), gen.uniform(0, 4, 41), gen.uniform(0, 4, (9, 5))):
+        want = psi_vectorized(family, s)
+        assert np.array_equal(correlation(family, s), want)
+        out = np.array(s, dtype=float)  # out aliases s: s is read before it is overwritten
+        assert correlation(family, out, out=out) is out
+        assert out.shape == np.shape(s) and np.array_equal(out, want)
+    spec = KernelSpec(family, 3.0)
+    X, Y = gen.uniform(size=(13, 2)), gen.uniform(size=(6, 2))
+    assert np.array_equal(cross_matrix(spec, Y, X), psi_vectorized(family, 3.0 * distances(X, Y)))
+    r = distances(X[:1], Y[:1])[0, 0]
+    assert kernel_eval(spec, X[0], Y[0]) == float(psi_vectorized(family, 3.0 * r))
+
+
 def test_cross_vector_at_design_point():
     pts = np.array([[0.0], [0.5], [1.0]])
     k = cross_matrix(KernelSpec("matern32", 5.0), pts, [[0.0]])[0]

@@ -563,3 +563,112 @@ def test_a_weight_source_on_another_measure_is_rejected():
     with pytest.raises(DimensionMismatch, match="another measure"):
         build_bundle(p.loo, weights, KernelSpec("matern32", 8.0), design,
                      small_measure(1, 32, seed=57))
+
+
+class _CountingPool:
+    """Stands in for ThreadPoolExecutor and records the size of every pool started."""
+
+    def __init__(self, monkeypatch):
+        import concurrent.futures
+
+        self.sizes = []
+        base = concurrent.futures.ThreadPoolExecutor
+        sizes = self.sizes
+
+        class Counting(base):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counting)
+
+
+def _walk_everything(moments, p, design, measure):
+    """Every kind of walk job, and V_n, on fresh bundles; all their results."""
+    weights = moments.WeightSource(p, measure, design.n)
+    kernels = [KernelSpec("matern32", 6.0, nugget=0.05), KernelSpec("gaussian", 12.0)]
+    single = build_bundle(p.loo, weights, kernels[0], design, measure, compute_Vn=True)
+    mix = mixture_bundle(kernels, [0.3, 0.7], p.loo, weights, design, measure, compute_Vn=True)
+    limit = independent_limit_bundle(p.loo, weights, design, measure)
+    y = np.sin(3.0 * design.points).sum(axis=1)
+    eps_sq = p.loo_residuals(y) ** 2
+    f = np.sin(3.0 * measure.points).sum(axis=1)
+    sums = moments.support_pass([(b, eps_sq) for b in (single, mix, limit)],
+                                [(f, weights, y)], cross={})  # workers share the dict
+    out = [sums]
+    for b in (single, mix, limit):
+        out += [b.b.tobytes(), b.J, b.sum_to_one_defect, b.clamped_integrals(eps_sq), b.V]
+    W = p.weights_matrix(measure.points)
+    out += [moments._vn_component(comp, W, design, measure) for comp in mix.components]
+    return out
+
+
+def test_the_worker_count_moves_no_bit(monkeypatch):
+    import sys
+
+    import looise.moments as moments
+    from looise import numerics
+
+    monkeypatch.setattr(moments, "BLOCK", 16)
+    monkeypatch.setattr(moments, "VN_BLOCK", 16)
+    design = random_design(2, 10, seed=61)
+    measure = small_measure(2, 100, seed=62)  # seven blocks, the last one partial
+    p = SimpleKriging(KernelSpec("matern52", 6.0), design)
+    pools = _CountingPool(monkeypatch)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3, 4):
+            monkeypatch.setattr(numerics, "default_workers", lambda: workers)
+            results.append(_walk_everything(moments, p, design, measure))
+            assert set(pools.sizes) == ({workers} if workers > 1 else set())
+            pools.sizes.clear()
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r == results[0] for r in results[1:])
+
+
+def test_a_walk_inside_a_pool_worker_starts_no_thread(monkeypatch):
+    import looise.moments as moments
+    from looise import numerics
+
+    monkeypatch.setattr(moments, "BLOCK", 16)
+    design = random_design(2, 10, seed=63)
+    measure = small_measure(2, 64, seed=64)
+    p = SimpleKriging(KernelSpec("matern52", 6.0), design)
+    thetas = (4.0, 8.0)
+
+    def walk(theta):
+        bundle = build_bundle(p.loo, p, KernelSpec("matern32", theta), design, measure)
+        return bundle.b.tobytes(), bundle.J
+
+    monkeypatch.setattr(numerics, "default_workers", lambda: 2)
+    pools = _CountingPool(monkeypatch)
+    inline = [walk(theta) for theta in thetas]
+    assert pools.sizes == [2, 2]  # on the calling thread each walk uses the pool
+    pools.sizes.clear()
+    assert numerics.map_ordered(walk, thetas, 2) == inline
+    assert pools.sizes == [2]  # the outer map's pool; its workers walk inline
+
+
+def test_vn_draws_its_weights_through_the_block_counter(monkeypatch):
+    import looise.moments as moments
+
+    rows = []
+    draw = moments.WeightSource.block
+
+    def counting(self, lo, hi):
+        rows.append(hi - lo)
+        return draw(self, lo, hi)
+
+    monkeypatch.setattr(moments, "BLOCK", 16)
+    design = random_design(2, 8, seed=65)
+    measure = small_measure(2, 40, seed=66)
+    p = SimpleKriging(KernelSpec("matern52", 6.0), design)
+    monkeypatch.setattr(moments.WeightSource, "block", counting)
+    bundle = build_bundle(p.loo, p, KernelSpec("matern32", 8.0), design, measure,
+                          compute_Vn=True)
+    assert sum(rows) == measure.size  # V_n's draw of the whole support
+    bundle.J
+    assert sum(rows) == 2 * measure.size

@@ -101,7 +101,8 @@ def test_dominance_gap_at_independent_limit_grid_study():
 def test_each_predictor_draws_its_weights_over_the_support_once(tmp_path, monkeypatch):
     # fig2 evaluates 19 predictors, each in one walk for its bundle, its
     # residuals and its true ISE; fig3 puts the oracle and all 26 assumed
-    # ranges of its one predictor on one weight source and one walk
+    # ranges of its one predictor on one weight source and one walk, and
+    # the oracle's V_n draws the whole support once more
     from looise import moments
     from looise.reproduce import run_fig2, run_fig3
 
@@ -118,7 +119,7 @@ def test_each_predictor_draws_its_weights_over_the_support_once(tmp_path, monkey
     assert sum(rows) == 19 * N
     rows.clear()
     run_fig3(str(tmp_path))
-    assert sum(rows) == N
+    assert sum(rows) == 2 * N
 
 
 def test_suppf1_replications_differ(tmp_path):
