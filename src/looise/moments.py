@@ -8,11 +8,14 @@ limit), the first two moments of the squared LOO residual vector
 (u and S), their cross moments with the integrated squared error
 (b and J), and optionally V, half the variance of the ISE itself.
 
-Integration against the measure is streamed in blocks: per-point
-cross-moment vectors c(x) are accumulated into b without materializing
-the (support size) x n array. :func:`support_pass` is the one walk over
-the support blocks. It serves a batch of bundles (b, J and the clamped
-blp/blup integrals of given residuals) and of squared-error sums
+Integration against the measure is streamed in blocks, and no block forms
+the n-wide cross-moment rows c(x). Per kernel, c(x) = rho^2(x) u + 2 G(x)^{o2}
+with G = (R^T t(x))^T and t(x) = k(x) - K w(x), and the walk reads c only
+as sums over the block, mu^T c = (mu . rho^2) u + 2 mu^T (G o G) for b, and
+as projections c(x)^T v = rho^2(x) u^T v + 2 (G o G) v onto g = S^{-1} eps^2
+and h = S^{-1} u for the clamped estimates. :func:`support_pass` is the one
+walk over the support blocks. It serves a batch of bundles (b, J and the
+clamped blp/blup integrals of given residuals) and of squared-error sums
 int (f - W y)^2 dmu at once: per block, each distinct weight source draws
 its rows once, and a cross-correlation cache that the caller keeps lets
 bundles and walks that share a kernel and a design build its block
@@ -221,21 +224,24 @@ class _BundleIntegrals:
         self.clamped[key] = [g, float(bundle.u @ g), 0.0, 0.0]
 
     def terms(self, rows, X, mu, W, cross) -> tuple:
-        """One block's terms, changing nothing: (defect, mu @ C_rows, mu @ rho)
-        or None when b and J are known, and (blp+, blup+) per residual vector."""
+        """One block's terms, changing nothing: (defect, mu^T c, mu . rho^2) or
+        None when b and J are known, and (blp+, blup+) per residual vector from
+        one projection of c onto the columns [g_1 ... g_r, h]."""
         bundle = self.bundle
-        C_rows, rho = _c_rho(bundle.components, X, W, bundle.design, bundle.R, cross)
+        parts, rho = _rho_gg(bundle.components, X, W, bundle.design, bundle.R, cross)
         known = None if not self.fill else (
-            _sum_to_one_defect(mu, W), mu @ C_rows, float(mu @ rho))
-        h, q = bundle._hq if self.clamped else (None, 0.0)
+            _sum_to_one_defect(mu, W),
+            sum(nu * ((mu @ rho_k) * u + 2.0 * (mu @ GG)) for nu, u, rho_k, GG in parts),
+            float(mu @ rho))
         clamped = []
-        for g, ug, _, _ in self.clamped.values():
-            vals = C_rows @ g
-            blp, blup = float(mu @ np.maximum(vals, 0.0)), 0.0
-            if q > CONSTRAINT_TOL:
-                vals = vals + (rho - C_rows @ h) * (ug / q)
-                blup = float(mu @ np.maximum(vals, 0.0))
-            clamped.append((blp, blup))
+        if self.clamped:
+            h, q = bundle._hq
+            cv = _project(parts, np.column_stack([g for g, *_ in self.clamped.values()] + [h]))
+            for j, (_, ug, _, _) in enumerate(self.clamped.values()):
+                blp, blup = float(mu @ np.maximum(cv[:, j], 0.0)), 0.0
+                if q > CONSTRAINT_TOL:
+                    blup = float(mu @ np.maximum(cv[:, j] + (rho - cv[:, -1]) * (ug / q), 0.0))
+                clamped.append((blp, blup))
         return known, clamped
 
     def add(self, terms: tuple) -> None:
@@ -364,30 +370,41 @@ def _component_for(kernel: KernelSpec | None, nu: float, R: np.ndarray,
     return Component(nu=nu, kernel=kernel, K=K, u=np.diag(A).copy(), rkr_sq=A * A)
 
 
-def _c_rho(components, X: np.ndarray, W: np.ndarray, design: Design, R: np.ndarray,
-           cross=None):
-    """Rows of the mixture c(x) and the mixture rho^2(x) on one block of points.
+def _rho_gg(components, X: np.ndarray, W: np.ndarray, design: Design, R: np.ndarray,
+            cross=None) -> tuple[list, np.ndarray]:
+    """Per component on one block of points, (nu, u, rho^2(x), G(x) o G(x));
+    and the mixture rho^2(x).
 
-    Per component, c(x) = rho^2(x) u + 2 G(x)^{o2} with G = (R^T t(x))^T
-    and t(x) = k(x) - K w(x). `cross(kernel, design)` supplies the
-    cross-correlations of X with the design when a walk shares them.
+    The component's c(x) = rho^2(x) u + 2 G(x)^{o2}, with G = (R^T t(x))^T
+    and t(x) = k(x) - K w(x), so c(x)^T v = rho^2(x) u^T v + 2 G^{o2} v for
+    any v. `cross(kernel, design)` supplies the cross-correlations of X with
+    the design when a walk shares them; they are only read.
     """
-    C_rows = np.zeros((len(X), R.shape[1]))
-    rho_mix = np.zeros(len(X))
+    parts, rho_mix = [], 0.0
     for comp in components:
         if comp.kernel is None:
-            rho = 1.0 + np.sum(W * W, axis=1)
+            rho = 1.0 + _row_dots(W, W)
             G = W @ R
         else:
             C = (cross_matrix(comp.kernel, design.points, X) if cross is None
                  else cross(comp.kernel, design))
-            KW = W @ comp.K
-            rho = ((1.0 + comp.kernel.nugget) - 2.0 * np.sum(W * C, axis=1)
-                   + np.sum(KW * W, axis=1))
-            G = (C - KW) @ R
-        C_rows += comp.nu * (rho[:, None] * comp.u[None, :] + 2.0 * G * G)
-        rho_mix += comp.nu * rho
-    return C_rows, rho_mix
+            T = W @ comp.K
+            rho = (1.0 + comp.kernel.nugget) - 2.0 * _row_dots(W, C) + _row_dots(T, W)
+            G = np.subtract(C, T, out=T) @ R
+        G *= G
+        parts.append((comp.nu, comp.u, rho, G))
+        rho_mix = rho_mix + comp.nu * rho
+    return parts, rho_mix
+
+
+def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """sum(A * B, axis=1) without forming A * B."""
+    return np.einsum("ij,ij->i", A, B, optimize=True)
+
+
+def _project(parts, V: np.ndarray) -> np.ndarray:
+    """The mixture c(x)^T V on the block of `parts`, one column per column of V."""
+    return sum(nu * (rho[:, None] * (u @ V) + 2.0 * (GG @ V)) for nu, u, rho, GG in parts)
 
 
 def pointwise_c_rho(bundle: MomentBundle, X, W=None):
@@ -395,7 +412,8 @@ def pointwise_c_rho(bundle: MomentBundle, X, W=None):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if W is None:
         W = bundle.weights.at(X)
-    return _c_rho(bundle.components, X, W, bundle.design, bundle.R)
+    parts, rho = _rho_gg(bundle.components, X, W, bundle.design, bundle.R)
+    return sum(nu * (rho_k[:, None] * u + 2.0 * GG) for nu, u, rho_k, GG in parts), rho
 
 
 def _sum_to_one_defect(mu: np.ndarray, W: np.ndarray) -> float:

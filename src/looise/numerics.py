@@ -51,7 +51,6 @@ class BlasPool:
 
     package: str
     library: str | None  # the shared library file; None when none was found
-    threads_before: int | None
     threads_after: int | None
     unpinned_reason: str | None = None  # None when the pool runs one thread
 
@@ -78,17 +77,16 @@ def _find_openblas(package: str, pattern: str) -> str | None:
 def _pin_pool(package: str, pattern: str, suffix: str) -> BlasPool:
     path = _find_openblas(package, pattern)
     if path is None:
-        return BlasPool(package, None, None, None, f"no bundled OpenBLAS in {package}")
+        return BlasPool(package, None, None, f"no bundled OpenBLAS in {package}")
     try:
         lib = ctypes.CDLL(path)  # already loaded by the package: same handle
         get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
         put = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
     except (OSError, AttributeError) as exc:
-        return BlasPool(package, path, None, None, f"cannot set threads: {exc}")
-    before = int(get())
+        return BlasPool(package, path, None, f"cannot set threads: {exc}")
     put(1)
     after = int(get())
-    return BlasPool(package, path, before, after,
+    return BlasPool(package, path, after,
                     None if after == 1 else f"pool reports {after} threads after the pin")
 
 

@@ -4,6 +4,7 @@ import pytest
 from conftest import gp_draw, random_design, small_measure
 from looise.designs import Design
 from looise import estimators
+from looise import moments
 from looise import numerics
 from looise.errors import (
     BundleMismatch,
@@ -32,7 +33,6 @@ from looise.moments import (
     build_bundle,
     independent_limit_bundle,
     mixture_bundle,
-    pointwise_c_rho,
     support_blocks,
 )
 from looise.predictors import OrdinaryKriging, SimpleKriging
@@ -101,18 +101,19 @@ def test_clamped_ise_blp_is_integral_of_clamped_pointwise():
 
 
 def _separate_pass(bundle, eps_sq, mode):
-    """The clamped blp or blup integral by its own pass over pointwise_c_rho."""
+    """The clamped blp or blup integral by its own pass: per block, c(x)^T g
+    and c(x)^T h by projecting rho^2 and G o G onto [g, h], as a walk does."""
     g = bundle.solve_S(eps_sq)
-    if mode == "blup":
-        h = bundle.solve_S(bundle.u)
-        q = float(bundle.u @ h)
-        ug = float(bundle.u @ g)
+    h = bundle.solve_S(bundle.u)
+    q = float(bundle.u @ h)
+    ug = float(bundle.u @ g)
     total = 0.0
     for _, X, mu, W in support_blocks(bundle.measure, bundle.weights):
-        c_rows, rho = pointwise_c_rho(bundle, X, W=W)
-        vals = c_rows @ g
+        parts, rho = moments._rho_gg(bundle.components, X, W, bundle.design, bundle.R)
+        cv = moments._project(parts, np.column_stack([g, h]))
+        vals = cv[:, 0]
         if mode == "blup":
-            vals = vals + (rho - c_rows @ h) * (ug / q)
+            vals = vals + (rho - cv[:, 1]) * (ug / q)
         total += float(mu @ np.maximum(vals, 0.0))
     return total
 

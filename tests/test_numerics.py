@@ -103,21 +103,29 @@ def test_bordered_inverse_guards_breakdown():
 
 
 def test_import_pins_both_pools_over_the_environment():
+    # each pool's start-up count is read before `import looise` pins it
     probe = (
-        "import ctypes, json, looise\n"
+        "import ctypes, glob, json, os, sys, numpy, scipy.linalg\n"
+        "def pools():\n"
+        "    for package, pattern, suffix in (('numpy', 'libscipy_openblas64_-*.so', '64_'),\n"
+        "                                     ('scipy', 'libscipy_openblas-*.so', '')):\n"
+        "        root = os.path.dirname(os.path.dirname(sys.modules[package].__file__))\n"
+        "        path, = glob.glob(os.path.join(root, package + '.libs', pattern))\n"
+        "        get = getattr(ctypes.CDLL(path), 'scipy_openblas_get_num_threads' + suffix)\n"
+        "        yield package, path, get()\n"
+        "before = list(pools())\n"
         "from looise import numerics\n"
-        "counts = {}\n"
-        "for package, _, suffix in numerics.BUNDLED_OPENBLAS:\n"
-        "    lib = ctypes.CDLL(numerics.BLAS_PIN.as_dict()['pools'][package]['library'])\n"
-        "    counts[package] = getattr(lib, 'scipy_openblas_get_num_threads' + suffix)()\n"
-        "print(json.dumps({'counts': counts, 'pin': numerics.BLAS_PIN.as_dict()}))\n"
+        "print(json.dumps({'before': before, 'after': list(pools()),\n"
+        "                  'pin': numerics.BLAS_PIN.as_dict()}))\n"
     )
     env = subprocess_env(OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS=None)
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
     got = json.loads(out.stdout)
-    assert got["counts"] == {"numpy": 1, "scipy": 1}
+    assert [(package, count) for package, _, count in got["before"]] == [("numpy", 2), ("scipy", 2)]
+    assert [(package, count) for package, _, count in got["after"]] == [("numpy", 1), ("scipy", 1)]
     assert got["pin"]["overridden"] == {"OPENBLAS_NUM_THREADS": "2"}
-    for pool in got["pin"]["pools"].values():
-        assert pool["threads_before"] == 2 and pool["threads_after"] == 1
+    for package, path, _ in got["before"]:  # the record names the pools that were read
+        pool = got["pin"]["pools"][package]
+        assert pool["library"] == path and pool["threads_after"] == 1
         assert pool["unpinned_reason"] is None
