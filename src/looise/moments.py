@@ -428,25 +428,35 @@ def _vn_component(comp: Component, W: np.ndarray, design: Design,
 
     rho^2(x, x') is symmetric, so each unordered pair of row blocks is
     visited once: a block row is evaluated against itself and the columns
-    after it, and the blocks off the diagonal count twice.
+    after it, and the blocks off the diagonal count twice. A block row is
+    built one VN_BLOCK-wide column tile at a time and folded against the
+    row weights at once, so a worker holds a few VN_BLOCK^2 tiles whatever N.
     """
     mu = measure.weights
     kernel = comp.kernel
     pts = measure.points
+    N = measure.size
     C = cross_matrix(kernel, design.points, pts)
-    T = C - W @ comp.K  # t(x) = k(x) - K w(x), so rho^2(x, x') = k(x, x') - w(x)^T k(x') - t(x)^T w(x')
+    # t(x) = k(x) - K w(x), so rho^2(x, x') = k(x, x') - w(x)^T k(x') - t(x)^T w(x')
+    T = W @ comp.K
+    np.subtract(C, T, out=T)
 
     def block_row(block) -> tuple[float, float, float]:
         rows, X, mu_rows, _ = block
         lo, m = rows.start, rows.stop - rows.start
-        cross = cross_matrix(kernel, pts[lo:], X)  # the block row, columns lo:
-        if kernel.nugget:
-            cross[np.arange(m), np.arange(m)] += kernel.nugget
-        cross -= W[rows] @ C[lo:].T
-        cross -= T[rows] @ W[lo:].T
-        diag = float(mu_rows @ np.diagonal(cross))
-        cross *= cross
-        row = mu_rows @ cross
+        row, diag = np.empty(N - lo), 0.0  # mu_rows^T rho^4 over the columns lo:
+        for start in range(lo, N, VN_BLOCK):
+            cols = slice(start, min(start + VN_BLOCK, N))
+            tile = cross_matrix(kernel, pts[cols], X)
+            own = start == lo  # the first tile holds the block's diagonal
+            if own and kernel.nugget:
+                tile[np.arange(m), np.arange(m)] += kernel.nugget
+            tile -= W[rows] @ C[cols].T
+            tile -= T[rows] @ W[cols].T
+            if own:
+                diag = float(mu_rows @ np.diagonal(tile))
+            tile *= tile
+            row[start - lo:cols.stop - lo] = mu_rows @ tile
         return float(row[:m] @ mu_rows), 2.0 * float(row[m:] @ mu[rows.stop:]), diag
 
     total = diag = 0.0
@@ -469,7 +479,9 @@ def _assemble(components, R, weights: WeightSource, design: Design,
 
     V = None
     if compute_Vn:
-        W_full = weights.block(0, measure.size)
+        W_full = np.empty((measure.size, n))
+        for rows, _, _, W in support_blocks(measure, weights):
+            W_full[rows] = W
         VJ = [_vn_component(comp, W_full, design, measure) for comp in components]
         V = sum(comp.nu * v for comp, (v, _) in zip(components, VJ))
         if len(components) > 1:  # half the spread of the per-kernel J around J

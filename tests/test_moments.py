@@ -672,3 +672,30 @@ def test_vn_draws_its_weights_through_the_block_counter(monkeypatch):
     assert sum(rows) == measure.size  # V_n's draw of the whole support
     bundle.J
     assert sum(rows) == 2 * measure.size
+
+
+@pytest.mark.parametrize("N", [1024, 4096])
+def test_vn_scratch_does_not_grow_with_the_support(monkeypatch, N):
+    import tracemalloc
+
+    import looise.moments as moments
+    from looise import numerics
+
+    block, workers, n = 64, 2, 12
+    monkeypatch.setattr(moments, "VN_BLOCK", block)
+    monkeypatch.setattr(numerics, "default_workers", lambda: workers)
+    design = random_design(2, n, seed=71)
+    measure = small_measure(2, N, seed=72)
+    p = SimpleKriging(KernelSpec("matern52", 6.0), design)
+    W = p.weights_matrix(measure.points)  # array-backed: its draws allocate nothing
+    R = p.loo
+    tracemalloc.start()
+    try:
+        build_bundle(R, W, KernelSpec("matern32", 8.0, nugget=0.05), design, measure,
+                     compute_Vn=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # V_n's copy of W, C and T hold N x n doubles each; each worker adds a few
+    # block x block tiles and its row of at most N sums
+    assert peak - 3 * N * n * 8 <= workers * (8 * block**2 + N) * 8

@@ -356,3 +356,40 @@ def test_the_projected_walk_matches_sums_over_full_c_rows(predictor, kind, spec)
     np.testing.assert_allclose(bundle.b, mu @ c_rows, rtol=PROJECTION_RTOL, atol=0.0)
     np.testing.assert_allclose([bundle.J, *bundle.clamped_integrals(eps_sq)],
                                [float(mu @ rho), blp, blup], rtol=PROJECTION_RTOL, atol=0.0)
+
+
+@st.composite
+def vn_tilings(draw):
+    """A design, a support of N points, a Matern predictor and assumed kernel,
+    with or without a nugget, and two V_n block sizes that N fills neither."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(4, 12))
+    seed = draw(st.integers(0, 10_000))
+    blocks = draw(st.lists(st.integers(3, 16), min_size=2, max_size=2, unique=True))
+    N = draw(st.integers(20, 90).filter(lambda N: all(N % b for b in blocks)))
+    nugget = draw(st.sampled_from([0.0, 0.01, 0.2]))
+    kernels = [KernelSpec(draw(st.sampled_from(MATERN)), draw(THETAS)) for _ in range(2)]
+    return dict(d=d, n=n, seed=seed, blocks=blocks, N=N, kern_p=kernels[0],
+                kern_e=KernelSpec(kernels[1].family, kernels[1].theta, nugget))
+
+
+@PROPERTY_SETTINGS
+@given(spec=vn_tilings())
+def test_vn_does_not_depend_on_the_tiling(spec):
+    design = random_design(spec["d"], spec["n"], seed=spec["seed"])
+    measure = small_measure(spec["d"], spec["N"], seed=spec["seed"] + 1)
+    pred = SimpleKriging(spec["kern_p"], design)
+    W = pred.weights_matrix(measure.points)
+    comp = moments.mixture_components([spec["kern_e"]], [1.0], pred.loo.matrix, design)[0]
+    tiled = []
+    for block in spec["blocks"]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(moments, "VN_BLOCK", block)
+            tiled.append(moments._vn_component(comp, W, design, measure))
+    # the dense rho^2(x, x') on the whole support, nugget on its diagonal
+    kern, mu = spec["kern_e"], measure.weights
+    C = cross_matrix(kern, design.points, measure.points)
+    rho2 = cross_matrix(kern, measure.points, measure.points) + kern.nugget * np.eye(spec["N"])
+    rho2 += -W @ C.T - C @ W.T + W @ comp.K @ W.T
+    dense = (float(mu @ (rho2 * rho2) @ mu), float(mu @ np.diagonal(rho2)))
+    np.testing.assert_allclose(tiled, [dense, dense], rtol=1e-12, atol=0.0)
