@@ -312,20 +312,14 @@ def cmd_sweep(args, extra) -> int:
     thetas = _sweep_thetas(cfg)
     if not thetas:
         raise ConfigError("sweep grid is empty")
-    weights = moments.WeightSource(predictor, measure, design.n)  # one draw per block
-    jobs = []
     oracle = None
     if "sweep.oracle.family" in cfg:
-        kern_true = _kernel_from(cfg, "sweep.oracle")
-        oracle = moments.build_bundle(predictor.loo, weights, kern_true,
-                                      design, measure,
+        oracle = moments.build_bundle(predictor.loo, predictor,
+                                      _kernel_from(cfg, "sweep.oracle"), design, measure,
                                       compute_Vn=get_bool(cfg, "estimator.vn", False))
-        jobs.append((oracle, None))
-    bundles = [moments.build_bundle(predictor.loo, weights,
-                                    _kernel_from(cfg, "estimator.kernel", theta_override=theta),
-                                    design, measure) for theta in thetas]
-    eps_sq = eps ** 2 if clamp else None
-    moments.support_pass(jobs + [(bundle, eps_sq) for bundle in bundles])
+    kernels = [_kernel_from(cfg, "estimator.kernel", theta_override=theta) for theta in thetas]
+    bundles, _ = moments.predictor_walk(predictor, measure, kernels,
+                                        lambda bundle: [eps] if clamp else [], oracle=oracle)
     rows = []
     for theta, bundle in zip(thetas, bundles):
         est = estimators.ise_blp(bundle, eps, clamp=clamp)
@@ -346,7 +340,7 @@ def cmd_sweep(args, extra) -> int:
 
 def cmd_reproduce(args, extra) -> int:
     cfg = _load_config(args, extra)
-    threads = get_int(cfg, "threads", os.cpu_count() or 1)
+    threads = get_int(cfg, "threads", numerics.default_workers())
     out = run_experiment(args.experiment, args.out or ".", threads=threads)
     print(json.dumps({"experiment": args.experiment, "csv": out.get("csv")}, indent=2))
     return EXIT_OK

@@ -14,7 +14,7 @@ linear forms only).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .errors import (
     SingularGram,
 )
 from .kernels import KernelSpec, kernel_matrix
-from .moments import MomentBundle, pointwise_c_rho
+from .moments import DesignKernel, MomentBundle, pointwise_c_rho
 
 __all__ = [
     "IseEstimate",
@@ -54,7 +54,7 @@ __all__ = [
 class IseEstimate:
     value: float
     estimator: str  # loo | blp | blp+ | blup | blup+
-    gamma: np.ndarray | None = None
+    gamma: np.ndarray | None = None  # None for clamped estimates
     clamped: bool = False
     trend_correction_applied: bool = False
     trend_amount: float = 0.0
@@ -100,17 +100,15 @@ def blp_pointwise(bundle: MomentBundle, eps_loo, x, clamp: bool = True) -> float
 def ise_blp(bundle: MomentBundle, eps_loo, clamp: bool = True) -> IseEstimate:
     """Best linear estimate of the ISE from squared LOO residuals.
 
-    Unclamped, the estimate is the quadratic form eps^{o2T} S^{-1} b;
-    clamped (default), it is the measure-weighted sum of the pointwise
-    estimates clamped at zero. The bundle integrates those in the same
-    support pass as b and J, so the clamped integral is asked for first.
+    Unclamped, the estimate is the quadratic form gamma^T eps^{o2} with
+    gamma = S^{-1} b; clamped (default), it is the measure-weighted sum of
+    the pointwise estimates clamped at zero, and gamma is None (not solved).
     """
     eps_sq = _check_eps(bundle, eps_loo) ** 2
-    clamped = bundle.clamped_integrals(eps_sq)[0] if clamp else None  # before b
+    if clamp:
+        return IseEstimate(bundle.clamped_integrals(eps_sq)[0], "blp+", clamped=True)
     gamma = bundle.gamma_blp
-    value = clamped if clamp else float(gamma @ eps_sq)
-    return IseEstimate(value=value, estimator="blp+" if clamp else "blp", gamma=gamma,
-                       clamped=clamp)
+    return IseEstimate(value=float(gamma @ eps_sq), estimator="blp", gamma=gamma)
 
 
 def blup_weights(bundle: MomentBundle) -> np.ndarray:
@@ -124,11 +122,12 @@ def blup_weights(bundle: MomentBundle) -> np.ndarray:
 def ise_blup(bundle: MomentBundle, eps_loo, clamp: bool = True) -> IseEstimate:
     """Unbiased weighted estimate (exact unbiasedness under the assumed kernel)."""
     eps_sq = _check_eps(bundle, eps_loo) ** 2
-    clamped = bundle.clamped_integrals(eps_sq)[1] if clamp else None  # as in ise_blp
-    gamma = blup_weights(bundle)  # raises DegenerateConstraint where clamped is None
-    value = clamped if clamp else float(gamma @ eps_sq)
-    return IseEstimate(value=value, estimator="blup+" if clamp else "blup", gamma=gamma,
-                       clamped=clamp)
+    if clamp:
+        value = bundle.clamped_integrals(eps_sq)[1]
+        bundle.constraint()  # raises DegenerateConstraint where value is None
+        return IseEstimate(value, "blup+", clamped=True)
+    gamma = blup_weights(bundle)
+    return IseEstimate(value=float(gamma @ eps_sq), estimator="blup", gamma=gamma)
 
 
 def performance_report(gamma, bundle: MomentBundle, sigma2: float = 1.0) -> PerformanceReport:
@@ -188,12 +187,13 @@ def trend_centering(bundle: MomentBundle, y) -> tuple[float, np.ndarray]:
 
     The independent-limit bundle has no covariance: BundleMismatch.
     """
-    if any(c.K is None for c in bundle.components):
+    comps = bundle.components
+    if any(c.record is None for c in comps):
         raise BundleMismatch("the independent-limit bundle has no covariance matrix")
     y = _check_eps(bundle, y, "y")
-    F = numerics.spd_factorize(sum(c.nu * c.K for c in bundle.components))
-    a = numerics.solve(F, np.ones(bundle.n))
-    s = float(np.ones(bundle.n) @ a)
+    record = comps[0].record if len(comps) == 1 else DesignKernel(
+        sum(c.nu * c.record.K for c in comps))
+    a, s = record.trend
     if abs(s) < 1e-14:
         raise DegenerateConstraint("1^T Sigma^{-1} 1 is numerically zero")
     tau = float(a @ y) / s
@@ -201,24 +201,23 @@ def trend_centering(bundle: MomentBundle, y) -> tuple[float, np.ndarray]:
 
 
 def trend_corrected_ise(bundle: MomentBundle, y, estimator: str = "blp",
-                        clamp: bool = True, centering=None) -> IseEstimate:
+                        clamp: bool = True) -> IseEstimate:
     """ISE estimate under a GP with unknown constant mean.
 
     The mean is estimated by its BLUE under the bundle's own covariance
-    (:func:`trend_centering`, or `centering` when already computed), the
-    weighted estimate is computed on the centered observations, and the
-    deterministic term tau^2 * int (1 - w(x)^T 1)^2 dmu is added back.
-    For predictors whose weights sum to one the correction vanishes and
-    the result equals the uncorrected estimate on the raw data.
+    (:func:`trend_centering`), the weighted estimate is computed on the
+    centered observations, and the deterministic term
+    tau^2 * int (1 - w(x)^T 1)^2 dmu is added back. For predictors whose
+    weights sum to one the correction vanishes and the result equals the
+    uncorrected estimate on the raw data.
     """
     if estimator not in ("blp", "blup"):
         raise ValueError(f"estimator must be 'blp' or 'blup', not {estimator!r}")
-    tau, eps_z = centering or trend_centering(bundle, y)
+    tau, eps_z = trend_centering(bundle, y)
     base = (ise_blp if estimator == "blp" else ise_blup)(bundle, eps_z, clamp)
     correction = tau * tau * bundle.sum_to_one_defect
-    return IseEstimate(value=base.value + correction, estimator=base.estimator,
-                       gamma=base.gamma, clamped=base.clamped,
-                       trend_correction_applied=True, trend_amount=correction)
+    return replace(base, value=base.value + correction, trend_correction_applied=True,
+                   trend_amount=correction)
 
 
 def optimal_mixture_weights(E_loo, gamma) -> np.ndarray:
@@ -257,22 +256,21 @@ def sigma2_estimators(y, kernel_e: KernelSpec, bundle: MomentBundle) -> dict:
     """Variance estimates {ml, loo, blp, blup} for the assumed kernel.
 
     The bundle must have been built for the simple-kriging predictor of
-    `kernel_e` (whose expected ISE is sigma^2 J), and its kernel matrix is
-    reused (BundleMismatch if it has none). ml and loo read K^{-1} y from
-    one solve and diag(K^{-1}) from the triangular inverse, as the LOO
-    criterion of `designs.theta_loo` does. Requires n >= 2; with a single
-    observation only the ML estimate exists.
+    `kernel_e` (whose expected ISE is sigma^2 J), and the factor of its
+    kernel matrix is reused (BundleMismatch if it has none). ml and loo
+    read K^{-1} y from one solve and diag(K^{-1}) from the triangular
+    inverse, as the LOO criterion of `designs.theta_loo` does. Requires
+    n >= 2; with a single observation only the ML estimate exists.
     """
     y = np.asarray(y, dtype=float)
     n = len(y)
     if n < 2:
         raise DegenerateData("LOO-based variance estimates need n >= 2")
-    K = next((c.K for c in bundle.components if c.kernel == kernel_e), None)
-    if K is None:
+    record = next((c.record for c in bundle.components if c.kernel == kernel_e), None)
+    if record is None:
         raise BundleMismatch(f"the bundle has no component of kernel {kernel_e}")
-    F = numerics.spd_factorize(K)
-    My = numerics.solve(F, y)
-    diag = numerics.inverse_diagonal(F)
+    My = numerics.solve(record.factor, y)
+    diag = numerics.inverse_diagonal(record.factor)
     eps = bundle.R.T @ y
     if bundle.J <= 0:
         raise DegenerateData("bundle has J <= 0")

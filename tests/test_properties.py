@@ -291,7 +291,7 @@ def test_a_batched_walk_equals_one_bundle_walks_bit_for_bit(spec):
         mp.setattr(moments, "BLOCK", spec["block"])
         mp.setattr(WeightSource, "block", counting)
         jobs, errors = _walk_jobs(spec)
-        batched = support_pass(jobs, errors, cross={} if spec["shared"] else None)
+        batched = support_pass(jobs, errors, shared={} if spec["shared"] else None)
         walked = {id(b.weights) for b, _ in jobs} | {id(ws) for _, ws, _ in errors}
         for source in walked:  # each source draws every support row once
             rows = sorted((lo, hi) for sid, lo, hi in draws if sid == source)
@@ -380,7 +380,8 @@ def test_vn_does_not_depend_on_the_tiling(spec):
     measure = small_measure(spec["d"], spec["N"], seed=spec["seed"] + 1)
     pred = SimpleKriging(spec["kern_p"], design)
     W = pred.weights_matrix(measure.points)
-    comp = moments.mixture_components([spec["kern_e"]], [1.0], pred.loo.matrix, design)[0]
+    record = moments.DesignKernel(kernel_matrix(spec["kern_e"], design.points))
+    comp = moments.Component(nu=1.0, kernel=spec["kern_e"], record=record, u=None)
     tiled = []
     for block in spec["blocks"]:
         with pytest.MonkeyPatch.context() as mp:
@@ -390,6 +391,6 @@ def test_vn_does_not_depend_on_the_tiling(spec):
     kern, mu = spec["kern_e"], measure.weights
     C = cross_matrix(kern, design.points, measure.points)
     rho2 = cross_matrix(kern, measure.points, measure.points) + kern.nugget * np.eye(spec["N"])
-    rho2 += -W @ C.T - C @ W.T + W @ comp.K @ W.T
+    rho2 += -W @ C.T - C @ W.T + W @ record.K @ W.T
     dense = (float(mu @ (rho2 * rho2) @ mu), float(mu @ np.diagonal(rho2)))
     np.testing.assert_allclose(tiled, [dense, dense], rtol=1e-12, atol=0.0)
