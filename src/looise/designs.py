@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.stats import qmc
 
 from . import numerics, rng
 from .errors import (
@@ -39,6 +38,52 @@ from .kernels import (
 
 SOBOL_MAX_DIM = 21
 SOBOL_BITS = 30
+
+# Joe & Kuo (2008), new-joe-kuo-6.21201, dimensions 2..21: the primitive
+# polynomial as an integer (leading and trailing 1 bits included) and the
+# initial direction numbers m_1..m_s, s its degree. Dimension 1 has all m_k = 1.
+_JOE_KUO = (
+    (3, (1,)),
+    (7, (1, 3)),
+    (11, (1, 3, 1)),
+    (13, (1, 1, 1)),
+    (19, (1, 1, 3, 3)),
+    (25, (1, 3, 5, 13)),
+    (37, (1, 1, 5, 5, 17)),
+    (41, (1, 1, 5, 5, 5)),
+    (47, (1, 1, 7, 11, 19)),
+    (55, (1, 1, 5, 1, 1)),
+    (59, (1, 1, 1, 3, 11)),
+    (61, (1, 3, 5, 5, 31)),
+    (67, (1, 3, 3, 9, 7, 49)),
+    (91, (1, 1, 1, 15, 21, 21)),
+    (97, (1, 3, 1, 13, 27, 49)),
+    (103, (1, 1, 1, 15, 7, 5)),
+    (109, (1, 3, 1, 15, 13, 25)),
+    (115, (1, 1, 5, 5, 19, 61)),
+    (131, (1, 3, 7, 11, 23, 15, 103)),
+    (137, (1, 3, 7, 13, 13, 15, 69)),
+)
+
+
+def _direction_integers() -> np.ndarray:
+    """(SOBOL_MAX_DIM, SOBOL_BITS) direction integers v_k = m_k 2^(BITS-1-k), with
+    m_k = 2^s m_(k-s) xor m_(k-s) xor (xor over i < s of 2^i a_i m_(k-i)) and a_i
+    the inner coefficients of the polynomial (Bratley & Fox 1988)."""
+    rows = [[1] * SOBOL_BITS]
+    for poly, init in _JOE_KUO:
+        s, m = len(init), list(init)
+        for k in range(s, SOBOL_BITS):
+            new = m[k - s] ^ (m[k - s] << s)
+            for i in range(1, s):
+                if (poly >> (s - i)) & 1:
+                    new ^= m[k - i] << i
+            m.append(new)
+        rows.append(m)
+    return np.array(rows, dtype=np.uint32) << np.arange(SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
+
+
+_SOBOL_V = _direction_integers()
 
 
 @dataclass(frozen=True)
@@ -106,6 +151,8 @@ def uniform_measure(points) -> IntegrationMeasure:
 def sobol_points(d: int, N: int, scramble_seed: int | None = None) -> np.ndarray:
     """First N points of the d-dimensional Sobol' sequence.
 
+    The points are those of scipy's unscrambled ``qmc.Sobol(d, bits=30)``,
+    from the same Joe-Kuo direction numbers, built in O(N d) XORs.
     Unscrambled when ``scramble_seed`` is None; the first unscrambled
     point is the origin. Scrambling is a digital shift: the 30-bit
     integer representation of every point is XOR-ed with a per-dimension
@@ -116,15 +163,18 @@ def sobol_points(d: int, N: int, scramble_seed: int | None = None) -> np.ndarray
         raise UnsupportedDimension(f"dimension must be in [1, {SOBOL_MAX_DIM}], got {d}")
     if N < 1:
         raise ValueError("N must be >= 1")
-    # draw the next power of two and slice: same prefix, and generating a
-    # balanced block keeps the engine quiet in threaded callers
-    full = 1 << (N - 1).bit_length()
-    pts = qmc.Sobol(d, scramble=False, bits=SOBOL_BITS).random(full)[:N]
-    if scramble_seed is None:
-        return pts
-    ints = np.round(pts * 2.0**SOBOL_BITS).astype(np.uint64)
-    mask = rng.stream(scramble_seed).integers(0, 1 << SOBOL_BITS, size=d, dtype=np.uint64)
-    return (ints ^ mask[None, :]).astype(float) / 2.0**SOBOL_BITS
+    if N > 1 << SOBOL_BITS:
+        raise ValueError(f"N must be <= 2^{SOBOL_BITS}")
+    # Gray-code order by reflection: x[2^j + i] = v_j xor x[2^j - 1 - i]
+    ints = np.zeros((N, d), dtype=np.uint32)
+    for j in range((N - 1).bit_length()):
+        lo = 1 << j
+        hi = min(2 * lo, N)
+        ints[lo:hi] = ints[2 * lo - hi:lo][::-1] ^ _SOBOL_V[:d, j]
+    if scramble_seed is not None:
+        mask = rng.stream(scramble_seed).integers(0, 1 << SOBOL_BITS, size=d, dtype=np.uint64)
+        ints ^= mask.astype(np.uint32)
+    return ints / 2.0**SOBOL_BITS
 
 
 def sobol_design(d: int, n: int, scramble_seed: int | None = None) -> Design:

@@ -29,7 +29,7 @@ from .errors import (
     SingularGram,
 )
 from .kernels import KernelSpec, kernel_matrix
-from .moments import DesignKernel, MomentBundle, pointwise_c_rho
+from .moments import MomentBundle, pointwise_c_rho
 
 __all__ = [
     "IseEstimate",
@@ -187,12 +187,8 @@ def trend_centering(bundle: MomentBundle, y) -> tuple[float, np.ndarray]:
 
     The independent-limit bundle has no covariance: BundleMismatch.
     """
-    comps = bundle.components
-    if any(c.record is None for c in comps):
-        raise BundleMismatch("the independent-limit bundle has no covariance matrix")
+    record = bundle.covariance
     y = _check_eps(bundle, y, "y")
-    record = comps[0].record if len(comps) == 1 else DesignKernel(
-        sum(c.nu * c.record.K for c in comps))
     a, s = record.trend
     if abs(s) < 1e-14:
         raise DegenerateConstraint("1^T Sigma^{-1} 1 is numerically zero")

@@ -43,6 +43,7 @@ import numpy as np
 from . import numerics
 from .designs import Design, IntegrationMeasure
 from .errors import (
+    BundleMismatch,
     DegenerateConstraint,
     DimensionMismatch,
     FlatLimitSingular,
@@ -172,6 +173,16 @@ class MomentBundle:
 
     def solve_S(self, rhs) -> np.ndarray:
         return numerics.solve(self.S_fact, rhs)
+
+    @functools.cached_property
+    def covariance(self) -> DesignKernel:
+        """The record of the covariance sum_k nu_k K_k on the design, built on
+        first use; one kernel's is its shared record. The limit has none."""
+        if any(c.record is None for c in self.components):
+            raise BundleMismatch("the independent-limit bundle has no covariance matrix")
+        if len(self.components) == 1:
+            return self.components[0].record
+        return DesignKernel(sum(c.nu * c.record.K for c in self.components))
 
     def _cross_moments(self) -> tuple:
         if self._moments is None:

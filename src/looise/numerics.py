@@ -11,6 +11,9 @@ process. Otherwise each pool starts one thread per core, the two contend
 for the cores, and the BLAS thread count changes the last bits of
 results; with one thread each, results are the same for any
 replication-pool size. What the pin did is kept in ``BLAS_PIN``.
+Under glibc it also fixes malloc's mmap and trim thresholds
+(:func:`pin_malloc_thresholds`), so that the page faults of a request do
+not depend on what the process allocated before it.
 Parallel work runs on Python threads instead, through :func:`map_ordered`.
 """
 
@@ -104,6 +107,37 @@ def pin_blas_threads() -> BlasPin:
 
 
 BLAS_PIN = pin_blas_threads()
+
+# glibc's malloc takes a block below its mmap threshold from the heap, and returns
+# the heap's free top to the kernel above its trim threshold (twice the first).
+# By default the mmap threshold rises to the largest mmapped block freed so far,
+# so whether the walk's per-block temporaries (BLOCK x n doubles, 1.6 MB at
+# n = 200) reuse heap pages or fault in fresh ones depended on what the process
+# had freed before: a table2 replication pair took 437k page faults in one
+# process and 9k in another. Fixed thresholds make it the same in every process:
+# 4 MiB lies above those temporaries up to n = 500, and the trim threshold is
+# twice it, as glibc's own adjustment would set it.
+MALLOC_MMAP_THRESHOLD = 4 << 20
+MALLOC_TRIM_THRESHOLD = 8 << 20
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters in glibc's malloc.h
+
+
+def pin_malloc_thresholds() -> bool:
+    """Fix glibc malloc's mmap and trim thresholds for the whole process;
+    False, with nothing done, under any other C library."""
+    try:
+        glibc = (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError):  # no confstr, or no such name here
+        glibc = False
+    if not glibc:
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, MALLOC_MMAP_THRESHOLD)
+                and mallopt(_M_TRIM_THRESHOLD, MALLOC_TRIM_THRESHOLD))
+
+
+MALLOC_PINNED = pin_malloc_thresholds()
 
 _POOL = threading.local()  # .worker is True on the threads map_ordered starts
 

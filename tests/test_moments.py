@@ -268,6 +268,28 @@ def test_bundles_sharing_a_dict_share_one_kernel_record(monkeypatch):
     assert values == alone
 
 
+def test_a_mixture_bundle_factorizes_its_covariance_once(monkeypatch):
+    # blp and blup of a constant-trend mixture estimate centre the data under
+    # one record of sum_k nu_k K_k, built and factorized on first use
+    from looise import numerics
+    from looise.estimators import trend_corrected_ise
+
+    design = random_design(2, 12, seed=27)
+    measure = small_measure(2, 64, seed=28)
+    p = SimpleKriging(KernelSpec("matern52", 6.0), design)
+    y = np.cos(4.0 * design.points.sum(axis=1)) + 3.0
+    kernels = [KernelSpec("matern32", 8.0), KernelSpec("gaussian", 5.0)]
+    bundle = mixture_bundle(kernels, [0.3, 0.7], p.loo, p, design, measure)
+    factored, factorize = [], numerics.spd_factorize
+    monkeypatch.setattr(numerics, "spd_factorize", lambda A: factored.append(A) or factorize(A))
+    for est in ("blp", "blup"):
+        trend_corrected_ise(bundle, y, est)
+    sigma = bundle.covariance.K
+    assert np.array_equal(sigma, 0.3 * bundle.components[0].record.K
+                          + 0.7 * bundle.components[1].record.K)
+    assert len(factored) == 1 and factored[0] is sigma
+
+
 def test_sum_to_one_defect_is_flat_limit_J0():
     design = random_design(2, 10, seed=23)
     measure = small_measure(2, 5000, seed=24)
