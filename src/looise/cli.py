@@ -111,6 +111,9 @@ def _build_measure(cfg: dict, d: int):
     if "measure.file" in cfg:
         with open(cfg["measure.file"]) as fh:
             pts = design_from_csv(fh.read()).points
+        if pts.shape[1] != d:
+            raise ConfigError(f"measure.file holds points of dimension {pts.shape[1]}; "
+                              f"the design has dimension {d}")
         return uniform_measure(pts)
     N = get_int(cfg, "measure.sobol_n", 1024)
     seed = cfg.get("measure.seed")
@@ -165,16 +168,19 @@ def _load_y(cfg: dict, design: Design) -> np.ndarray:
         if y.ndim != 1 or len(y) != design.n:
             raise ConfigError(f"data.file must hold {design.n} values in one column")
         return _finite(y, cfg["data.file"])
+    from .testbed import environmental_values, piston4d_values
+
     fname = cfg.get("function.name")
-    if fname == "environmental":
-        from .testbed import environmental_values
-
-        return environmental_values(design.points)
-    if fname == "piston4d":
-        from .testbed import piston4d_values
-
-        return piston4d_values(design.points)
-    raise ConfigError("either data.file or function.name is required")
+    functions = {"environmental": (environmental_values, 2), "piston4d": (piston4d_values, 4)}
+    if fname is None:
+        raise ConfigError("either data.file or function.name is required")
+    if fname not in functions:
+        raise ConfigError(f"unknown function.name {fname!r}; known: {', '.join(functions)}")
+    fn, d = functions[fname]
+    if design.d != d:
+        raise ConfigError(f"function.name = {fname} needs a design of dimension {d}, "
+                          f"got {design.d}")
+    return fn(design.points)
 
 
 def _estimator_theta(cfg: dict, y, design: Design, trend_mode: str) -> tuple[float, str]:

@@ -299,7 +299,7 @@ def _loo_criterion(K: np.ndarray, y: np.ndarray, mean_mode: str) -> float:
         My = numerics.solve(F, y)
     else:
         My, a = numerics.solve(F, np.column_stack([y, np.ones(len(y))])).T
-        s = float(a.sum())
+        s = float(a.sum())  # not DesignKernel.trend's 1^T a: its last bit moves theta_loo
         My = My - a * (float(a @ y) / s)
         diag = diag - a * a / s
     resid = My / diag

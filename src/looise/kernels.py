@@ -1,9 +1,10 @@
 """Geometry, isotropic correlation kernels and kernel matrices.
 
-Every Euclidean distance of the package comes from :func:`distances`,
-and two points coincide when that distance is at most
-``COINCIDENCE_TOL`` (:func:`coincide`); a :class:`PointIndex` finds
-known points under that rule. A kernel is described by a
+Euclidean distances come from :func:`distances` (``cdist``), except in
+:func:`min_pairwise_distance` (``pdist``) and the nearest-point queries of
+:class:`PointIndex` and :func:`designs.nn_distance` (``cKDTree``). Two points
+coincide at distance ``COINCIDENCE_TOL`` or less (:func:`coincide`), and
+:class:`PointIndex` finds known points by that rule. A kernel is a
 :class:`KernelSpec` (family, range parameter theta, optional nugget).
 The correlation between two points is ``psi_family(theta * ||x - x'||)``
 plus the nugget when the points coincide. The nugget models observation

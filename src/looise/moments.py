@@ -18,9 +18,11 @@ walk over the support blocks. It serves a batch of bundles (b, J and the
 clamped blp/blup integrals of given residuals) and of squared-error sums
 int (f - W y)^2 dmu at once: per block, each distinct weight source draws
 its rows once, and a dict that the caller keeps lets bundles and walks
-that share a kernel and a design build its DesignKernel record and its
-cross-correlation blocks once. Every bundle keeps the arithmetic of a walk
-of its own. A bundle asked for b or J first makes a one-job walk, under its lock.
+that share a kernel and a design build its record and its
+cross-correlation blocks once. The record is a :class:`numerics.DesignKernel`,
+the one record type the kriging predictors hold too. Every bundle keeps
+the arithmetic of a walk of its own. A bundle asked for b or J first makes
+a one-job walk, under its lock.
 
 V is the O(N^2) double integral of rho^4(x, x'). Its integrand is
 symmetric, so it is summed over each unordered pair of row blocks once.
@@ -51,6 +53,7 @@ from .errors import (
     WeightSimplexViolation,
 )
 from .kernels import KernelSpec, PointIndex, cross_matrix, kernel_matrix
+from .numerics import DesignKernel
 
 BLOCK = 1024  # support rows per block of the single integrals
 VN_BLOCK = 512  # rows per block of the O(N^2) V_n double integral
@@ -104,23 +107,6 @@ def support_blocks(measure: IntegrationMeasure, weights: WeightSource | None = N
         hi = min(lo + size, measure.size)
         W = None if weights is None else weights.block(lo, hi)
         yield slice(lo, hi), measure.points[lo:hi], measure.weights[lo:hi], W
-
-
-@dataclass(eq=False)
-class DesignKernel:
-    """K, a kernel's matrix on one design, with its Cholesky factor and the
-    constant-mean BLUE pieces (a, s) = (K^{-1} 1, 1^T a), each built on first use."""
-
-    K: np.ndarray
-
-    @functools.cached_property
-    def factor(self) -> numerics.SpdFactorization:
-        return numerics.spd_factorize(self.K)
-
-    @functools.cached_property
-    def trend(self) -> tuple[np.ndarray, float]:
-        a = numerics.solve(self.factor, np.ones(len(self.K)))
-        return a, float(np.ones(len(self.K)) @ a)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Everything here wraps LAPACK (through scipy) behind a small, strict
 interface: factorizations are immutable, inputs are validated, and
 near-singular matrices fail loudly after a bounded jitter escalation
-instead of silently regularizing.
+instead of silently regularizing. A :class:`DesignKernel` is the one
+record of a kernel matrix on a design, for predictors and bundles alike.
 
 Importing this module pins the OpenBLAS thread pools bundled with numpy
 and scipy to one thread each (:func:`pin_blas_threads`), for the whole
@@ -21,11 +22,12 @@ from __future__ import annotations
 
 import concurrent.futures
 import ctypes
+import functools
 import glob
 import os
 import sys
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
@@ -172,7 +174,6 @@ class SpdFactorization:
 
     lower: np.ndarray
     jitter_applied: float
-    _inverse: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -238,19 +239,11 @@ def solve(F: SpdFactorization, B: np.ndarray) -> np.ndarray:
 
 
 def inverse(F: SpdFactorization) -> np.ndarray:
-    """Explicit inverse A^{-1}, solved once per factorization and cached on F.
-
-    The kriging predictors need all of it: their LOO operator divides it by
-    its diagonal, and their weights at a block of points are C A^{-1}, one
-    matrix multiply where a triangular solve per point costs about four
-    times as much. The result is read-only, since every caller shares it.
-    Criteria that read only the diagonal use :func:`inverse_diagonal`.
-    """
-    if F._inverse is None:  # threads racing here store equal arrays; either is kept
-        inv = solve(F, np.eye(F.n))
-        inv.setflags(write=False)
-        object.__setattr__(F, "_inverse", inv)
-    return F._inverse
+    """Explicit inverse A^{-1}, read-only since :attr:`DesignKernel.inverse`
+    shares it. Criteria that read only its diagonal use :func:`inverse_diagonal`."""
+    inv = solve(F, np.eye(F.n))
+    inv.setflags(write=False)
+    return inv
 
 
 def inverse_diagonal(F: SpdFactorization) -> np.ndarray:
@@ -275,11 +268,11 @@ def rcond_estimate(F: SpdFactorization) -> float:
     return float(rc) ** 2
 
 
-def bordered_inverse(F: SpdFactorization) -> np.ndarray:
+def bordered_inverse(record: DesignKernel) -> np.ndarray:
     """Inverse of the (n+1)x(n+1) bordered matrix [[K, 1], [1^T, 0]].
 
-    Computed by block inversion from the Cholesky factorization F of the
-    SPD matrix K: with a = K^{-1} 1 and s = 1^T K^{-1} 1,
+    Computed by block inversion from the record of the SPD matrix K: with
+    (a, s) = record.trend = (K^{-1} 1, 1^T K^{-1} 1),
 
         inv = [[K^{-1} - a a^T / s,  a / s],
                [a^T / s,            -1 / s]].
@@ -290,15 +283,35 @@ def bordered_inverse(F: SpdFactorization) -> np.ndarray:
         If 1^T K^{-1} 1 is numerically zero (cannot occur for an exactly
         SPD K; guards against breakdown on nearly singular input).
     """
-    n = F.n
-    ones = np.ones(n)
-    a = solve(F, ones)
-    s = float(ones @ a)
+    a, s = record.trend
     if not np.isfinite(s) or abs(s) < 1e-14:
         raise SingularBorder("1^T K^{-1} 1 is numerically zero")
+    n = len(a)
     out = np.empty((n + 1, n + 1))
-    out[:n, :n] = inverse(F) - np.outer(a, a) / s
+    out[:n, :n] = record.inverse - np.outer(a, a) / s
     out[:n, n] = a / s
     out[n, :n] = a / s
     out[n, n] = -1.0 / s
     return out
+
+
+@dataclass(eq=False)
+class DesignKernel:
+    """K, a kernel's matrix on one design, and, each built on first use, its
+    Cholesky factor, its inverse (read-only) and the constant-mean BLUE pieces
+    (a, s) = (K^{-1} 1, 1^T a). Kriging predictors hold theirs as `.record`."""
+
+    K: np.ndarray
+
+    @functools.cached_property
+    def factor(self) -> SpdFactorization:
+        return spd_factorize(self.K)
+
+    @functools.cached_property
+    def inverse(self) -> np.ndarray:
+        return inverse(self.factor)
+
+    @functools.cached_property
+    def trend(self) -> tuple[np.ndarray, float]:
+        a = solve(self.factor, np.ones(len(self.K)))
+        return a, float(np.ones(len(self.K)) @ a)

@@ -4,8 +4,10 @@ Every predictor maps a point x to a weight vector w(x) in R^n over a
 fixed design, so that the prediction is w(x)^T y. The LOO residual
 vector is linear in y as well: eps_loo = R^T y for an n x n matrix R
 computed in closed form per variant (block-inversion identities for the
-kriging family, direct algebra for the empirical mean). A brute-force
-n-refit fallback serves as the oracle for any predictor.
+kriging family, direct algebra for the empirical mean). The kriging
+family is SimpleKriging and two one-override variants; each holds K_n in
+`predictor.record`, the numerics.DesignKernel the moment bundles use too.
+A brute-force n-refit fallback serves as the oracle for any predictor.
 """
 
 from __future__ import annotations
@@ -90,52 +92,46 @@ def _reduced_design(design: Design, i: int) -> Design:
 class SimpleKriging(LinearPredictor):
     """Posterior-mean predictor for a zero-mean GP: w(x) = K_n^{-1} k_n(x).
 
-    The weights of a block of points are C K_n^{-1}, one multiply by the
-    explicit inverse (:func:`numerics.inverse`) that the LOO operator needs
-    anyway, rather than a triangular solve per point.
+    K_n is held in `self.record` (:class:`numerics.DesignKernel`). The weights
+    of a block of points are C K_n^{-1}, one multiply by the record's inverse
+    that the LOO operator needs anyway, rather than a triangular solve per point.
     """
 
     def __init__(self, kernel: KernelSpec, design: Design):
         self.kernel = kernel
         self.design = design
-        self._fact = numerics.spd_factorize(kernel_matrix(kernel, design.points))
+        self.record = numerics.DesignKernel(kernel_matrix(kernel, design.points))
+        self.record.factor  # factorized now: a singular K_n fails at construction
+
+    def _cross(self, X) -> np.ndarray:
+        """C, the (m, n) correlations of the points X with the design."""
+        return cross_matrix(self.kernel, self.design.points, as_points(X))
 
     def weights_matrix(self, X) -> np.ndarray:
-        C = cross_matrix(self.kernel, self.design.points, as_points(X))
-        return C @ numerics.inverse(self._fact)
+        return self._cross(X) @ self.record.inverse
 
     def _loo_matrix(self) -> np.ndarray:
-        M = numerics.inverse(self._fact)
+        M = self.record.inverse
         return M / np.diag(M)[None, :]
 
     def drop_point(self, i: int) -> "SimpleKriging":
-        return SimpleKriging(self.kernel, _reduced_design(self.design, i))
+        return type(self)(self.kernel, _reduced_design(self.design, i))
 
 
-class OrdinaryKriging(LinearPredictor):
+class OrdinaryKriging(SimpleKriging):
     """Kriging with unknown constant mean; weights constrained to sum to one:
-    C K_n^{-1} + ((1 - C a) / s) a^T with a = K_n^{-1} 1 and s = 1^T a."""
-
-    def __init__(self, kernel: KernelSpec, design: Design):
-        self.kernel = kernel
-        self.design = design
-        self._fact = numerics.spd_factorize(kernel_matrix(kernel, design.points))
-        self._a = numerics.solve(self._fact, np.ones(design.n))
-        self._s = float(np.ones(design.n) @ self._a)
+    C K_n^{-1} + ((1 - C a) / s) a^T with (a, s) = record.trend = (K_n^{-1} 1, 1^T a)."""
 
     def weights_matrix(self, X) -> np.ndarray:
-        C = cross_matrix(self.kernel, self.design.points, as_points(X))
-        base = C @ numerics.inverse(self._fact)
-        mult = (1.0 - C @ self._a) / self._s
-        return base + mult[:, None] * self._a[None, :]
+        C = self._cross(X)
+        a, s = self.record.trend
+        mult = (1.0 - C @ a) / s
+        return C @ self.record.inverse + mult[:, None] * a[None, :]
 
     def _loo_matrix(self) -> np.ndarray:
-        Mbar = numerics.bordered_inverse(self._fact)
+        Mbar = numerics.bordered_inverse(self.record)
         n = self.n
         return Mbar[:n, :n] / np.diag(Mbar)[:n][None, :]
-
-    def drop_point(self, i: int) -> "OrdinaryKriging":
-        return OrdinaryKriging(self.kernel, _reduced_design(self.design, i))
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +207,11 @@ def poly_basis(d: int, m: int, c: float = 1000.0, t: float = 2.0):
     return all_idx[keep], lam[keep]
 
 
-class BayesPolynomial(LinearPredictor):
+class BayesPolynomial(SimpleKriging):
     """Posterior-mean polynomial predictor with a Gaussian prior on the
-    coefficients and i.i.d. observation noise; equivalently the
-    simple-kriging predictor for the degenerate kernel
-    sum_l Lambda_l phi_l(x) phi_l(x') plus a nugget of noise_var."""
+    coefficients and i.i.d. observation noise; equivalently SimpleKriging
+    under the degenerate kernel sum_l Lambda_l phi_l(x) phi_l(x') plus a
+    nugget of noise_var, so only K_n and the cross-correlations differ."""
 
     def __init__(self, indices, prior_diag, noise_var: float, design: Design):
         self.indices = np.asarray(indices, dtype=int)
@@ -224,16 +220,11 @@ class BayesPolynomial(LinearPredictor):
         self.design = design
         self._phi = tensor_basis(design.points, self.indices)
         K = (self._phi * self.prior_diag) @ self._phi.T + self.noise_var * np.eye(design.n)
-        self._fact = numerics.spd_factorize(K)
+        self.record = numerics.DesignKernel(K)
+        self.record.factor  # factorized now: a singular K_n fails at construction
 
-    def weights_matrix(self, X) -> np.ndarray:
-        phi_new = tensor_basis(as_points(X), self.indices)
-        C = (phi_new * self.prior_diag) @ self._phi.T
-        return C @ numerics.inverse(self._fact)
-
-    def _loo_matrix(self) -> np.ndarray:
-        M = numerics.inverse(self._fact)
-        return M / np.diag(M)[None, :]
+    def _cross(self, X) -> np.ndarray:
+        return (tensor_basis(as_points(X), self.indices) * self.prior_diag) @ self._phi.T
 
     def drop_point(self, i: int) -> "BayesPolynomial":
         return BayesPolynomial(self.indices, self.prior_diag, self.noise_var,

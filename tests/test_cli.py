@@ -471,6 +471,29 @@ def test_exit_code_follows_where_the_error_came_from(tmp_path, capsys, monkeypat
     assert "ValueError: array must not contain infs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("function, d, message", [
+    ("piston4d", 2, "function.name = piston4d needs a design of dimension 4, got 2"),
+    ("environmental", 4, "function.name = environmental needs a design of dimension 2, got 4"),
+    ("branin", 2, "unknown function.name 'branin'; known: environmental, piston4d"),
+])
+def test_a_function_the_design_cannot_feed_is_an_input_error(capsys, function, d, message):
+    code = main(["estimate", "--design.generator=sobol", f"--design.d={d}", "--design.n=12",
+                 f"--function.name={function}", "--measure.sobol_n=64",
+                 "--predictor.kernel.family=matern52", "--predictor.kernel.theta=5",
+                 "--estimator.kernel.family=matern32", "--estimator.kernel.theta=8"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_a_measure_file_of_another_dimension_is_an_input_error(tmp_path, capsys):
+    mcsv = write(tmp_path, "support.csv", design_to_csv(regular_grid(3, 4)))
+    ycsv = write(tmp_path, "y.csv", "y\n" + "\n".join(["0.5"] * 10) + "\n")
+    cfg = write(tmp_path, "run.cfg", BASE_CONFIG + f"data.file = {ycsv}\nmeasure.file = {mcsv}\n")
+    assert main(["estimate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "measure.file holds points of dimension 3; the design has dimension 1" in err
+
+
 def test_estimate_rejects_the_vn_key(tmp_path, capsys):
     ycsv = write(tmp_path, "y.csv", "y\n" + "\n".join(["0.5"] * 10) + "\n")
     cfg = write(tmp_path, "run.cfg", BASE_CONFIG + f"data.file = {ycsv}\nestimator.vn = true\n")

@@ -58,17 +58,33 @@ def test_solve_inverse_consistency():
 
 
 def test_inverse_is_solved_once_and_read_only(monkeypatch):
-    F = numerics.spd_factorize(kernel_matrix(KernelSpec("matern32", 8.0),
-                                             regular_grid(2, 5).points))
+    record = numerics.DesignKernel(kernel_matrix(KernelSpec("matern32", 8.0),
+                                                 regular_grid(2, 5).points))
     solves = []
     cho_solve = numerics.scipy.linalg.cho_solve
     monkeypatch.setattr(numerics.scipy.linalg, "cho_solve",
                         lambda *args, **kw: solves.append(args) or cho_solve(*args, **kw))
-    M = numerics.inverse(F)
-    assert numerics.inverse(F) is M
+    M = record.inverse
+    assert record.inverse is M
     assert len(solves) == 1
     with pytest.raises(ValueError):
         M[0, 0] = 0.0
+
+
+def test_threads_reading_a_fresh_record_get_equal_parts():
+    # the walk's workers read a predictor's record at once
+    K = kernel_matrix(KernelSpec("matern32", 8.0), regular_grid(2, 6).points)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            record = numerics.DesignKernel(K)
+            parts = numerics.map_ordered(lambda _: (record.inverse, *record.trend), range(8), 8)
+            for inv, a, s in parts:
+                assert np.array_equal(inv, parts[0][0]) and np.array_equal(a, parts[0][1])
+                assert s == parts[0][2]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_inverse_diagonal_matches_the_explicit_inverse():
@@ -84,7 +100,7 @@ def test_solve_dimension_mismatch():
 
 
 def test_bordered_inverse_identity_2x2():
-    Mbar = numerics.bordered_inverse(numerics.spd_factorize(np.eye(2)))
+    Mbar = numerics.bordered_inverse(numerics.DesignKernel(np.eye(2)))
     assert np.isclose(Mbar[0, 0], 0.5)
     assert np.isclose(Mbar[1, 1], 0.5)
     Kbar = np.block([[np.eye(2), np.ones((2, 1))], [np.ones((1, 2)), np.zeros((1, 1))]])
@@ -93,13 +109,13 @@ def test_bordered_inverse_identity_2x2():
 
 def test_bordered_inverse_n1():
     K11 = 2.5
-    Mbar = numerics.bordered_inverse(numerics.spd_factorize(np.array([[K11]])))
+    Mbar = numerics.bordered_inverse(numerics.DesignKernel(np.array([[K11]])))
     assert np.allclose(Mbar, np.array([[0.0, 1.0], [1.0, -K11]]))
 
 
 def test_bordered_inverse_guards_breakdown():
     with pytest.raises((SingularBorder, NotPositiveDefinite)):
-        numerics.bordered_inverse(numerics.spd_factorize(np.zeros((3, 3))))
+        numerics.bordered_inverse(numerics.DesignKernel(np.zeros((3, 3))))
 
 
 def test_import_pins_both_pools_over_the_environment():

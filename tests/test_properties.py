@@ -186,9 +186,9 @@ def test_weights_by_the_cached_inverse_match_the_solve(problem):
 
 
 def _full_inverse_criterion(K, y, mean_mode):
-    F = numerics.spd_factorize(K)
+    record = numerics.DesignKernel(K)
     n = len(y)
-    M = numerics.inverse(F) if mean_mode == "zero" else numerics.bordered_inverse(F)[:n, :n]
+    M = record.inverse if mean_mode == "zero" else numerics.bordered_inverse(record)[:n, :n]
     resid = (M @ y) / np.diag(M)
     return float(np.mean(resid * resid))
 
