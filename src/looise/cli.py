@@ -183,14 +183,15 @@ def _load_y(cfg: dict, design: Design) -> np.ndarray:
     return fn(design.points)
 
 
-def _estimator_theta(cfg: dict, y, design: Design, trend_mode: str) -> tuple[float, str]:
+def _estimator_theta(cfg: dict, y, design: Design, trend_mode: str,
+                     shared: dict) -> tuple[float, str]:
     if cfg.get("estimator.kernel.theta") != "loo":
         return get_float(cfg, "estimator.kernel.theta"), "fixed"
     # validates the family and nugget; the range itself comes from LOO
     kern = _kernel_from(cfg, "estimator.kernel", theta_override=1.0)
     mean_mode = "constant" if trend_mode == "constant" else "zero"
     theta = clamp_theta(theta_loo(y, design, kern.family, mean_mode=mean_mode,
-                                  nugget=kern.nugget))
+                                  nugget=kern.nugget, shared=shared))
     return theta, "loo-selected, clamped to [5, 50]"
 
 
@@ -234,9 +235,11 @@ def _estimate_payload(cfg: dict) -> dict:
         bundle = moments.mixture_bundle(kernels, nus, predictor.loo,
                                         predictor, design, measure)
     else:
-        theta, theta_rule = _estimator_theta(cfg, y, design, trend_mode)
+        shared = {}  # the record of K_e that theta_loo leaves
+        theta, theta_rule = _estimator_theta(cfg, y, design, trend_mode, shared)
         kern_e = _kernel_from(cfg, "estimator.kernel", theta_override=theta)
-        bundle = moments.build_bundle(predictor.loo, predictor, kern_e, design, measure)
+        bundle = moments.build_bundle(predictor.loo, predictor, kern_e, design, measure,
+                                      shared=shared)
     est_loo = estimators.ise_loo(eps)
     if trend_mode == "constant":
         est_blp = estimators.trend_corrected_ise(bundle, y, "blp", clamp)

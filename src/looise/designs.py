@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import numerics, rng
 from .errors import (
@@ -33,8 +32,10 @@ from .kernels import (
     correlation,
     distances,
     kernel_matrix,
+    kth_nearest,
     min_pairwise_distance,
 )
+from .numerics import DesignKernel
 
 SOBOL_MAX_DIM = 21
 SOBOL_BITS = 30
@@ -230,7 +231,7 @@ def greedy_packing(candidates, n: int, a: float = 0.0, seed: int = 0) -> Design:
 
 def nn_distance(eval_points, design: Design | np.ndarray, k: int = 1) -> float:
     """Covering statistic D_n[k]: the largest, over the evaluation set, of
-    the distances to the k-th nearest design point. Exact k-nearest query."""
+    the distances to the k-th nearest design point. Exact k-nearest search."""
     X = np.atleast_2d(np.asarray(eval_points, dtype=float))
     D = design.points if isinstance(design, Design) else np.atleast_2d(np.asarray(design, float))
     n = len(D)
@@ -238,8 +239,7 @@ def nn_distance(eval_points, design: Design | np.ndarray, k: int = 1) -> float:
         raise KTooLarge(f"k={k} exceeds design size {n}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    kth, _ = cKDTree(D).query(X, k=[k])
-    return float(kth.max())
+    return float(kth_nearest(X, D, k)[0].max())
 
 
 def packing_radius(design: Design | np.ndarray) -> float:
@@ -283,15 +283,15 @@ def theta_from_coverage(family: str, D: float, target: float) -> float:
 RCOND_FLOOR = 1e-12
 
 
-def _loo_criterion(K: np.ndarray, y: np.ndarray, mean_mode: str) -> float:
+def _loo_criterion(record: DesignKernel, y: np.ndarray, mean_mode: str) -> float:
     """Mean squared LOO residual of simple (zero mean) or ordinary
-    (constant mean) kriging with kernel matrix K.
+    (constant mean) kriging with the kernel matrix of `record`.
 
     The residuals are (M y)_i / M_ii (Dubrule 1983), with M = K^{-1} for a
     zero mean and M = K^{-1} - a a^T / s, a = K^{-1} 1, s = 1^T a, for a
     constant one, so only diag(K^{-1}) and one solve are formed.
     """
-    F = numerics.spd_factorize(K)
+    F = record.factor
     if numerics.rcond_estimate(F) < RCOND_FLOOR:
         return math.inf  # residuals from a numerically singular solve are garbage
     diag = numerics.inverse_diagonal(F)
@@ -311,18 +311,22 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def theta_loo(y, design: Design, family: str, mean_mode: str = "zero",
-              nugget: float = 0.0) -> float:
+              nugget: float = 0.0, shared: dict | None = None) -> float:
     """Range parameter minimizing the LOO criterion of the kriging predictor.
 
     The criterion is the mean squared LOO residual of the simple-kriging
     predictor (``mean_mode="zero"``) or of the ordinary-kriging
     predictor (``mean_mode="constant"``) for the given family, as a
-    function of theta; each evaluation factorizes K once and reads the
+    function of theta; each evaluation builds K from the design's
+    distances, computed once per call, factorizes it once and reads the
     residuals from diag(K^{-1}) and one solve, without forming K^{-1}
-    (see ``_loo_criterion``). Search: 60 log-spaced nodes on [1e-2, 1e3], then
+    (see ``_loo_criterion``). Search: 60 log-spaced nodes on [1e-2, 1e3],
+    evaluated on the threads of ``numerics.map_ordered``, then
     golden-section refinement of the bracketing interval to 1e-4
-    relative width. Deterministic. Raises DegenerateData when the
-    criterion is infinite at every grid node.
+    relative width. Deterministic. With a `shared` dict, as build_bundle
+    takes, the kernel's record at the returned range, factor included, is
+    left there when the refinement found that range.
+    Raises DegenerateData when the criterion is infinite at every grid node.
     """
     y = np.asarray(y, dtype=float)
     if design.n < 3:
@@ -331,16 +335,20 @@ def theta_loo(y, design: Design, family: str, mean_mode: str = "zero",
         raise ValueError("mean_mode must be 'zero' or 'constant'")
     if mean_mode == "constant" and np.ptp(y) == 0.0:
         raise DegenerateData("constant data: all ordinary-kriging LOO residuals are zero")
+    D = distances(design.points, design.points)
+
+    def fit(theta: float) -> tuple[float, DesignKernel | None]:
+        # ranges whose kernel matrix is numerically singular are off-limits
+        record = DesignKernel(kernel_matrix(KernelSpec(family, theta, nugget), design.points, D))
+        try:
+            return _loo_criterion(record, y, mean_mode), record
+        except NotPositiveDefinite:
+            return math.inf, None
 
     def objective(theta: float) -> float:
-        # ranges whose kernel matrix is numerically singular are off-limits
-        K = kernel_matrix(KernelSpec(family, theta, nugget), design.points)
-        try:
-            return _loo_criterion(K, y, mean_mode)
-        except NotPositiveDefinite:
-            return math.inf
+        return fit(theta)[0]
 
-    values = [objective(t) for t in THETA_LOO_GRID]
+    values = numerics.map_ordered(objective, THETA_LOO_GRID)
     if not np.isfinite(values).any():
         raise DegenerateData("the kernel matrix is numerically singular at every grid range")
     i = int(np.argmin(values))
@@ -364,8 +372,11 @@ def theta_loo(y, design: Design, family: str, mean_mode: str = "zero",
             fd = objective(math.exp(d_))
     best = math.exp(0.5 * (a_ + b_))
     # return the best point actually evaluated
-    cands = [(values[i], float(THETA_LOO_GRID[i])), (objective(best), best)]
-    return min(cands)[1]
+    value, record = fit(best)
+    theta = min((values[i], float(THETA_LOO_GRID[i])), (value, best))[1]
+    if shared is not None and theta == best and record is not None:
+        numerics.shared_record(shared, KernelSpec(family, theta, nugget), design, lambda: record)
+    return theta
 
 
 def clamp_theta(theta: float, lo: float = 5.0, hi: float = 50.0) -> float:

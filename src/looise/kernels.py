@@ -1,11 +1,15 @@
 """Geometry, isotropic correlation kernels and kernel matrices.
 
-Euclidean distances come from :func:`distances` (``cdist``), except in
-:func:`min_pairwise_distance` (``pdist``) and the nearest-point queries of
-:class:`PointIndex` and :func:`designs.nn_distance` (``cKDTree``). Two points
-coincide at distance ``COINCIDENCE_TOL`` or less (:func:`coincide`), and
-:class:`PointIndex` finds known points by that rule. A kernel is a
-:class:`KernelSpec` (family, range parameter theta, optional nugget).
+Euclidean distances come from :func:`distances`, which sums each pair's
+squared coordinate differences in coordinate order, so a distance matrix
+on one point set is exactly symmetric. Callers that form several kernels
+on the same points compute the distances once and pass them in
+(``dist``). The nearest-point searches (:func:`kth_nearest`,
+:func:`min_pairwise_distance`) hold a bounded block of distances at a
+time. Two points coincide at distance ``COINCIDENCE_TOL`` or less
+(:func:`coincide`), and :class:`PointIndex` finds known points by that
+rule. A kernel is a :class:`KernelSpec` (family, range parameter theta,
+optional nugget).
 The correlation between two points is ``psi_family(theta * ||x - x'||)``
 plus the nugget when the points coincide. The nugget models observation
 noise: it enters the design kernel matrix (diagonal) but never the
@@ -20,9 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist, pdist
 
+from . import rng
 from .errors import DimensionMismatch, DomainViolation, DuplicatePoints
 
 FAMILIES = ("matern12", "matern32", "matern52", "gaussian", "inverse-multiquadric")
@@ -33,16 +36,68 @@ _SQRT5 = math.sqrt(5.0)
 # Distance at or below which two points coincide.
 COINCIDENCE_TOL = 1e-14
 
+# Entries that distances() fills per step (its scratch) and that a nearest-point
+# search holds per block of queries; queries a PointIndex looks up per block.
+CHUNK_ENTRIES = 1 << 15
+SEARCH_ENTRIES = 1 << 18
+QUERY_BLOCK = 1024
+
 
 def distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Euclidean distance matrix between the rows of X (m, d) and Y (n, d)."""
-    return cdist(X, Y)
+    """Euclidean distance matrix between the rows of X (m, d) and Y (n, d).
+
+    Each entry is the square root of the squared coordinate differences
+    summed in coordinate order, one pair at a time in effect; rows are
+    filled in chunks, so the scratch memory is bounded whatever m.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if X.ndim != 2 or Y.ndim != 2 or X.shape[1] != Y.shape[1]:
+        raise DimensionMismatch(f"cannot pair points of shapes {X.shape} and {Y.shape}")
+    m, n = len(X), len(Y)
+    if X.shape[1] == 0:
+        return np.zeros((m, n))
+    XT, YT = np.ascontiguousarray(X.T), np.ascontiguousarray(Y.T)
+    D = np.empty((m, n))
+    step = max(1, CHUNK_ENTRIES // max(n, 1))
+    diff = np.empty((min(step, m), n))
+    for lo in range(0, m, step):
+        part, tmp = D[lo:lo + step], diff[:min(step, m - lo)]
+        np.subtract.outer(XT[0, lo:lo + step], YT[0], out=part)
+        part *= part
+        for k in range(1, len(XT)):
+            np.subtract.outer(XT[k, lo:lo + step], YT[k], out=tmp)
+            tmp *= tmp
+            part += tmp
+    return np.sqrt(D, out=D)
+
+
+def _search_blocks(m: int, n: int):
+    """Row slices of an (m, n) distance search, SEARCH_ENTRIES entries a block."""
+    step = max(1, SEARCH_ENTRIES // max(n, 1))
+    return [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
+
+
+def kth_nearest(X, Y, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of X, the distance to its k-th nearest row of Y and that row."""
+    X, Y = as_points(X), as_points(Y)
+    dist, rows = np.empty(len(X)), np.empty(len(X), dtype=np.intp)
+    for block in _search_blocks(len(X), len(Y)):
+        D = distances(X[block], Y)
+        rows[block] = np.argpartition(D, k - 1, axis=1)[:, k - 1]
+        dist[block] = D[np.arange(len(D)), rows[block]]
+    return dist, rows
 
 
 def min_pairwise_distance(points) -> float:
     """Smallest distance between two rows of `points`; inf for a single point."""
     X = np.atleast_2d(np.asarray(points, dtype=float))
-    return float(pdist(X).min()) if len(X) > 1 else math.inf
+    best = math.inf
+    for block in _search_blocks(len(X), len(X)):
+        D = distances(X[block], X)
+        D[np.arange(len(X)) <= np.arange(block.start, block.stop)[:, None]] = np.inf  # i < j only
+        best = min(best, float(D.min()))
+    return best
 
 
 def coincide(r):
@@ -50,36 +105,93 @@ def coincide(r):
     return r <= COINCIDENCE_TOL
 
 
+def _paired_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """||A_i - B_i|| row by row, summed in coordinate order as in distances()."""
+    s = np.zeros(len(A))
+    for k in range(A.shape[1]):
+        t = A[:, k] - B[:, k]
+        s += t * t
+    return np.sqrt(s)
+
+
 class PointIndex:
-    """Known points, looked up under the one coincidence rule."""
+    """Known points, looked up under the one coincidence rule.
+
+    The points are sorted by their projection onto a fixed direction v of
+    positive components. Two points that coincide project at most
+    |v| COINCIDENCE_TOL apart, give or take rounding, so a query is
+    compared only with the points whose projection lies within a window
+    of twice that plus a rounding bound: memory stays O(n).
+    """
 
     def __init__(self, points):
         self.points = as_points(points)
-        self._tree = cKDTree(self.points)
+        d = self.points.shape[1]
+        self._v = rng.stream(0x5EED, d).uniform(1.0, 2.0, size=d)
+        proj = self.points @ self._v
+        self._order = np.argsort(proj, kind="stable")
+        self._proj = proj[self._order]
+        self._scale = float(np.abs(self.points).max(initial=0.0)) * float(self._v.sum())
 
-    def nearest(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """For each row of X, the distance to its nearest known point and that point's row."""
+    def _check(self, X) -> np.ndarray:
         X = as_points(X)
         if X.shape[1] != self.points.shape[1]:
             raise DimensionMismatch(f"expected points of dimension {self.points.shape[1]}")
-        return self._tree.query(X)
+        return X
+
+    def _coinciding(self, X: np.ndarray):
+        """(query row, known row, distance) of every pair of a row of X and a
+        known point that coincide."""
+        scale = max(self._scale, float(np.abs(X).max(initial=0.0)) * float(self._v.sum()))
+        # the window: |v| COINCIDENCE_TOL, doubled, plus a bound on the rounding of both projections
+        half = 2.0 * COINCIDENCE_TOL * float(np.linalg.norm(self._v)) \
+            + 4.0 * (X.shape[1] + 1) * np.finfo(float).eps * scale
+        found = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
+        for first in range(0, len(X), QUERY_BLOCK):
+            proj = X[first:first + QUERY_BLOCK] @ self._v
+            lo = np.searchsorted(self._proj, proj - half, "left")
+            counts = np.searchsorted(self._proj, proj + half, "right") - lo
+            q = np.repeat(np.arange(first, first + len(proj)), counts)
+            start = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+            rows = self._order[start + np.arange(len(q))]
+            dist = _paired_distances(X[q], self.points[rows])
+            keep = coincide(dist)
+            found.append((q[keep], rows[keep], dist[keep]))
+        return tuple(np.concatenate(parts) for parts in zip(*found))
+
+    def lookup(self, X) -> np.ndarray:
+        """For each row of X, the row of the nearest known point it coincides
+        with (the lowest on ties), or -1 where it coincides with none."""
+        X = self._check(X)
+        q, rows, dist = self._coinciding(X)
+        order = np.lexsort((rows, dist, q))
+        first = order[np.unique(q[order], return_index=True)[1]]
+        out = np.full(len(X), -1, dtype=np.intp)
+        out[q[first]] = rows[first]
+        return out
+
+    def nearest(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """For each row of X, the distance to its nearest known point and that point's row."""
+        return kth_nearest(self._check(X), self.points)
 
     def rows(self, X) -> np.ndarray:
         """Rows of the known points that the rows of X coincide with; a row that
         coincides with none raises DomainViolation naming the nearest distance."""
-        dist, rows = self.nearest(X)
-        if not coincide(dist).all():
-            i = int(np.argmin(coincide(dist)))
-            raise DomainViolation(f"point {as_points(X)[i].tolist()} is {dist[i]:.3g} from the "
+        X = self._check(X)
+        rows = self.lookup(X)
+        if (rows < 0).any():
+            i = int(np.argmax(rows < 0))
+            dist = float(self.nearest(X[i:i + 1])[0][0])
+            raise DomainViolation(f"point {X[i].tolist()} is {dist:.3g} from the "
                                   f"nearest known point (coincidence: <= {COINCIDENCE_TOL:g})")
         return rows
 
     def first_of_each(self) -> np.ndarray:
         """Mask of the known points that coincide with no earlier kept one."""
         keep = np.ones(len(self.points), dtype=bool)
-        pairs = self._tree.query_pairs(COINCIDENCE_TOL, output_type="ndarray")
-        for i, j in sorted(pairs.tolist()):  # i < j
-            keep[j] &= not keep[i]
+        i, j, _ = self._coinciding(self.points)
+        for a, b in sorted(zip(i[i < j].tolist(), j[i < j].tolist())):
+            keep[b] &= not keep[a]
         return keep
 
 
@@ -147,8 +259,10 @@ def as_points(X) -> np.ndarray:
     return X
 
 
-def kernel_matrix(spec: KernelSpec, X) -> np.ndarray:
+def kernel_matrix(spec: KernelSpec, X, dist=None) -> np.ndarray:
     """Symmetric kernel matrix on the design X; diagonal equals 1 + nugget.
+    `dist`, the distances(X, X) of a caller that builds several kernels on X,
+    is only read.
 
     Raises
     ------
@@ -157,7 +271,7 @@ def kernel_matrix(spec: KernelSpec, X) -> np.ndarray:
         be singular).
     """
     X = as_points(X)
-    D = distances(X, X)
+    D = distances(X, X) if dist is None else dist
     same = coincide(D)
     if spec.nugget == 0.0 and np.count_nonzero(same) > len(X):
         i, j = np.argwhere(np.triu(same, 1))[0]
@@ -168,8 +282,10 @@ def kernel_matrix(spec: KernelSpec, X) -> np.ndarray:
     return 0.5 * (K + K.T)
 
 
-def cross_matrix(spec: KernelSpec, X, Xnew) -> np.ndarray:
+def cross_matrix(spec: KernelSpec, X, Xnew, dist=None) -> np.ndarray:
     """(m, n) matrix of correlations between new points (rows) and the design.
+    `dist`, the distances(Xnew, X) of a caller that forms several kernels'
+    cross matrices on the same points, is only read.
 
     The nugget is never added here, even at exact coincidence: the target
     is a new realization of the noise-free process.
@@ -180,6 +296,9 @@ def cross_matrix(spec: KernelSpec, X, Xnew) -> np.ndarray:
         raise DimensionMismatch(
             f"design dimension {X.shape[1]} != point dimension {Xnew.shape[1]}"
         )
-    S = distances(Xnew, X)
-    S *= spec.theta
+    if dist is None:
+        S = distances(Xnew, X)
+        S *= spec.theta
+    else:
+        S = np.multiply(dist, spec.theta)
     return correlation(spec.family, S, out=S)

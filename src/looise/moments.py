@@ -17,9 +17,10 @@ and h = S^{-1} u for the clamped estimates. :func:`support_pass` is the one
 walk over the support blocks. It serves a batch of bundles (b, J and the
 clamped blp/blup integrals of given residuals) and of squared-error sums
 int (f - W y)^2 dmu at once: per block, each distinct weight source draws
-its rows once, and a dict that the caller keeps lets bundles and walks
-that share a kernel and a design build its record and its
-cross-correlation blocks once. The record is a :class:`numerics.DesignKernel`,
+its rows once, the block's distances to a design are computed once for
+every kernel's cross-correlations, and a dict that the caller keeps lets
+bundles and walks that share a design build the distances, each kernel's
+record and its cross-correlation blocks once. The record is a :class:`numerics.DesignKernel`,
 the one record type the kriging predictors hold too. Every bundle keeps
 the arithmetic of a walk of its own. A bundle asked for b or J first makes
 a one-job walk, under its lock.
@@ -52,7 +53,7 @@ from .errors import (
     NotPositiveDefinite,
     WeightSimplexViolation,
 )
-from .kernels import KernelSpec, PointIndex, cross_matrix, kernel_matrix
+from .kernels import KernelSpec, PointIndex, cross_matrix, distances, kernel_matrix
 from .numerics import DesignKernel
 
 BLOCK = 1024  # support rows per block of the single integrals
@@ -72,8 +73,10 @@ class WeightSource:
         self._measure = measure
         self._array = None
         self._fn = None
+        self.design = None  # the predictor's design; None for an array
         if hasattr(source, "weights_matrix"):
             self._fn = source.weights_matrix
+            self.design = source.design
         else:
             arr = np.asarray(source, dtype=float)
             if arr.shape != (measure.size, n):
@@ -82,10 +85,12 @@ class WeightSource:
                 )
             self._array = arr
 
-    def block(self, lo: int, hi: int) -> np.ndarray:
+    def block(self, lo: int, hi: int, dist=None) -> np.ndarray:
+        """The weight rows of support rows lo:hi; `dist`, their distances to the
+        predictor's design when the caller has them, is only read."""
         if self._array is not None:
             return self._array[lo:hi]
-        return np.asarray(self._fn(self._measure.points[lo:hi]), dtype=float)
+        return np.asarray(self._fn(self._measure.points[lo:hi], dist), dtype=float)
 
     def at(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -235,12 +240,12 @@ class _BundleIntegrals:
             g = bundle.solve_S(eps_sq)
         self.clamped[key] = [g, float(bundle.u @ g), 0.0, 0.0]
 
-    def terms(self, rows, X, mu, W, cross) -> tuple:
+    def terms(self, rows, X, mu, W, geometry) -> tuple:
         """One block's terms, changing nothing: (defect, mu^T c, mu . rho^2) or
         None when b and J are known, and (blp+, blup+) per residual vector from
         one projection of c onto the columns [g_1 ... g_r, h]."""
         bundle = self.bundle
-        parts, rho = _rho_gg(bundle.components, X, W, bundle.design, bundle.R, cross)
+        parts, rho = _rho_gg(bundle.components, X, W, bundle.design, bundle.R, geometry)
         known = None if not self.fill else (
             _sum_to_one_defect(mu, W),
             sum(nu * ((mu @ rho_k) * u + 2.0 * (mu @ GG)) for nu, u, rho_k, GG in parts),
@@ -284,7 +289,7 @@ class _SquaredError:
         self.y = np.asarray(y, dtype=float)
         self.total = 0.0
 
-    def terms(self, rows, X, mu, W, cross) -> float:
+    def terms(self, rows, X, mu, W, geometry) -> float:
         diff = self.fvals[rows] - W @ self.y
         return float(mu @ (diff * diff))
 
@@ -303,12 +308,15 @@ def support_pass(jobs, ise_jobs=(), shared: dict | None = None) -> list[float]:
     (f - W y)^2 against the measure and returns these sums in order.
 
     Per block, each distinct weight source (by identity) draws its rows once
-    and holds them only while its own jobs compute their terms. `shared`, a
-    dict the caller keeps (as for build_bundle), shares the cross-correlations
-    of the support with a design: each (kernel, design) block is built once
-    and kept there for the other jobs of this walk and for later walks over
-    the same measure. It holds N x n values per kernel and design; without it
-    each job builds its own. Every job does the arithmetic of a walk of its
+    and holds them only while its own jobs compute their terms. A block's
+    distances to a design are computed once, and every kernel's
+    cross-correlations (the predictors' and the assumed kernels') are formed
+    from them. `shared`, a dict the caller keeps (as for build_bundle), keeps
+    both the distances and each (kernel, design) block of cross-correlations
+    for the other jobs of this walk and for later walks over the same
+    measure; it holds N x n values per design and per kernel and design.
+    Without it the distances live for their block and each job forms its
+    own cross-correlations. Every job does the arithmetic of a walk of its
     own, in the same order, so batching changes no bit of any result. All
     jobs must share one measure.
     """
@@ -362,12 +370,12 @@ def _walk(accumulators, shared: dict | None) -> None:
 
     def block_terms(block) -> list:
         rows, X, mu, _ = block
-        lookup = None if shared is None else functools.partial(
-            _shared_cross, shared, measure, rows.start, X)
+        geometry = _Geometry(X, shared, measure, rows.start)
         terms = []
         for ws, group in zip(sources, groups.values()):
-            W = ws.block(rows.start, rows.stop)
-            terms += [acc.terms(rows, X, mu, W, lookup) for acc in group]
+            dist = None if ws.design is None else geometry.distances(ws.design)
+            W = ws.block(rows.start, rows.stop, dist)
+            terms += [acc.terms(rows, X, mu, W, geometry) for acc in group]
         return terms
 
     ordered = [acc for group in groups.values() for acc in group]
@@ -376,22 +384,41 @@ def _walk(accumulators, shared: dict | None) -> None:
             acc.add(term)
 
 
-def _shared_cross(shared: dict, measure, lo: int, X, kernel, design) -> np.ndarray:
-    """The cross-correlations of the support block at row `lo` with the design,
-    built once per `shared` dict (each block has its own key, so no two workers
-    build one entry)."""
-    key = (kernel, id(design), id(measure), lo)
-    if key not in shared:  # design and measure ride along, so that their ids stay unique
-        shared[key] = (design, measure, cross_matrix(kernel, design.points, X))
-    return shared[key][2]
+class _Geometry:
+    """A block of points' distances to each design, computed once, and each
+    (kernel, design) block of cross-correlations, formed from them. Given the
+    walk's `shared` dict, both are kept there under the block's measure and
+    first row (each block has its own keys, so no two workers build one
+    entry); otherwise the distances live with this block and every request
+    forms its cross-correlations anew."""
+
+    def __init__(self, X: np.ndarray, shared: dict | None = None, measure=None, lo: int = 0):
+        self.X = X
+        self._shared = shared
+        self._cache = {} if shared is None else shared
+        self._measure, self._lo = measure, lo
+
+    def distances(self, design: Design) -> np.ndarray:
+        key = ("distances", id(design), id(self._measure), self._lo)
+        if key not in self._cache:  # design and measure ride along, so that their ids stay unique
+            self._cache[key] = (design, self._measure, distances(self.X, design.points))
+        return self._cache[key][2]
+
+    def cross(self, kernel: KernelSpec, design: Design) -> np.ndarray:
+        """The block's cross-correlations with the design; only read."""
+        if self._shared is None:
+            return cross_matrix(kernel, design.points, self.X, self.distances(design))
+        key = (kernel, id(design), id(self._measure), self._lo)
+        if key not in self._shared:
+            self._shared[key] = (design, self._measure, cross_matrix(
+                kernel, design.points, self.X, self.distances(design)))
+        return self._shared[key][2]
 
 
 def _record(kernel: KernelSpec, design: Design, shared: dict) -> DesignKernel:
     """The kernel's record on the design, built once per `shared` dict."""
-    key = (kernel, id(design))
-    if key not in shared:  # the design rides along, so that its id stays unique
-        shared[key] = (design, DesignKernel(kernel_matrix(kernel, design.points)))
-    return shared[key][1]
+    return numerics.shared_record(
+        shared, kernel, design, lambda: DesignKernel(kernel_matrix(kernel, design.points)))
 
 
 def _sources(R, weights, measure: IntegrationMeasure):
@@ -405,23 +432,23 @@ def _sources(R, weights, measure: IntegrationMeasure):
 
 
 def _rho_gg(components, X: np.ndarray, W: np.ndarray, design: Design, R: np.ndarray,
-            cross=None) -> tuple[list, np.ndarray]:
+            geometry: _Geometry | None = None) -> tuple[list, np.ndarray]:
     """Per component on one block of points, (nu, u, rho^2(x), G(x) o G(x));
     and the mixture rho^2(x).
 
     The component's c(x) = rho^2(x) u + 2 G(x)^{o2}, with G = (R^T t(x))^T
     and t(x) = k(x) - K w(x), so c(x)^T v = rho^2(x) u^T v + 2 G^{o2} v for
-    any v. `cross(kernel, design)` supplies the cross-correlations of X with
-    the design when a walk shares them; they are only read.
+    any v. The cross-correlations of X with the design come from the walk's
+    `geometry` of the block when it has one, and are only read.
     """
+    geometry = geometry or _Geometry(X)
     parts, rho_mix = [], 0.0
     for comp in components:
         if comp.kernel is None:
             rho = 1.0 + _row_dots(W, W)
             G = W @ R
         else:
-            C = (cross_matrix(comp.kernel, design.points, X) if cross is None
-                 else cross(comp.kernel, design))
+            C = geometry.cross(comp.kernel, design)
             T = W @ comp.record.K
             rho = (1.0 + comp.kernel.nugget) - 2.0 * _row_dots(W, C) + _row_dots(T, W)
             G = np.subtract(C, T, out=T) @ R

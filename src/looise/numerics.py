@@ -1,10 +1,15 @@
 """Dense symmetric-positive-definite linear algebra shared by all modules.
 
-Everything here wraps LAPACK (through scipy) behind a small, strict
+Everything here wraps four LAPACK routines (Cholesky factor and solve,
+triangular inverse and condition estimate) behind a small, strict
 interface: factorizations are immutable, inputs are validated, and
 near-singular matrices fail loudly after a bounded jitter escalation
 instead of silently regularizing. A :class:`DesignKernel` is the one
 record of a kernel matrix on a design, for predictors and bundles alike.
+The routines are those scipy.linalg calls, in the OpenBLAS that the scipy
+wheel bundles, reached through their LAPACKE entry points by ctypes
+(``LAPACK``), so each call gives scipy's bits and releases the GIL; a scipy
+without that library gets them from ``scipy.linalg.lapack`` instead.
 
 Importing this module pins the OpenBLAS thread pools bundled with numpy
 and scipy to one thread each (:func:`pin_blas_threads`), for the whole
@@ -30,7 +35,7 @@ import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy  # noqa: F401  (locates scipy.libs, whose OpenBLAS supplies LAPACK)
 
 from .errors import Asymmetric, DimensionMismatch, NotPositiveDefinite, SingularBorder
 
@@ -84,7 +89,7 @@ def _pin_pool(package: str, pattern: str, suffix: str) -> BlasPool:
     if path is None:
         return BlasPool(package, None, None, f"no bundled OpenBLAS in {package}")
     try:
-        lib = ctypes.CDLL(path)  # already loaded by the package: same handle
+        lib = ctypes.CDLL(path)  # the package's handle when it loaded the library first
         get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
         put = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
     except (OSError, AttributeError) as exc:
@@ -109,6 +114,103 @@ def pin_blas_threads() -> BlasPin:
 
 
 BLAS_PIN = pin_blas_threads()
+
+_COL_MAJOR = 102  # LAPACKE's matrix_layout for Fortran (column-major) storage
+
+
+class Lapacke:
+    """The LAPACK routines looise calls, through the LAPACKE entry points of a
+    bundled OpenBLAS, called as scipy.linalg.lapack's wrappers call them:
+    lower triangle, non-unit diagonal, inputs copied to Fortran order, and
+    each returns (result, info)."""
+
+    def __init__(self, path: str):
+        lib = ctypes.CDLL(path)  # the handle the pin opened
+        i, c, p, d = ctypes.c_int, ctypes.c_char, ctypes.c_void_p, ctypes.c_double
+        self.source = path
+        self._potrf = _entry(lib, "dpotrf", i, c, i, p, i)
+        self._laset = _entry(lib, "dlaset", i, c, i, i, d, d, p, i)
+        self._potrs = _entry(lib, "dpotrs", i, c, i, i, p, i, p, i)
+        self._trtri = _entry(lib, "dtrtri", i, c, c, i, p, i)
+        self._trcon = _entry(lib, "dtrcon", i, c, c, c, i, p, i, p)
+        lib.scipy_LAPACKE_set_nancheck(0)  # scipy's wrappers do not scan for NaN either
+
+    def potrf(self, A):
+        L = np.array(A, dtype=float, order="F")
+        n = len(L)
+        info = self._potrf(_COL_MAJOR, b"L", n, L.ctypes.data, max(n, 1))
+        if n > 1:  # zero the strict upper triangle, columns 1..n-1, as scipy's clean=1 does
+            self._laset(_COL_MAJOR, b"U", n - 1, n - 1, 0.0, 0.0, L.ctypes.data + 8 * n, n)
+        return L, info
+
+    def potrs(self, L, B):
+        L = np.asfortranarray(L)
+        X = np.array(B, dtype=float, order="F")
+        n = len(L)
+        info = self._potrs(_COL_MAJOR, b"L", n, 1 if X.ndim == 1 else X.shape[1],
+                           L.ctypes.data, max(n, 1), X.ctypes.data, max(n, 1))
+        return X, info
+
+    def trtri(self, L):
+        inv = np.array(L, dtype=float, order="F")
+        n = len(inv)
+        return inv, self._trtri(_COL_MAJOR, b"L", b"N", n, inv.ctypes.data, max(n, 1))
+
+    def trcon(self, L):
+        L = np.asfortranarray(L)
+        rcond = ctypes.c_double()
+        n = len(L)
+        info = self._trcon(_COL_MAJOR, b"1", b"L", b"N", n, L.ctypes.data, max(n, 1),
+                           ctypes.byref(rcond))
+        return rcond.value, info
+
+
+class ScipyLapack:
+    """The same routines from scipy.linalg.lapack, imported on first use only:
+    scipy.linalg costs about half of the process's start-up and memory."""
+
+    source = "scipy.linalg.lapack"
+
+    @functools.cached_property
+    def _lapack(self):
+        import scipy.linalg.lapack
+
+        return scipy.linalg.lapack
+
+    def potrf(self, A):
+        return self._lapack.dpotrf(A, lower=1)
+
+    def potrs(self, L, B):
+        return self._lapack.dpotrs(L, B, lower=1)
+
+    def trtri(self, L):
+        return self._lapack.dtrtri(L, lower=1)
+
+    def trcon(self, L):
+        return self._lapack.dtrcon(L, uplo=b"L")
+
+
+def _entry(lib, name: str, *argtypes):
+    fn = getattr(lib, "scipy_LAPACKE_" + name)
+    fn.argtypes, fn.restype = argtypes, ctypes.c_int
+    return fn
+
+
+def load_lapack() -> Lapacke | ScipyLapack:
+    """LAPACKE from the OpenBLAS bundled with scipy, the library scipy.linalg
+    calls and the pin has set to one thread; scipy.linalg.lapack when the
+    wheel bundles none (an MKL or Accelerate scipy) or it lacks the entries."""
+    package, pattern, _ = BUNDLED_OPENBLAS[1]
+    path = _find_openblas(package, pattern)
+    if path is not None:
+        try:
+            return Lapacke(path)
+        except (OSError, AttributeError):
+            pass
+    return ScipyLapack()
+
+
+LAPACK = load_lapack()
 
 # glibc's malloc takes a block below its mmap threshold from the heap, and returns
 # the heap's free top to the kernel above its trim threshold (twice the first).
@@ -187,8 +289,10 @@ class SpdFactorization:
 def spd_factorize(A: np.ndarray) -> SpdFactorization:
     """Cholesky-factorize a symmetric positive-definite matrix.
 
-    The input is symmetrized by (A + A.T)/2 before factorization; matrices
-    asymmetric beyond ``SYMMETRY_RTOL`` (relative to ||A||_F) are rejected.
+    An input that is not exactly symmetric is symmetrized by (A + A.T)/2
+    before factorization, and rejected when asymmetric beyond
+    ``SYMMETRY_RTOL`` (relative to ||A||_F); an exactly symmetric one, such
+    as a kernel matrix, skips both steps, whose result it already is.
     If plain Cholesky fails, a jitter of {1e-12, 1e-10, 1e-8} * mean(diag(A))
     is added to the diagonal, in that order, and the applied amount is
     recorded on the result.
@@ -203,22 +307,18 @@ def spd_factorize(A: np.ndarray) -> SpdFactorization:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
-    scale = np.linalg.norm(A)
-    asym = np.linalg.norm(A - A.T)
-    if scale > 0 and asym > SYMMETRY_RTOL * scale:
-        raise Asymmetric(f"relative asymmetry {asym / scale:.3e} exceeds {SYMMETRY_RTOL:.0e}")
-    A = 0.5 * (A + A.T)
+    if not np.array_equal(A, A.T):
+        scale = np.linalg.norm(A)
+        asym = np.linalg.norm(A - A.T)
+        if scale > 0 and asym > SYMMETRY_RTOL * scale:
+            raise Asymmetric(f"relative asymmetry {asym / scale:.3e} exceeds {SYMMETRY_RTOL:.0e}")
+        A = 0.5 * (A + A.T)
 
     mean_diag = float(np.mean(np.diag(A))) if A.size else 0.0
     for level in JITTER_LADDER:
         jitter = level * abs(mean_diag)
-        try:
-            L = scipy.linalg.cholesky(
-                A + jitter * np.eye(A.shape[0]) if jitter else A,
-                lower=True,
-                check_finite=False,
-            )
-        except scipy.linalg.LinAlgError:
+        L, info = LAPACK.potrf(A + jitter * np.eye(A.shape[0]) if jitter else A)
+        if info != 0:
             continue
         # a jittered success whose smallest pivot is explained by the jitter
         # itself means the input is genuinely singular, not rounding-indefinite
@@ -235,7 +335,10 @@ def solve(F: SpdFactorization, B: np.ndarray) -> np.ndarray:
     B = np.asarray(B, dtype=float)
     if B.shape[0] != F.n:
         raise DimensionMismatch(f"rhs has leading dimension {B.shape[0]}, expected {F.n}")
-    return scipy.linalg.cho_solve((F.lower, True), B, check_finite=False)
+    X, info = LAPACK.potrs(F.lower, B)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
+    return X
 
 
 def inverse(F: SpdFactorization) -> np.ndarray:
@@ -253,7 +356,7 @@ def inverse_diagonal(F: SpdFactorization) -> np.ndarray:
     squares of column j of L^{-1}; L^{-1} comes from LAPACK's triangular
     inverse (dtrtri), about a sixth of the flops of the full inverse.
     """
-    Linv, info = scipy.linalg.lapack.dtrtri(F.lower, lower=1)
+    Linv, info = LAPACK.trtri(F.lower)
     if info != 0:
         raise NotPositiveDefinite("the Cholesky factor is singular")
     return np.einsum("ij,ij->j", Linv, Linv)
@@ -262,7 +365,7 @@ def inverse_diagonal(F: SpdFactorization) -> np.ndarray:
 def rcond_estimate(F: SpdFactorization) -> float:
     """Cheap reciprocal-condition estimate of the factorized matrix
     (squared 1-norm estimate of the triangular factor)."""
-    rc, info = scipy.linalg.lapack.dtrcon(F.lower, uplo=b"L")
+    rc, info = LAPACK.trcon(F.lower)
     if info != 0:
         return 0.0
     return float(rc) ** 2
@@ -299,9 +402,19 @@ def bordered_inverse(record: DesignKernel) -> np.ndarray:
 class DesignKernel:
     """K, a kernel's matrix on one design, and, each built on first use, its
     Cholesky factor, its inverse (read-only) and the constant-mean BLUE pieces
-    (a, s) = (K^{-1} 1, 1^T a). Kriging predictors hold theirs as `.record`."""
+    (a, s) = (K^{-1} 1, 1^T a). Kriging predictors hold theirs as `.record`,
+    made by :meth:`factorized`, which keeps no K."""
 
-    K: np.ndarray
+    K: np.ndarray | None
+
+    @classmethod
+    def factorized(cls, K: np.ndarray) -> DesignKernel:
+        """The record of K, factorized now, so that a singular K raises here,
+        and holding no K: for holders that read only what the factor gives."""
+        record = cls(K)
+        record.factor
+        record.K = None
+        return record
 
     @functools.cached_property
     def factor(self) -> SpdFactorization:
@@ -313,5 +426,16 @@ class DesignKernel:
 
     @functools.cached_property
     def trend(self) -> tuple[np.ndarray, float]:
-        a = solve(self.factor, np.ones(len(self.K)))
-        return a, float(np.ones(len(self.K)) @ a)
+        ones = np.ones(self.factor.n)
+        a = solve(self.factor, ones)
+        return a, float(ones @ a)
+
+
+def shared_record(shared: dict, kernel, design, build) -> DesignKernel:
+    """The record of `kernel` on `design` kept in `shared`, the dict in which a
+    caller keeps the state its walks on one design share: build() makes it on
+    first request."""
+    key = (kernel, id(design))
+    if key not in shared:  # the design rides along, so that its id stays unique
+        shared[key] = (design, build())
+    return shared[key][1]

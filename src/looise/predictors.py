@@ -20,7 +20,7 @@ import numpy as np
 from . import numerics
 from .designs import Design
 from .errors import DimensionMismatch, LooiseError, RankDeficient, WeightSimplexViolation
-from .kernels import KernelSpec, PointIndex, as_points, coincide, cross_matrix, kernel_matrix
+from .kernels import KernelSpec, PointIndex, as_points, cross_matrix, kernel_matrix
 
 RANK_DEFICIENT_COND = 1e12
 
@@ -42,8 +42,10 @@ class LinearPredictor:
     def n(self) -> int:
         return self.design.n
 
-    def weights_matrix(self, X) -> np.ndarray:
-        """(m, n) weight matrix, one row per evaluation point."""
+    def weights_matrix(self, X, dist=None) -> np.ndarray:
+        """(m, n) weight matrix, one row per evaluation point. `dist`, the
+        distances of X to the design when the caller has them, is only read;
+        predictors whose weights do not depend on distances ignore it."""
         raise NotImplementedError
 
     def weights(self, x) -> np.ndarray:
@@ -100,15 +102,15 @@ class SimpleKriging(LinearPredictor):
     def __init__(self, kernel: KernelSpec, design: Design):
         self.kernel = kernel
         self.design = design
-        self.record = numerics.DesignKernel(kernel_matrix(kernel, design.points))
-        self.record.factor  # factorized now: a singular K_n fails at construction
+        # factorized now, so a singular K_n fails at construction; K_n itself is not kept
+        self.record = numerics.DesignKernel.factorized(kernel_matrix(kernel, design.points))
 
-    def _cross(self, X) -> np.ndarray:
+    def _cross(self, X, dist=None) -> np.ndarray:
         """C, the (m, n) correlations of the points X with the design."""
-        return cross_matrix(self.kernel, self.design.points, as_points(X))
+        return cross_matrix(self.kernel, self.design.points, as_points(X), dist)
 
-    def weights_matrix(self, X) -> np.ndarray:
-        return self._cross(X) @ self.record.inverse
+    def weights_matrix(self, X, dist=None) -> np.ndarray:
+        return self._cross(X, dist) @ self.record.inverse
 
     def _loo_matrix(self) -> np.ndarray:
         M = self.record.inverse
@@ -122,8 +124,8 @@ class OrdinaryKriging(SimpleKriging):
     """Kriging with unknown constant mean; weights constrained to sum to one:
     C K_n^{-1} + ((1 - C a) / s) a^T with (a, s) = record.trend = (K_n^{-1} 1, 1^T a)."""
 
-    def weights_matrix(self, X) -> np.ndarray:
-        C = self._cross(X)
+    def weights_matrix(self, X, dist=None) -> np.ndarray:
+        C = self._cross(X, dist)
         a, s = self.record.trend
         mult = (1.0 - C @ a) / s
         return C @ self.record.inverse + mult[:, None] * a[None, :]
@@ -220,10 +222,9 @@ class BayesPolynomial(SimpleKriging):
         self.design = design
         self._phi = tensor_basis(design.points, self.indices)
         K = (self._phi * self.prior_diag) @ self._phi.T + self.noise_var * np.eye(design.n)
-        self.record = numerics.DesignKernel(K)
-        self.record.factor  # factorized now: a singular K_n fails at construction
+        self.record = numerics.DesignKernel.factorized(K)
 
-    def _cross(self, X) -> np.ndarray:
+    def _cross(self, X, dist=None) -> np.ndarray:
         return (tensor_basis(as_points(X), self.indices) * self.prior_diag) @ self._phi.T
 
     def drop_point(self, i: int) -> "BayesPolynomial":
@@ -237,7 +238,7 @@ class EmpiricalMean(LinearPredictor):
     def __init__(self, design: Design):
         self.design = design
 
-    def weights_matrix(self, X) -> np.ndarray:
+    def weights_matrix(self, X, dist=None) -> np.ndarray:
         X = as_points(X)
         return np.full((X.shape[0], self.n), 1.0 / self.n)
 
@@ -262,11 +263,12 @@ class FixedMixture(LinearPredictor):
         self.design = self.components[0].design
         index = PointIndex(self.design.points)
         for c in self.components[1:]:
-            dist, rows = index.nearest(c.design.points)
-            if c.n != self.n or not (coincide(dist) & (rows == np.arange(c.n))).all():
+            if c.n != self.n or not (index.lookup(c.design.points) == np.arange(c.n)).all():
                 raise DimensionMismatch("mixture components must share the design")
 
-    def weights_matrix(self, X) -> np.ndarray:
+    def weights_matrix(self, X, dist=None) -> np.ndarray:
+        # the components share the design only up to coincidence, so each
+        # computes its own distances
         out = self.nu[0] * self.components[0].weights_matrix(X)
         for nu_t, comp in zip(self.nu[1:], self.components[1:]):
             out += nu_t * comp.weights_matrix(X)
@@ -304,7 +306,7 @@ class TableWeights(LinearPredictor):
             if self._loo_given.shape != (design.n, design.n):
                 raise DimensionMismatch("LOO matrix must be n x n")
 
-    def weights_matrix(self, X) -> np.ndarray:
+    def weights_matrix(self, X, dist=None) -> np.ndarray:
         return self.table[self._index.rows(X)]
 
     def _loo_matrix(self) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 from . import numerics, rng
 from .designs import IntegrationMeasure, sobol_points
 from .errors import DomainViolation
-from .kernels import KernelSpec, PointIndex, coincide, cross_matrix, kernel_matrix
+from .kernels import KernelSpec, PointIndex, cross_matrix, kernel_matrix
 from .moments import WeightSource, support_pass
 
 
@@ -59,7 +59,7 @@ class GpSampleFunction:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         new = X
         if self._index is not None:
-            new = X[~coincide(self._index.nearest(X)[0])]
+            new = X[self._index.lookup(X) < 0]
         if len(new):
             fresh = PointIndex(np.unique(new, axis=0))
             self._extend(fresh.points[fresh.first_of_each()])

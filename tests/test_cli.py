@@ -94,6 +94,21 @@ def test_a_package_without_bundled_openblas_is_left_unpinned(tmp_path, capsys, m
     assert blas["overridden"] == {}  # nothing was pinned, so nothing was overridden
 
 
+def test_lapack_from_scipy_linalg_gives_the_same_estimate_bytes(tmp_path, capsys, monkeypatch):
+    # a scipy without the bundled OpenBLAS: the four routines come from scipy.linalg
+    gen = np.random.default_rng(5)
+    ycsv = write(tmp_path, "y.csv", "y\n" + "".join(f"{v:.17g}\n" for v in gen.standard_normal(10)))
+    cfg = write(tmp_path, "run.cfg", BASE_CONFIG + f"data.file = {ycsv}\ntrend.mode = constant\n")
+    argv = ["estimate", "--config", cfg, "--estimator.kernel.theta=loo"]
+    assert main(argv) == 0
+    direct = capsys.readouterr().out
+    monkeypatch.setattr(numerics, "_find_openblas", lambda package, pattern: None)
+    monkeypatch.setattr(numerics, "LAPACK", numerics.load_lapack())
+    assert isinstance(numerics.LAPACK, numerics.ScipyLapack)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == direct
+
+
 def test_estimate_exit_code_config_error(tmp_path, capsys):
     cfg = write(tmp_path, "bad.cfg", "design.generator = grid\n")
     assert main(["estimate", "--config", cfg]) == 2

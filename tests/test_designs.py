@@ -20,6 +20,8 @@ from looise.designs import (
     nn_distance,
     packing_radius,
     regular_grid,
+    sobol_design,
+    sobol_measure,
     sobol_points,
     theta_from_coverage,
     theta_loo,
@@ -132,7 +134,8 @@ def test_sobol_direction_integers_match_scipy_qmc():
 def test_import_leaves_scipy_stats_and_optimize_unloaded():
     # a fresh interpreter: this one may hold them already
     probe = ("import sys, looise.cli, looise.reproduce, looise.selftest; "
-             "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
+             "print(sorted(m for m in ('scipy.linalg', 'scipy.spatial', 'scipy.sparse', "
+             "'scipy.stats', 'scipy.optimize') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], env=subprocess_env(),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
@@ -301,13 +304,14 @@ def test_theta_loo_minimizer_property():
     from looise.designs import THETA_LOO_GRID, _loo_criterion
     from looise.errors import NotPositiveDefinite
     from looise.kernels import kernel_matrix
+    from looise.numerics import DesignKernel
 
     theta_hat = theta_loo(y, design, "matern52", mean_mode="zero")
 
     def objective(t):
         try:
-            return _loo_criterion(
-                kernel_matrix(KernelSpec("matern52", t), design.points), y, "zero")
+            return _loo_criterion(DesignKernel(
+                kernel_matrix(KernelSpec("matern52", t), design.points)), y, "zero")
         except NotPositiveDefinite:
             return math.inf
 
@@ -344,6 +348,39 @@ def test_theta_loo_recovers_generating_scale():
         if theta0 / 2 <= theta_hat <= theta0 * 2:
             hits += 1
     assert hits >= 90
+
+
+def test_theta_loo_is_the_same_on_any_worker_count_and_hands_its_record_on(monkeypatch):
+    from looise import moments, numerics
+    from looise.kernels import kernel_matrix
+    from looise.predictors import SimpleKriging
+
+    design = sobol_design(2, 30, scramble_seed=7)
+    y = sample_gp(KernelSpec("matern32", 6.0), design.points, 8)
+    thetas = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more workers than CPUs, switching often
+    try:
+        for workers in (1, 8):
+            monkeypatch.setattr(numerics, "default_workers", lambda: workers)
+            thetas.append(theta_loo(y, design, "matern32", mean_mode="constant"))
+    finally:
+        sys.setswitchinterval(interval)
+    shared = {}
+    theta = theta_loo(y, design, "matern32", mean_mode="constant", shared=shared)
+    assert thetas == [theta, theta]
+    built = []
+    monkeypatch.setattr(moments, "kernel_matrix",
+                        lambda spec, X: built.append(spec) or kernel_matrix(spec, X))
+    kern = KernelSpec("matern32", theta)
+    pred = SimpleKriging(KernelSpec("matern52", 5.0), design)
+    bundle = moments.build_bundle(pred.loo, pred, kern, design, sobol_measure(2, 64),
+                                  shared=shared)
+    assert built == []  # the record at the returned range came from theta_loo
+    record = bundle.components[0].record
+    assert np.array_equal(record.K, kernel_matrix(kern, design.points))
+    assert np.array_equal(record.factor.lower,
+                          numerics.spd_factorize(kernel_matrix(kern, design.points)).lower)
 
 
 def test_clamp_theta():

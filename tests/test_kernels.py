@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from looise.designs import nn_distance
 from looise.errors import DimensionMismatch, DomainViolation, DuplicatePoints
 from looise.kernels import (
+    COINCIDENCE_TOL,
     FAMILIES,
     KernelSpec,
     PointIndex,
@@ -14,6 +18,7 @@ from looise.kernels import (
     distances,
     kernel_eval,
     kernel_matrix,
+    min_pairwise_distance,
 )
 
 
@@ -190,3 +195,63 @@ def test_point_index_keeps_the_first_of_each_coinciding_group():
     pts = [[0.1], [0.1 + 5e-15], [0.1 + 1.2e-14], [0.3], [0.3 + 3e-16], [0.7]]
     # 0.1 + 1.2e-14 coincides only with the dropped 0.1 + 5e-15, so it is kept
     assert PointIndex(pts).first_of_each().tolist() == [True, False, True, True, False, True]
+
+
+@st.composite
+def point_sets(draw):
+    """Two point sets in 1 to 21 dimensions at scales from 1e-8 to 1e3; some rows
+    of Y repeat rows of X exactly, some within rounding, some just apart."""
+    d = draw(st.integers(1, 21))
+    m, n = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-8.0, 3.0))
+    X, Y = gen.random((m, d)) * scale, gen.random((n, d)) * scale
+    for i in range(draw(st.integers(0, min(m, n)))):
+        Y[i] = X[i] + draw(st.sampled_from([0.0, 2e-16 * scale, 1e-12]))
+    return X, Y
+
+
+def _first_of_each(points) -> list[bool]:
+    """The rule of PointIndex.first_of_each over all pairs of points."""
+    same = coincide(distances(points, points))
+    keep = [True] * len(points)
+    for j in range(len(points)):
+        keep[j] = not any(keep[i] and same[i, j] for i in range(j))
+    return keep
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sets=point_sets())
+def test_distances_and_searches_match_scipy_spatial(sets):
+    from scipy.spatial import cKDTree
+    from scipy.spatial.distance import cdist, pdist
+
+    X, Y = sets
+    D = distances(X, Y)
+    assert np.array_equal(D, cdist(X, Y))
+    pts = np.vstack([X, Y])
+    assert min_pairwise_distance(pts) == pdist(pts).min()
+    tree_dist, _ = cKDTree(Y).query(X)
+    index = PointIndex(Y)
+    dist, rows = index.nearest(X)
+    assert np.array_equal(dist, D.min(axis=1)) and np.array_equal(D[np.arange(len(X)), rows], dist)
+    np.testing.assert_allclose(dist, tree_dist, rtol=1e-13, atol=0.0)  # the tree sums in its own order
+    for k in (1, min(3, len(Y))):
+        kth = cKDTree(Y).query(X, k=[k])[0]
+        assert nn_distance(X, Y, k) == np.sort(D, axis=1)[:, k - 1].max()
+        assert math.isclose(nn_distance(X, Y, k), kth.max(), rel_tol=1e-13)
+    found = index.lookup(X)
+    assert np.array_equal(found >= 0, coincide(tree_dist))
+    assert np.array_equal(found[found >= 0], rows[found >= 0])
+    assert PointIndex(pts).first_of_each().tolist() == _first_of_each(pts)
+
+
+def test_point_index_separates_the_points_of_a_grid():
+    # a tensor grid has many points on each axis-aligned line; the projection
+    # direction is generic, so no two grid points fall in one search window
+    g = np.stack(np.meshgrid(*[np.linspace(0.0, 1.0, 12)] * 3, indexing="ij"), -1).reshape(-1, 3)
+    index = PointIndex(g)
+    assert np.diff(index._proj).min() > 1e-6
+    assert index.first_of_each().all()
+    near = g[::-1] + 0.5 * COINCIDENCE_TOL / math.sqrt(3.0)
+    assert np.array_equal(index.rows(near), np.arange(len(g))[::-1])

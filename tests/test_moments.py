@@ -333,9 +333,9 @@ def test_one_support_pass_per_bundle_and_residual_vector(monkeypatch):
     rows = []
     draw = moments.WeightSource.block
 
-    def counting(self, lo, hi):
+    def counting(self, lo, hi, *dist):
         rows.append(hi - lo)
-        return draw(self, lo, hi)
+        return draw(self, lo, hi, *dist)
 
     design = random_design(2, 12, seed=31)
     N = 3 * moments.BLOCK
@@ -372,9 +372,9 @@ def test_bundle_shared_by_threads_makes_one_pass(monkeypatch):
     rows = []
     draw = moments.WeightSource.block
 
-    def counting(self, lo, hi):
+    def counting(self, lo, hi, *dist):
         rows.append(hi - lo)
-        return draw(self, lo, hi)
+        return draw(self, lo, hi, *dist)
 
     design = random_design(2, 10, seed=33)
     N = 2 * moments.BLOCK
@@ -447,9 +447,9 @@ def test_a_shared_cross_dict_builds_each_kernel_block_once(monkeypatch):
     calls = []
     build = moments.cross_matrix
 
-    def counting(kernel, X, Xnew):
+    def counting(kernel, X, Xnew, *dist):
         calls.append(kernel)
-        return build(kernel, X, Xnew)
+        return build(kernel, X, Xnew, *dist)
 
     monkeypatch.setattr(moments, "BLOCK", 16)
     design = random_design(2, 8, seed=51)
@@ -479,9 +479,9 @@ def test_overlapping_walks_from_threads_make_one_pass(monkeypatch):
     rows = []
     draw = moments.WeightSource.block
 
-    def counting(self, lo, hi):
+    def counting(self, lo, hi, *dist):
         rows.append(hi - lo)
-        return draw(self, lo, hi)
+        return draw(self, lo, hi, *dist)
 
     design = random_design(2, 10, seed=53)
     measure = small_measure(2, 64, seed=54)
@@ -619,9 +619,9 @@ def test_vn_draws_its_weights_through_the_block_counter(monkeypatch):
     rows = []
     draw = moments.WeightSource.block
 
-    def counting(self, lo, hi):
+    def counting(self, lo, hi, *dist):
         rows.append(hi - lo)
-        return draw(self, lo, hi)
+        return draw(self, lo, hi, *dist)
 
     monkeypatch.setattr(moments, "BLOCK", 16)
     design = random_design(2, 8, seed=65)

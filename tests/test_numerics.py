@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -7,9 +8,12 @@ import pytest
 
 from conftest import subprocess_env
 from looise import numerics
-from looise.designs import regular_grid
+from looise.designs import regular_grid, sobol_points
 from looise.errors import Asymmetric, DimensionMismatch, NotPositiveDefinite, SingularBorder
-from looise.kernels import KernelSpec, kernel_matrix
+from looise.kernels import FAMILIES, KernelSpec, kernel_matrix
+
+needs_lapacke = pytest.mark.skipif(not isinstance(numerics.LAPACK, numerics.Lapacke),
+                                   reason="this scipy bundles no OpenBLAS with LAPACKE")
 
 
 def test_factorize_identity():
@@ -61,9 +65,9 @@ def test_inverse_is_solved_once_and_read_only(monkeypatch):
     record = numerics.DesignKernel(kernel_matrix(KernelSpec("matern32", 8.0),
                                                  regular_grid(2, 5).points))
     solves = []
-    cho_solve = numerics.scipy.linalg.cho_solve
-    monkeypatch.setattr(numerics.scipy.linalg, "cho_solve",
-                        lambda *args, **kw: solves.append(args) or cho_solve(*args, **kw))
+    potrs = numerics.LAPACK.potrs
+    monkeypatch.setattr(numerics.LAPACK, "potrs",
+                        lambda *args, **kw: solves.append(args) or potrs(*args, **kw))
     M = record.inverse
     assert record.inverse is M
     assert len(solves) == 1
@@ -166,3 +170,63 @@ def test_block_temporaries_reuse_heap_pages_in_a_fresh_process():
     pinned, faults = out.stdout.split()
     assert pinned == "True"
     assert int(faults) < 20_000
+
+
+@needs_lapacke
+@pytest.mark.parametrize("family", FAMILIES)
+def test_lapacke_calls_give_the_bits_of_scipy_linalg(family):
+    import scipy.linalg
+
+    gen = np.random.default_rng(7)
+    for n, d in ((3, 1), (60, 2), (200, 4), (400, 3)):
+        K = kernel_matrix(KernelSpec(family, 3.0 * n ** (1.0 / d), 1e-8), sobol_points(d, n, 5))
+        F = numerics.spd_factorize(K)
+        L = scipy.linalg.cholesky(K, lower=True, check_finite=False)
+        assert F.jitter_applied == 0.0 and np.array_equal(F.lower, L)
+        assert F.lower.flags.f_contiguous  # the layout scipy returns: F.lower @ z keeps its bits
+        B = gen.standard_normal((n, 2))
+        for rhs in (B[:, 0], B, np.eye(n)):
+            got, want = numerics.solve(F, rhs), scipy.linalg.cho_solve((L, True), rhs,
+                                                                        check_finite=False)
+            assert np.array_equal(got, want) and got.flags.f_contiguous == want.flags.f_contiguous
+        assert np.array_equal(numerics.LAPACK.trtri(F.lower)[0],
+                              scipy.linalg.lapack.dtrtri(L, lower=1)[0])
+        assert numerics.rcond_estimate(F) == scipy.linalg.lapack.dtrcon(L, uplo=b"L")[0] ** 2
+
+
+@needs_lapacke
+def test_both_lapack_sources_jitter_and_fail_alike(monkeypatch):
+    # plain Cholesky meets a pivot of about -1e-10; 1e-12 of jitter lifts it past
+    # the pivot test, because the first pivot amplifies the shift a thousandfold
+    b = math.sqrt(1e-3 * (1.0 + 1e-10))
+    rescued = np.array([[1e-3, b], [b, 1.0]])
+    singular = np.ones((5, 5))
+    F = numerics.spd_factorize(rescued)
+    with pytest.raises(NotPositiveDefinite):
+        numerics.spd_factorize(singular)
+    monkeypatch.setattr(numerics, "LAPACK", numerics.ScipyLapack())
+    G = numerics.spd_factorize(rescued)
+    assert F.jitter_applied == G.jitter_applied > 0.0
+    assert np.array_equal(F.lower, G.lower)
+    with pytest.raises(NotPositiveDefinite):
+        numerics.spd_factorize(singular)
+
+
+def test_an_exactly_symmetric_input_skips_the_symmetry_check():
+    A = kernel_matrix(KernelSpec("matern32", 4.0), regular_grid(2, 4).points)
+    assert np.array_equal(A, A.T)
+    F = numerics.spd_factorize(A)
+    G = numerics.spd_factorize(0.5 * (A + A.T))  # the step it skips is the identity
+    assert np.array_equal(F.lower, G.lower)
+
+
+def test_a_factorized_record_keeps_no_matrix():
+    K = kernel_matrix(KernelSpec("matern32", 8.0), regular_grid(2, 5).points)
+    record = numerics.DesignKernel.factorized(K)
+    full = numerics.DesignKernel(K)
+    assert record.K is None
+    assert np.array_equal(record.factor.lower, full.factor.lower)
+    assert np.array_equal(record.inverse, full.inverse)
+    assert all(np.array_equal(x, y) for x, y in zip(record.trend, full.trend))
+    with pytest.raises(NotPositiveDefinite):
+        numerics.DesignKernel.factorized(np.ones((4, 4)))

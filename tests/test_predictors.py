@@ -249,3 +249,19 @@ def test_table_weights_rank_deficient_loo():
     p = TableWeights(support, table, design, loo_matrix=singular)
     with pytest.raises(RankDeficient):
         p.loo
+
+
+def test_kriging_predictors_keep_no_kernel_matrix():
+    # nothing reads K_n once it is factorized, so the record drops it
+    from looise.kernels import cross_matrix, kernel_matrix
+
+    design = random_design(2, 12, seed=4)
+    kern = KernelSpec("matern32", 5.0)
+    idx, lam = poly_basis(2, 6)
+    for pred in (SimpleKriging(kern, design), OrdinaryKriging(kern, design),
+                 BayesPolynomial(idx, lam, 0.1, design)):
+        assert pred.record.K is None
+    X = sobol_points(2, 16)
+    full = numerics.DesignKernel(kernel_matrix(kern, design.points))
+    assert np.array_equal(SimpleKriging(kern, design).weights_matrix(X),
+                          cross_matrix(kern, design.points, X) @ full.inverse)

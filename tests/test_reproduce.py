@@ -109,9 +109,9 @@ def test_each_predictor_draws_its_weights_over_the_support_once(tmp_path, monkey
     rows = []
     draw = moments.WeightSource.block
 
-    def counting(self, lo, hi):
+    def counting(self, lo, hi, *dist):
         rows.append(hi - lo)
-        return draw(self, lo, hi)
+        return draw(self, lo, hi, *dist)
 
     monkeypatch.setattr(moments.WeightSource, "block", counting)
     N = 2**10  # the support of both targets
