@@ -36,8 +36,8 @@ _SQRT5 = math.sqrt(5.0)
 # Distance at or below which two points coincide.
 COINCIDENCE_TOL = 1e-14
 
-# Entries that distances() fills per step (its scratch) and that a nearest-point
-# search holds per block of queries; queries a PointIndex looks up per block.
+# Entries per step of distances() and cross_matrix() (their scratch) and per block
+# of queries of a nearest-point search; queries a PointIndex looks up per block.
 CHUNK_ENTRIES = 1 << 15
 SEARCH_ENTRIES = 1 << 18
 QUERY_BLOCK = 1024
@@ -296,9 +296,10 @@ def cross_matrix(spec: KernelSpec, X, Xnew, dist=None) -> np.ndarray:
         raise DimensionMismatch(
             f"design dimension {X.shape[1]} != point dimension {Xnew.shape[1]}"
         )
-    if dist is None:
-        S = distances(Xnew, X)
-        S *= spec.theta
-    else:
-        S = np.multiply(dist, spec.theta)
-    return correlation(spec.family, S, out=S)
+    S = distances(Xnew, X) if dist is None else np.empty(dist.shape)
+    src = S if dist is None else dist
+    step = max(1, CHUNK_ENTRIES // max(S.shape[1], 1))  # correlation's temporaries stay small
+    for lo in range(0, len(S), step):
+        part = np.multiply(src[lo:lo + step], spec.theta, out=S[lo:lo + step])
+        correlation(spec.family, part, out=part)
+    return S

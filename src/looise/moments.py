@@ -459,8 +459,8 @@ def _rho_gg(components, X: np.ndarray, W: np.ndarray, design: Design, R: np.ndar
 
 
 def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """sum(A * B, axis=1) without forming A * B."""
-    return np.einsum("ij,ij->i", A, B, optimize=True)
+    """sum(A * B, axis=1) without forming A * B: one batched 1 x n by n x 1 matmul."""
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
 
 
 def _project(parts, V: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ from .errors import DimensionMismatch, LooiseError, RankDeficient, WeightSimplex
 from .kernels import KernelSpec, PointIndex, as_points, cross_matrix, kernel_matrix
 
 RANK_DEFICIENT_COND = 1e12
+COND_BOUND_TRUST = 1e-2  # LinearPredictor.loo skips the SVD when n eps beta^2 is at most this
 
 
 @dataclass(frozen=True)
@@ -65,9 +66,24 @@ class LinearPredictor:
     def _loo_matrix(self) -> np.ndarray:
         raise NotImplementedError
 
+    def _cond_bound(self, R: np.ndarray) -> float:
+        """beta with cond_2(R) <= beta (1 + O(n eps beta)) for the computed R; inf if unknown."""
+        return np.inf
+
     @cached_property
     def loo(self) -> LooOperator:
+        """R, full rank when cond_2(R) < RANK_DEFICIENT_COND; RankDeficient
+        when sigma_(n-1) is below sigma_1 / RANK_DEFICIENT_COND too.
+
+        An SVD decides, unless beta = _cond_bound(R) has n eps beta^2 <=
+        COND_BOUND_TRUST: then beta < 7e6, far below 1e12, and the answer, full
+        rank and no raise, is the SVD's. A backward-stable SVD returns the
+        singular values of R + E, ||E||_2 = O(n eps) ||R||_2, so by Weyl's
+        inequality sigma_n >= ||R||_2 / beta (1 - O(n eps beta)) moves by a
+        fraction O(n eps beta) <= O(1e-2 / beta) of itself."""
         R = self._loo_matrix()
+        if len(R) * np.finfo(float).eps * self._cond_bound(R) ** 2 <= COND_BOUND_TRUST:
+            return LooOperator(matrix=R, full_rank=True)
         sv = np.linalg.svd(R, compute_uv=False)
         full_rank = bool(sv[-1] > sv[0] / RANK_DEFICIENT_COND)
         # predictors whose weights sum to one satisfy R^T 1 = 0, so one lost
@@ -116,6 +132,16 @@ class SimpleKriging(LinearPredictor):
         M = self.record.inverse
         return M / np.diag(M)[None, :]
 
+    def _cond_bound(self, R: np.ndarray) -> float:
+        """beta = ||R||_F max_j |P_jj| ||L||_F^2 for P the computed K^-1 and
+        L L^T = K the factor, jitter included. R = P D^-1 with D = diag(P), so
+        R^-1 = D P^-1. Two backward-stable triangular solves per column give
+        L L^T P = I + G, ||G||_2 = O(n eps) ||L||_F^2 ||P||_F <= O(n eps beta)
+        (Higham 2002, ch. 10 and 14), so ||P^-1||_2 <= (1 + O(n eps beta))
+        lambda_max(L L^T), and lambda_max <= tr(L L^T) = ||L||_F^2."""
+        P, L = self.record.inverse, self.record.factor.lower
+        return float(np.linalg.norm(R) * np.abs(np.diag(P)).max() * np.linalg.norm(L) ** 2)
+
     def drop_point(self, i: int) -> "SimpleKriging":
         return type(self)(self.kernel, _reduced_design(self.design, i))
 
@@ -134,6 +160,8 @@ class OrdinaryKriging(SimpleKriging):
         Mbar = numerics.bordered_inverse(self.record)
         n = self.n
         return Mbar[:n, :n] / np.diag(Mbar)[:n][None, :]
+
+    _cond_bound = LinearPredictor._cond_bound  # R comes from the bordered inverse: the SVD decides
 
 
 # ---------------------------------------------------------------------------

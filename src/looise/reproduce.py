@@ -345,15 +345,16 @@ def run_table2(outdir: str, threads: int = 1, n_designs: int = 20) -> dict:
         theta_blp = clamp_theta(theta_loo(y, design, "matern52", mean_mode="constant",
                                           shared=shared))
         kern_e = KernelSpec("matern52", theta_blp)
-        loo_vals, blp_vals, true_vals = [], [], []
-        for tp in theta_grid:
+
+        def scores(tp):  # its predictor and bundle die before the next candidate's walk
             pred = SimpleKriging(KernelSpec("matern32", tp), design)
-            loo_vals.append(estimators.ise_loo(pred.loo_residuals(y)).value)
+            loo = estimators.ise_loo(pred.loo_residuals(y)).value
             (bundle,), ise = moments.predictor_walk(
                 pred, measure, [kern_e], lambda b: [estimators.trend_centering(b, y)[1]],
                 (fvals, y), shared=shared)
-            true_vals.append(ise)
-            blp_vals.append(estimators.trend_corrected_ise(bundle, y).value)
+            return loo, estimators.trend_corrected_ise(bundle, y).value, ise
+
+        loo_vals, blp_vals, true_vals = zip(*[scores(tp) for tp in theta_grid])
         ise_mean = true_ise(fvals, EmpiricalMean(design), y, measure)
         sel_oracle = true_vals[int(np.argmin(true_vals))]
         sel_loo = true_vals[int(np.argmin(loo_vals))]

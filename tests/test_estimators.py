@@ -161,12 +161,6 @@ def test_degenerate_constraint_spares_the_clamped_blp(monkeypatch):
         ise_blup(bundle, eps, clamp=False)
 
 
-def test_blup_constraint():
-    _, bundle = make_bundle(seed=13)
-    gamma = blup_weights(bundle)
-    assert abs(gamma @ bundle.u - bundle.J) < 1e-10 * bundle.J
-
-
 def test_blup_equals_blp_when_already_unbiased(monkeypatch):
     _, bundle = make_bundle(seed=15)
     J = float(bundle.u @ bundle.solve_S(bundle.b))  # force zero correction
@@ -254,12 +248,6 @@ def test_blp_beats_other_weights_under_matched_kernel():
             candidates.append(v / v.sum())
         for gamma in candidates:
             assert performance_report(gamma, bundle).mse >= mse_blp - 1e-9 * abs(mse_blp)
-
-
-def test_blp_mse_beats_trivial_strictly():
-    _, bundle = make_bundle(seed=41, vn=True)
-    gamma = bundle.solve_S(bundle.b)
-    assert performance_report(gamma, bundle).mse < bundle.J**2 + 2 * bundle.V
 
 
 def test_dominance_check_matched_gap_zero():

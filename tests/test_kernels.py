@@ -146,6 +146,18 @@ def test_correlation_into_out_keeps_every_bit(family):
     assert kernel_eval(spec, X[0], Y[0]) == float(psi_vectorized(family, 3.0 * r))
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_cross_matrix_in_row_chunks_equals_the_whole_array(family):
+    # CHUNK_ENTRIES // 7 rows a chunk: 1000 rows make several chunks and a ragged last one
+    gen = np.random.default_rng(11)
+    X, Y = gen.uniform(size=(1000, 3)), gen.uniform(size=(7, 3))
+    spec = KernelSpec(family, 2.5)
+    D = distances(X, Y)
+    want = correlation(family, 2.5 * D)
+    assert np.array_equal(cross_matrix(spec, Y, X), want)
+    assert np.array_equal(cross_matrix(spec, Y, X, dist=D), want)
+
+
 def test_cross_vector_at_design_point():
     pts = np.array([[0.0], [0.5], [1.0]])
     k = cross_matrix(KernelSpec("matern32", 5.0), pts, [[0.0]])[0]

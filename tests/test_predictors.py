@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -265,3 +267,41 @@ def test_kriging_predictors_keep_no_kernel_matrix():
     full = numerics.DesignKernel(kernel_matrix(kern, design.points))
     assert np.array_equal(SimpleKriging(kern, design).weights_matrix(X),
                           cross_matrix(kern, design.points, X) @ full.inverse)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The number of SVDs run since the fixture was set up, as a one-item list."""
+    calls, svd = [0], np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def test_the_published_kriging_workloads_run_no_svd(svd_calls, tmp_path, capsys):
+    from looise.cli import main
+    from looise.reproduce import run_table2
+
+    run_table2(str(tmp_path / "table2"), threads=1, n_designs=1)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("design.generator = sobol\ndesign.d = 4\ndesign.n = 30\n"
+                   "function.name = piston4d\nmeasure.sobol_n = 1024\n"
+                   "predictor.variant = simple-kriging\npredictor.kernel.family = matern52\n"
+                   "predictor.kernel.theta = 5\nestimator.kernel.family = matern32\n"
+                   "estimator.kernel.theta = loo\nestimator.clamp = true\n")
+    assert main(["estimate", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["diagnostics"]["loo_full_rank"] is True
+    assert svd_calls[0] == 0
+
+
+def test_bordered_and_ill_conditioned_loo_operators_still_run_the_svd(svd_calls):
+    from looise.reproduce import _grid_study
+
+    pred, _, _ = _grid_study("poly")  # Table 1's polynomial row: cond_2(R) bound 1.2e11
+    assert isinstance(pred, BayesPolynomial) and svd_calls[0] == 1
+    OrdinaryKriging(KernelSpec("matern32", 5.0), random_design(2, 12, seed=4)).loo
+    assert svd_calls[0] == 2

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from conftest import random_design, small_measure
 from looise import numerics
 from looise.designs import Design, _loo_criterion
-from looise.errors import LooiseError
+from looise.errors import LooiseError, RankDeficient
 from looise.estimators import ise_blp, ise_blup, ise_loo, trend_corrected_ise
-from looise.kernels import KernelSpec, cross_matrix, kernel_matrix
+from looise.kernels import FAMILIES, KernelSpec, cross_matrix, kernel_matrix
 from looise import moments
 from looise.moments import (
     WeightSource,
@@ -20,6 +20,8 @@ from looise.moments import (
     support_pass,
 )
 from looise.predictors import (
+    COND_BOUND_TRUST,
+    RANK_DEFICIENT_COND,
     BayesPolynomial,
     EmpiricalMean,
     OrdinaryKriging,
@@ -394,3 +396,46 @@ def test_vn_does_not_depend_on_the_tiling(spec):
     rho2 += -W @ C.T - C @ W.T + W @ record.K @ W.T
     dense = (float(mu @ (rho2 * rho2) @ mu), float(mu @ np.diagonal(rho2)))
     np.testing.assert_allclose(tiled, [dense, dense], rtol=1e-12, atol=0.0)
+
+
+def _svd_verdict(R):
+    """(full_rank, raises) as the SVD decides them in LinearPredictor.loo."""
+    sv = np.linalg.svd(R, compute_uv=False)
+    return (bool(sv[-1] > sv[0] / RANK_DEFICIENT_COND),
+            len(sv) >= 2 and not sv[-2] > sv[0] / RANK_DEFICIENT_COND), sv[0] / sv[-1]
+
+
+@st.composite
+def kriging_problems(draw):
+    """A family, range and nugget and a design of up to 60 points; one draw
+    in two is a Gaussian kernel of small range on many points, nearly singular."""
+    if draw(st.booleans()):
+        kern = KernelSpec(draw(st.sampled_from(FAMILIES)), draw(st.floats(0.5, 50.0)),
+                          draw(st.sampled_from([0.0, 0.01])))
+        d, n = draw(st.integers(1, 4)), draw(st.integers(2, 60))
+    else:
+        kern = KernelSpec("gaussian", 2.0 ** draw(st.floats(-1.0, 4.0)),
+                          draw(st.sampled_from([0.0, 0.01])))
+        d, n = draw(st.integers(1, 3)), draw(st.integers(20, 60))
+    return kern, random_design(d, n, seed=draw(st.integers(0, 10_000)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(problem=kriging_problems())
+def test_the_cond_bound_gives_the_svds_rank_verdict(problem):
+    try:
+        pred = SimpleKriging(*problem)
+    except LooiseError:
+        return  # K_n singular beyond the jitter ladder: no predictor, no LOO operator
+    R = pred._loo_matrix()
+    beta = pred._cond_bound(R)
+    (full_rank, raises), cond = _svd_verdict(R)
+    if pred.n * np.finfo(float).eps * beta**2 <= COND_BOUND_TRUST:  # the fast path answers
+        assert (full_rank, raises) == (True, False)
+        assert cond <= beta * (1.0 + 1e-6)
+        assert pred.loo.full_rank
+    elif raises:
+        with pytest.raises(RankDeficient):
+            pred.loo
+    else:
+        assert pred.loo.full_rank == full_rank
