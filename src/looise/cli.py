@@ -215,31 +215,33 @@ def _mixture_spec(cfg: dict):
     return [KernelSpec(f, t, nugget) for f, t in zip(families, thetas)], nus
 
 
-def _estimate_payload(cfg: dict) -> dict:
-    if "estimator.vn" in cfg:
-        raise ConfigError("estimator.vn affects only the oracle columns of sweep")
+def _inputs(cfg: dict):
+    """The design, measure, predictor, y, LOO residuals and clamp flag of estimate and sweep."""
     design = _build_design(cfg)
     measure = _build_measure(cfg, design.d)
     predictor = _build_predictor(cfg, design)
     y = _load_y(cfg, design)
+    clamp = get_bool(cfg, "estimator.clamp", True)
+    return design, measure, predictor, y, predictor.loo_residuals(y), clamp
+
+
+def _estimate_payload(cfg: dict) -> dict:
+    if "estimator.vn" in cfg:
+        raise ConfigError("estimator.vn affects only the oracle columns of sweep")
     trend_mode = cfg.get("trend.mode", "zero")
     if trend_mode not in ("zero", "constant"):
         raise ConfigError("trend.mode must be 'zero' or 'constant'")
-    clamp = get_bool(cfg, "estimator.clamp", True)
-
-    eps = predictor.loo_residuals(y)
+    design, measure, predictor, y, eps, clamp = _inputs(cfg)
     mixture = _mixture_spec(cfg)
     if mixture is not None:
         kernels, nus = mixture
         theta, theta_rule = None, "mixture"  # no single assumed range
-        bundle = moments.mixture_bundle(kernels, nus, predictor.loo,
-                                        predictor, design, measure)
+        bundle = moments.mixture_bundle(predictor, kernels, nus, measure)
     else:
         shared = {}  # the record of K_e that theta_loo leaves
         theta, theta_rule = _estimator_theta(cfg, y, design, trend_mode, shared)
         kern_e = _kernel_from(cfg, "estimator.kernel", theta_override=theta)
-        bundle = moments.build_bundle(predictor.loo, predictor, kern_e, design, measure,
-                                      shared=shared)
+        bundle = moments.build_bundle(predictor, kern_e, measure, shared=shared)
     est_loo = estimators.ise_loo(eps)
     if trend_mode == "constant":
         est_blp = estimators.trend_corrected_ise(bundle, y, "blp", clamp)
@@ -312,19 +314,13 @@ def _check_sweep_keys(cfg: dict) -> None:
 def cmd_sweep(args, extra) -> int:
     cfg = _load_config(args, extra)
     _check_sweep_keys(cfg)
-    design = _build_design(cfg)
-    measure = _build_measure(cfg, design.d)
-    predictor = _build_predictor(cfg, design)
-    y = _load_y(cfg, design)
-    eps = predictor.loo_residuals(y)
-    clamp = get_bool(cfg, "estimator.clamp", True)
+    _, measure, predictor, _, eps, clamp = _inputs(cfg)
     thetas = _sweep_thetas(cfg)
     if not thetas:
         raise ConfigError("sweep grid is empty")
     oracle = None
     if "sweep.oracle.family" in cfg:
-        oracle = moments.build_bundle(predictor.loo, predictor,
-                                      _kernel_from(cfg, "sweep.oracle"), design, measure,
+        oracle = moments.build_bundle(predictor, _kernel_from(cfg, "sweep.oracle"), measure,
                                       compute_Vn=get_bool(cfg, "estimator.vn", False))
     kernels = [_kernel_from(cfg, "estimator.kernel", theta_override=theta) for theta in thetas]
     bundles, _ = moments.predictor_walk(predictor, measure, kernels,

@@ -260,9 +260,9 @@ def as_points(X) -> np.ndarray:
 
 
 def kernel_matrix(spec: KernelSpec, X, dist=None) -> np.ndarray:
-    """Symmetric kernel matrix on the design X; diagonal equals 1 + nugget.
-    `dist`, the distances(X, X) of a caller that builds several kernels on X,
-    is only read.
+    """Kernel matrix on the design X, exactly symmetric as distances(X, X) is;
+    diagonal equals 1 + nugget. `dist`, the distances(X, X) of a caller that
+    builds several kernels on X, is only read.
 
     Raises
     ------
@@ -279,7 +279,7 @@ def kernel_matrix(spec: KernelSpec, X, dist=None) -> np.ndarray:
     K = correlation(spec.family, spec.theta * D)
     if spec.nugget:
         K = K + spec.nugget * same
-    return 0.5 * (K + K.T)
+    return K
 
 
 def cross_matrix(spec: KernelSpec, X, Xnew, dist=None) -> np.ndarray:

@@ -16,8 +16,8 @@ as projections c(x)^T v = rho^2(x) u^T v + 2 (G o G) v onto g = S^{-1} eps^2
 and h = S^{-1} u for the clamped estimates. :func:`support_pass` is the one
 walk over the support blocks. It serves a batch of bundles (b, J and the
 clamped blp/blup integrals of given residuals) and of squared-error sums
-int (f - W y)^2 dmu at once: per block, each distinct weight source draws
-its rows once, the block's distances to a design are computed once for
+int (f - W y)^2 dmu at once: per block, each distinct predictor draws
+its weight rows once, the block's distances to a design are computed once for
 every kernel's cross-correlations, and a dict that the caller keeps lets
 bundles and walks that share a design build the distances, each kernel's
 record and its cross-correlation blocks once. The record is a :class:`numerics.DesignKernel`,
@@ -53,7 +53,7 @@ from .errors import (
     NotPositiveDefinite,
     WeightSimplexViolation,
 )
-from .kernels import KernelSpec, PointIndex, cross_matrix, distances, kernel_matrix
+from .kernels import KernelSpec, cross_matrix, distances, kernel_matrix
 from .numerics import DesignKernel
 
 BLOCK = 1024  # support rows per block of the single integrals
@@ -62,42 +62,16 @@ CONSTRAINT_TOL = 1e-14  # q = u^T S^{-1} u at or below this: degenerate constrai
 
 
 class WeightSource:
-    """Uniform access to predictor weights over the measure support.
+    """A predictor's weight rows over the support of a measure."""
 
-    Accepts a LinearPredictor or a precomputed (N, n) array aligned with
-    the support. Array-backed sources can only be evaluated on support
-    points, found under the one coincidence rule.
-    """
-
-    def __init__(self, source, measure: IntegrationMeasure, n: int):
+    def __init__(self, predictor, measure: IntegrationMeasure):
+        self.predictor = predictor
         self._measure = measure
-        self._array = None
-        self._fn = None
-        self.design = None  # the predictor's design; None for an array
-        if hasattr(source, "weights_matrix"):
-            self._fn = source.weights_matrix
-            self.design = source.design
-        else:
-            arr = np.asarray(source, dtype=float)
-            if arr.shape != (measure.size, n):
-                raise DimensionMismatch(
-                    f"weight table has shape {arr.shape}, expected ({measure.size}, {n})"
-                )
-            self._array = arr
 
     def block(self, lo: int, hi: int, dist=None) -> np.ndarray:
         """The weight rows of support rows lo:hi; `dist`, their distances to the
         predictor's design when the caller has them, is only read."""
-        if self._array is not None:
-            return self._array[lo:hi]
-        return np.asarray(self._fn(self._measure.points[lo:hi], dist), dtype=float)
-
-    def at(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self._fn is None:  # array-backed: look the rows up on the support
-            index = PointIndex(self._measure.points)
-            self._fn = lambda X: self._array[index.rows(X)]
-        return np.asarray(self._fn(X), dtype=float)
+        return self.predictor.weights_matrix(self._measure.points[lo:hi], dist)
 
 
 def support_blocks(measure: IntegrationMeasure, weights: WeightSource | None = None,
@@ -303,11 +277,12 @@ def support_pass(jobs, ise_jobs=(), shared: dict | None = None) -> list[float]:
     `jobs` are (bundle, eps_sq or None) pairs. Each fills its bundle's b, J
     and sum-to-one defect unless known and, given eps_sq, stores the clamped
     blp/blup integrals that `clamped_integrals(eps_sq)` then returns.
-    `ise_jobs` are (f, weights, y) triples: support values of a known
-    function, a WeightSource and the observations; the walk integrates
-    (f - W y)^2 against the measure and returns these sums in order.
+    `ise_jobs` are (f, WeightSource(pred, measure), y) triples: support
+    values of a known function, the predictor's weight source and the
+    observations; the walk integrates (f - W y)^2 against the measure and
+    returns these sums in order.
 
-    Per block, each distinct weight source (by identity) draws its rows once
+    Per block, each distinct predictor (by identity) draws its rows once
     and holds them only while its own jobs compute their terms. A block's
     distances to a design are computed once, and every kernel's
     cross-correlations (the predictors' and the assumed kernels') are formed
@@ -339,33 +314,31 @@ def support_pass(jobs, ise_jobs=(), shared: dict | None = None) -> list[float]:
 def predictor_walk(pred, measure: IntegrationMeasure, kernels, residuals=lambda bundle: (),
                    truth=None, oracle=None, shared: dict | None = None):
     """The bundles of `pred` under each assumed kernel (None: the independent
-    limit) on one weight source, the `oracle` bundle's when one rides along.
+    limit), and the `oracle` bundle when one rides along.
 
     One support pass fills them and integrates the clamped blp/blup estimates
     of each residual vector in residuals(bundle) and, given truth = (f, y)
     with f the function's values on the support, the true ISE of `pred`,
     which is returned with the bundles (None without `truth`). The bundles
     and the walk keep their shared state in `shared`, as in build_bundle."""
-    weights = oracle.weights if oracle else WeightSource(pred, measure, pred.n)
-    bundles = [independent_limit_bundle(pred.loo, weights, pred.design, measure)
-               if kern is None else
-               build_bundle(pred.loo, weights, kern, pred.design, measure, shared=shared)
-               for kern in kernels]
+    bundles = [independent_limit_bundle(pred, measure) if kern is None else
+               build_bundle(pred, kern, measure, shared=shared) for kern in kernels]
     jobs = [(b, None) for b in bundles + ([oracle] if oracle else [])]
     jobs += [(b, eps**2) for b in bundles for eps in residuals(b)]
-    sums = support_pass(jobs, [(truth[0], weights, truth[1])] if truth else [], shared)
+    ise_jobs = [(truth[0], WeightSource(pred, measure), truth[1])] if truth else []
+    sums = support_pass(jobs, ise_jobs, shared)
     return bundles, (sums[0] if sums else None)
 
 
 def _walk(accumulators, shared: dict | None) -> None:
-    groups = {}  # id(weight source) -> its accumulators, in order of appearance
+    groups = {}  # id(predictor) -> its accumulators, in order of appearance
     for acc in accumulators:
-        groups.setdefault(id(acc.weights), []).append(acc)
+        groups.setdefault(id(acc.weights.predictor), []).append(acc)
     if not groups:
         return
     sources = [group[0].weights for group in groups.values()]
     measure = sources[0]._measure
-    if any(ws._measure is not measure for ws in sources):
+    if any(acc.weights._measure is not measure for acc in accumulators):
         raise DimensionMismatch("the jobs of one support pass must share one measure")
 
     def block_terms(block) -> list:
@@ -373,8 +346,7 @@ def _walk(accumulators, shared: dict | None) -> None:
         geometry = _Geometry(X, shared, measure, rows.start)
         terms = []
         for ws, group in zip(sources, groups.values()):
-            dist = None if ws.design is None else geometry.distances(ws.design)
-            W = ws.block(rows.start, rows.stop, dist)
+            W = ws.block(rows.start, rows.stop, geometry.distances(ws.predictor.design))
             terms += [acc.terms(rows, X, mu, W, geometry) for acc in group]
         return terms
 
@@ -421,16 +393,6 @@ def _record(kernel: KernelSpec, design: Design, shared: dict) -> DesignKernel:
         shared, kernel, design, lambda: DesignKernel(kernel_matrix(kernel, design.points)))
 
 
-def _sources(R, weights, measure: IntegrationMeasure):
-    """The raw LOO matrix and a WeightSource, whatever form they came in."""
-    R = R.matrix if hasattr(R, "matrix") else np.asarray(R, dtype=float)
-    if not isinstance(weights, WeightSource):
-        weights = WeightSource(weights, measure, R.shape[0])
-    elif weights._measure is not measure:
-        raise DimensionMismatch("the weight source is drawn on another measure")
-    return R, weights
-
-
 def _rho_gg(components, X: np.ndarray, W: np.ndarray, design: Design, R: np.ndarray,
             geometry: _Geometry | None = None) -> tuple[list, np.ndarray]:
     """Per component on one block of points, (nu, u, rho^2(x), G(x) o G(x));
@@ -471,7 +433,7 @@ def _project(parts, V: np.ndarray) -> np.ndarray:
 def pointwise_c_rho(bundle: MomentBundle, X):
     """Rows of the mixture c(x) and the mixture rho^2(x) at the given points."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    W = bundle.weights.at(X)
+    W = bundle.weights.predictor.weights_matrix(X)
     parts, rho = _rho_gg(bundle.components, X, W, bundle.design, bundle.R)
     return sum(nu * (rho_k[:, None] * u + 2.0 * GG) for nu, u, rho_k, GG in parts), rho
 
@@ -527,9 +489,8 @@ def _vn_component(comp: Component, W: np.ndarray, design: Design,
     return total, diag
 
 
-def _assemble(parts, R, weights, design: Design, measure: IntegrationMeasure,
-              compute_Vn: bool) -> MomentBundle:
-    R, weights = _sources(R, weights, measure)
+def _assemble(parts, pred, measure: IntegrationMeasure, compute_Vn: bool) -> MomentBundle:
+    R, design, weights = pred.loo.matrix, pred.design, WeightSource(pred, measure)
     n = design.n
     u = np.zeros(n)
     S = np.zeros((n, n))
@@ -545,8 +506,8 @@ def _assemble(parts, R, weights, design: Design, measure: IntegrationMeasure,
     V = None
     if compute_Vn:
         W_full = np.empty((measure.size, n))
-        for rows, _, _, W in support_blocks(measure, weights):
-            W_full[rows] = W
+        for rows, *_ in support_blocks(measure):  # no block outlives its copy
+            W_full[rows] = weights.block(rows.start, rows.stop)
         VJ = [_vn_component(comp, W_full, design, measure) for comp in components]
         V = sum(comp.nu * v for comp, (v, _) in zip(components, VJ))
         if len(components) > 1:  # half the spread of the per-kernel J around J
@@ -556,51 +517,47 @@ def _assemble(parts, R, weights, design: Design, measure: IntegrationMeasure,
                         components=components, weights=weights)
 
 
-def build_bundle(R, weights, kernel_e: KernelSpec, design: Design,
-                 measure: IntegrationMeasure, compute_Vn: bool = False,
-                 shared: dict | None = None) -> MomentBundle:
-    """Moment bundle for a single assumed kernel.
+def build_bundle(pred, kernel_e: KernelSpec, measure: IntegrationMeasure,
+                 compute_Vn: bool = False, shared: dict | None = None) -> MomentBundle:
+    """Moment bundle of the predictor `pred` for a single assumed kernel.
 
-    `R` is the LOO operator (or its raw matrix), `weights` the predictor
-    weights over the measure support (predictor or (N, n) array). The
-    bundles built with one `shared` dict share the kernel's DesignKernel.
+    The LOO operator R, the design and the weight rows are all the
+    predictor's. The bundles built with one `shared` dict share the
+    kernel's DesignKernel.
     """
-    record = _record(kernel_e, design, {} if shared is None else shared)
-    return _assemble([(1.0, kernel_e, record)], R, weights, design, measure, compute_Vn)
+    record = _record(kernel_e, pred.design, {} if shared is None else shared)
+    return _assemble([(1.0, kernel_e, record)], pred, measure, compute_Vn)
 
 
-def mixture_bundle(kernels, nu, R, weights, design: Design,
-                   measure: IntegrationMeasure, compute_Vn: bool = False) -> MomentBundle:
-    """Moment bundle under a finite mixture of GP kernels.
+def mixture_bundle(pred, kernels, nu, measure: IntegrationMeasure,
+                   compute_Vn: bool = False) -> MomentBundle:
+    """Moment bundle of `pred` under a finite mixture of GP kernels.
 
     Every expectation decomposes componentwise (the mixture of Gaussians
     is not Gaussian, so S is the mixture of the per-kernel fourth-moment
-    matrices, not the fourth-moment matrix of a mixed kernel). `R` and
-    `weights` (predictor or (N, n) array) are as in build_bundle.
+    matrices, not the fourth-moment matrix of a mixed kernel).
     """
     nu = np.asarray(nu, dtype=float)
     if len(nu) != len(kernels):
         raise DimensionMismatch("one weight per kernel required")
     if (nu < 0).any() or abs(nu.sum() - 1.0) > 1e-12:
         raise WeightSimplexViolation("mixture weights must be nonnegative and sum to 1")
-    parts = [(float(w), k, _record(k, design, {})) for k, w in zip(kernels, nu)]
-    return _assemble(parts, R, weights, design, measure, compute_Vn)
+    parts = [(float(w), k, _record(k, pred.design, {})) for k, w in zip(kernels, nu)]
+    return _assemble(parts, pred, measure, compute_Vn)
 
 
-def independent_limit_bundle(R, weights, design: Design,
-                             measure: IntegrationMeasure) -> MomentBundle:
+def independent_limit_bundle(pred, measure: IntegrationMeasure) -> MomentBundle:
     """Limit bundle as the assumed range parameter grows without bound.
 
     The design correlations vanish (K_n -> I) and the formulas reduce to
     u = diag(R^T R), J = 1 + int ||w||^2 dmu,
     b = J u + 2 diag(R^T [int w w^T dmu] R),
-    S = u u^T + 2 (R^T R)^{o2}. V is not computed in the limit. `R` and
-    `weights` (predictor or (N, n) array) are as in build_bundle.
+    S = u u^T + 2 (R^T R)^{o2}. V is not computed in the limit.
     """
-    return _assemble([(1.0, None, None)], R, weights, design, measure, False)
+    return _assemble([(1.0, None, None)], pred, measure, False)
 
 
-def flat_limit_diagnostics(R, weights, measure: IntegrationMeasure) -> dict:
+def flat_limit_diagnostics(pred, measure: IntegrationMeasure) -> dict:
     """Limits as the assumed range parameter tends to zero.
 
     Reports J(0) = int (1 - w^T 1)^2 dmu, u(0) = (R^T 1)^{o2},
@@ -609,10 +566,9 @@ def flat_limit_diagnostics(R, weights, measure: IntegrationMeasure) -> dict:
     the rank-one matrix 3 u(0) u(0)^T and the estimator has no flat
     limit.
     """
-    R, ws = _sources(R, weights, measure)
-    u0 = (R.T @ np.ones(R.shape[0])) ** 2
+    u0 = (pred.loo.matrix.T @ np.ones(pred.n)) ** 2
     J0 = 0.0
-    for _, _, mu, W in support_blocks(measure, ws):
+    for _, _, mu, W in support_blocks(measure, WeightSource(pred, measure)):
         J0 += _sum_to_one_defect(mu, W)
     sum_to_one = bool(J0 < 1e-12 and np.max(u0, initial=0.0) < 1e-12)
     return {

@@ -19,7 +19,13 @@ import numpy as np
 
 from . import numerics
 from .designs import Design
-from .errors import DimensionMismatch, LooiseError, RankDeficient, WeightSimplexViolation
+from .errors import (
+    DegenerateData,
+    DimensionMismatch,
+    LooiseError,
+    RankDeficient,
+    WeightSimplexViolation,
+)
 from .kernels import KernelSpec, PointIndex, as_points, cross_matrix, kernel_matrix
 
 RANK_DEFICIENT_COND = 1e12
@@ -38,6 +44,7 @@ class LinearPredictor:
     """Base class; subclasses bind to a design and stay immutable."""
 
     design: Design
+    sum_to_one = False  # True where w(x)^T 1 = 1 for every x, so that R^T 1 = 0
 
     @property
     def n(self) -> int:
@@ -81,6 +88,8 @@ class LinearPredictor:
         singular values of R + E, ||E||_2 = O(n eps) ||R||_2, so by Weyl's
         inequality sigma_n >= ||R||_2 / beta (1 - O(n eps beta)) moves by a
         fraction O(n eps beta) <= O(1e-2 / beta) of itself."""
+        if self.sum_to_one and self.n == 1:  # its R would be 0 / 0
+            raise DegenerateData("the LOO of a one-point sum-to-one predictor is undefined")
         R = self._loo_matrix()
         if len(R) * np.finfo(float).eps * self._cond_bound(R) ** 2 <= COND_BOUND_TRUST:
             return LooOperator(matrix=R, full_rank=True)
@@ -149,6 +158,8 @@ class SimpleKriging(LinearPredictor):
 class OrdinaryKriging(SimpleKriging):
     """Kriging with unknown constant mean; weights constrained to sum to one:
     C K_n^{-1} + ((1 - C a) / s) a^T with (a, s) = record.trend = (K_n^{-1} 1, 1^T a)."""
+
+    sum_to_one = True
 
     def weights_matrix(self, X, dist=None) -> np.ndarray:
         C = self._cross(X, dist)
@@ -262,6 +273,8 @@ class BayesPolynomial(SimpleKriging):
 
 class EmpiricalMean(LinearPredictor):
     """Constant predictor equal to the mean of the observations."""
+
+    sum_to_one = True
 
     def __init__(self, design: Design):
         self.design = design

@@ -118,8 +118,7 @@ def _grid_study(row: str):
     else:
         pred = SimpleKriging(KernelSpec("matern52", 5.0), design)
     measure = sobol_measure(2, 2**10)
-    oracle = moments.build_bundle(pred.loo, pred, KernelSpec("matern32", 10.0), design,
-                                  measure, compute_Vn=True)
+    oracle = moments.build_bundle(pred, KernelSpec("matern32", 10.0), measure, compute_Vn=True)
     return pred, measure, oracle
 
 

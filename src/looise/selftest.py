@@ -86,7 +86,7 @@ def _setup(seed=0, n=12, d=1, theta_p=6.0, theta_e=8.0):
     pred = SimpleKriging(KernelSpec("matern52", theta_p), design)
     measure = uniform_measure(sobol_points(d, 128, scramble_seed=seed + 50))
     kern = KernelSpec("matern32", theta_e)
-    bundle = moments.build_bundle(pred.loo, pred, kern, design, measure)
+    bundle = moments.build_bundle(pred, kern, measure)
     y = sample_gp(kern, design.points, 7, seed)
     return design, pred, measure, kern, bundle, y
 
@@ -269,7 +269,7 @@ def _m3():
     design = _design(2, 12, 9)
     ok = OrdinaryKriging(KernelSpec("matern32", 5.0), design)
     measure = uniform_measure(sobol_points(2, 128, scramble_seed=4))
-    ok_bundle = moments.build_bundle(ok.loo, ok, KernelSpec("matern52", 8.0), design, measure)
+    ok_bundle = moments.build_bundle(ok, KernelSpec("matern52", 8.0), measure)
     for bundle in (_setup(14)[4], ok_bundle):
         gap = bundle.S - np.outer(bundle.u, bundle.u)
         assert np.linalg.eigvalsh(gap).min() >= -1e-10 * np.linalg.norm(bundle.S)
@@ -281,7 +281,7 @@ def _m4():
     kern = KernelSpec("matern52", 7.0)
     pred = SimpleKriging(kern, design)
     measure = uniform_measure(sobol_points(1, 128, scramble_seed=16))
-    bundle = moments.build_bundle(pred.loo, pred, kern, design, measure)
+    bundle = moments.build_bundle(pred, kern, measure)
     assert np.max(np.abs(bundle.b - bundle.J * bundle.u)) < 1e-10 * bundle.J
     # S = u u^T + 2 (D M D)^{o2} with M = K^{-1} and D = diag(1 / M_ii)
     M = np.linalg.inv(kernel_matrix(kern, design.points))
@@ -304,9 +304,8 @@ def _m6():
     design = regular_grid(2, 4)
     pred = SimpleKriging(KernelSpec("matern52", 4.0), design)
     measure = uniform_measure(sobol_points(2, 128, scramble_seed=18))
-    R = pred.loo
-    big = moments.build_bundle(R, pred, KernelSpec("matern32", 1e6), design, measure)
-    lim = moments.independent_limit_bundle(R, pred, design, measure)
+    big = moments.build_bundle(pred, KernelSpec("matern32", 1e6), measure)
+    lim = moments.independent_limit_bundle(pred, measure)
     for field in ("u", "S", "b"):
         a, b = getattr(big, field), getattr(lim, field)
         assert np.linalg.norm(a - b) <= 1e-3 * np.linalg.norm(b)
@@ -318,13 +317,13 @@ def _m7():
     design = _design(2, 10, 19)
     measure = uniform_measure(sobol_points(2, 64, scramble_seed=20))
     ok = OrdinaryKriging(KernelSpec("matern32", 6.0), design)
-    diag = moments.flat_limit_diagnostics(ok.loo, ok, measure)
+    diag = moments.flat_limit_diagnostics(ok, measure)
     assert diag["J0"] < 1e-12 and np.max(diag["u0"]) < 1e-12
     assert diag["sum_to_one_class"] and not diag["rank_one_S0"]
     em = EmpiricalMean(design)
-    assert moments.flat_limit_diagnostics(em.loo, em, measure)["J0"] < 1e-12
+    assert moments.flat_limit_diagnostics(em, measure)["J0"] < 1e-12
     sk = SimpleKriging(KernelSpec("matern52", 6.0), design)
-    diag = moments.flat_limit_diagnostics(sk.loo, sk, measure)
+    diag = moments.flat_limit_diagnostics(sk, measure)
     assert diag["rank_one_S0"] and not diag["sum_to_one_class"]
     assert np.allclose(diag["b0"], 3.0 * diag["J0"] * diag["u0"])
 
@@ -346,23 +345,22 @@ def _e2():
 
 @check("estimators: optimal weights beat the unweighted mean and the zero estimate")
 def _e3():
-    design, pred, measure, kern, bundle, _ = _setup(23)
+    _, pred, measure, kern, bundle, _ = _setup(23)
     n = bundle.n
     mse_blp = estimators.performance_report(bundle.gamma_blp, bundle).mse
     mse_loo = estimators.performance_report(np.full(n, 1.0 / n), bundle).mse
     assert mse_blp <= mse_loo + 1e-9 * abs(mse_loo)
     # strictly below J^2 + 2 V, the MSE of the zero estimate
-    bundle = moments.build_bundle(bundle.R, pred, kern, design, measure, compute_Vn=True)
+    bundle = moments.build_bundle(pred, kern, measure, compute_Vn=True)
     mse_blp = estimators.performance_report(bundle.gamma_blp, bundle).mse
     assert mse_blp < bundle.J**2 + 2 * bundle.V
 
 
 @check("estimators: oracle weights dominate misspecified ones")
 def _e4():
-    design, pred, measure, kern, bundle_true, _ = _setup(24)
+    _, pred, measure, kern, bundle_true, _ = _setup(24)
     for theta in (2.0, *np.logspace(0, 1.7, 8)):
-        bundle_e = moments.build_bundle(bundle_true.R, pred, KernelSpec("matern32", theta),
-                                        design, measure)
+        bundle_e = moments.build_bundle(pred, KernelSpec("matern32", theta), measure)
         rec = estimators.estimator_dominance_check(bundle_e, bundle_true)
         assert rec["gap_oracle"] >= -1e-9 * max(abs(rec["mse_blp"]), abs(rec["mse_loo"]))
         assert rec["gap_loo_oracle"] >= -1e-9 * abs(rec["mse_loo"])
@@ -374,7 +372,7 @@ def _e5():
     kern = KernelSpec("matern32", 8.0)
     pred = SimpleKriging(kern, design)
     measure = uniform_measure(sobol_points(1, 128, scramble_seed=26))
-    bundle = moments.build_bundle(pred.loo, pred, kern, design, measure)
+    bundle = moments.build_bundle(pred, kern, measure)
     rep = estimators.performance_report(bundle.gamma_blp, bundle)
     assert rep.bias < 0
 
@@ -384,7 +382,7 @@ def _e6():
     design = _design(2, 10, 27)
     pred = OrdinaryKriging(KernelSpec("matern32", 6.0), design)
     measure = uniform_measure(sobol_points(2, 64, scramble_seed=28))
-    bundle = moments.build_bundle(pred.loo, pred, KernelSpec("matern52", 7.0), design, measure)
+    bundle = moments.build_bundle(pred, KernelSpec("matern52", 7.0), measure)
     y = sample_gp(KernelSpec("matern32", 6.0), design.points, 29)
     a = estimators.ise_blp(bundle, pred.loo_residuals(y)).value
     b = estimators.ise_blp(bundle, pred.loo_residuals(y + 3.25)).value
@@ -408,7 +406,7 @@ def _e8():
     measure = uniform_measure(sobol_points(2, 64, scramble_seed=32))
     kern = KernelSpec("matern52", 6.0)
     y = sample_gp(KernelSpec("matern32", 5.0), design.points, 33) + 5.0
-    bundle = moments.build_bundle(pred.loo, pred, kern, design, measure)
+    bundle = moments.build_bundle(pred, kern, measure)
     est = estimators.trend_corrected_ise(bundle, y)
     plain = estimators.ise_blp(bundle, pred.loo_residuals(y))
     assert est.trend_correction_applied and est.trend_amount < 1e-12

@@ -193,13 +193,11 @@ def omega_n(y) -> float:
     return float(np.var(np.asarray(y, dtype=float)))
 
 
-def true_ise(f, weights, y, measure: IntegrationMeasure) -> float:
-    """Measure-weighted sum of squared prediction errors of a known function.
+def true_ise(f, pred, y, measure: IntegrationMeasure) -> float:
+    """Measure-weighted sum of squared prediction errors of `pred` for a known function.
 
     `f` may be a callable/test function evaluated on the support, or an
-    array of precomputed values aligned with it; `weights` is the
-    predictor or its (N, n) weight table on the support.
+    array of precomputed values aligned with it.
     """
-    y = np.asarray(y, dtype=float)
     fvals = f(measure.points) if callable(f) else f
-    return support_pass([], [(fvals, WeightSource(weights, measure, len(y)), y)])[0]
+    return support_pass([], [(fvals, WeightSource(pred, measure), y)])[0]

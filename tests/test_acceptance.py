@@ -115,14 +115,12 @@ def test_criterion_04_dominance_identities():
         design = Design(points=sobol_points(d, n, scramble_seed=700 + idx))
         pred = _make_predictor(maker, design)
         measure = uniform_measure(sobol_points(d, 256, scramble_seed=900 + idx))
-        R = pred.loo
-        bundle_true = build_bundle(R, pred, ktrue, design, measure)
+        bundle_true = build_bundle(pred, ktrue, measure)
         rec = estimators.estimator_dominance_check(bundle_true, bundle_true)
         worst_loo = min(worst_loo, rec["gap_loo_oracle"] / max(rec["mse_loo"], 1e-300))
         assert rec["gap_loo_oracle"] >= -1e-9 * rec["mse_loo"]
         for theta in theta_grid:
-            bundle_e = build_bundle(R, pred, KernelSpec("matern52", theta),
-                                    design, measure)
+            bundle_e = build_bundle(pred, KernelSpec("matern52", theta), measure)
             rec = estimators.estimator_dominance_check(bundle_e, bundle_true)
             scale = max(abs(rec["mse_blp"]), abs(rec["mse_loo"]))
             worst_oracle = min(worst_oracle, rec["gap_oracle"] / scale)
@@ -160,7 +158,7 @@ def test_criterion_06_unbiasedness():
     kern = KernelSpec("matern32", 8.0)
     pred = SimpleKriging(kern, design)
     measure = uniform_measure(sobol_points(1, 512, scramble_seed=32))
-    bundle = build_bundle(pred.loo, pred, kern, design, measure)
+    bundle = build_bundle(pred, kern, measure)
     gamma = estimators.blup_weights(bundle)
     constraint = abs(gamma @ bundle.u - bundle.J)
     assert constraint < 1e-10 * bundle.J
@@ -187,7 +185,7 @@ def test_criterion_07_monte_carlo_moments():
     pred = SimpleKriging(KernelSpec("matern52", 9.0), design)
     probes = np.array([[0.07], [0.31], [0.52], [0.74], [0.96]])
     measure = uniform_measure(probes)
-    bundle = build_bundle(pred.loo, pred, ktrue, design, measure)
+    bundle = build_bundle(pred, ktrue, measure)
     joint = np.vstack([design.points, probes])
     L = np.linalg.cholesky(kernel_matrix(ktrue, joint) + 1e-12 * np.eye(15))
     ndraw = 100000
@@ -260,7 +258,7 @@ def test_criterion_10_reference_oracle():
                            cross_matrix(kern_e, design.points, measure.points).T,
                            nugget, constant)
         eps = pred.loo_residuals(y)
-        bundle = build_bundle(pred.loo, pred, kern_e, design, measure)
+        bundle = build_bundle(pred, kern_e, measure)
         mine_loo = estimators.ise_loo(eps).value
         if constant:
             mine_blp = estimators.trend_corrected_ise(bundle, y, estimator="blp").value
@@ -282,9 +280,8 @@ def test_criterion_11_limit_consistency():
     design = Design(points=sobol_points(2, 25, scramble_seed=81))
     pred = SimpleKriging(KernelSpec("matern52", 5.0), design)
     measure = uniform_measure(sobol_points(2, 512, scramble_seed=82))
-    R = pred.loo
-    big = build_bundle(R, pred, KernelSpec("matern32", 1e6), design, measure)
-    lim = independent_limit_bundle(R, pred, design, measure)
+    big = build_bundle(pred, KernelSpec("matern32", 1e6), measure)
+    lim = independent_limit_bundle(pred, measure)
     rels = {}
     for field in ("u", "S", "b"):
         a, b = getattr(big, field), getattr(lim, field)

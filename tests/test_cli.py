@@ -125,6 +125,20 @@ def test_estimate_exit_code_numerical_failure(tmp_path, capsys):
     assert "FlatLimitSingular" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("variant", ["empirical-mean", "ordinary-kriging"])
+def test_estimate_names_the_undefined_loo_of_one_sum_to_one_point(tmp_path, capsys, variant):
+    from looise.designs import Design
+
+    design = write(tmp_path, "design.csv", design_to_csv(Design(points=np.array([[0.4]]))))
+    ycsv = write(tmp_path, "y.csv", "y\n1.5\n")
+    cfg = write(tmp_path, "run.cfg", f"design.file = {design}\ndata.file = {ycsv}\n"
+                "predictor.kernel.family = matern52\npredictor.kernel.theta = 6.0\n"
+                "estimator.kernel.family = matern32\nestimator.kernel.theta = 8.0\n")
+    assert main(["estimate", "--config", cfg, f"--predictor.variant={variant}"]) == 3
+    err = capsys.readouterr().err
+    assert "DegenerateData" in err and "one-point sum-to-one predictor" in err
+
+
 def test_estimate_bad_file_exit_code(tmp_path):
     cfg = write(tmp_path, "run.cfg", BASE_CONFIG + "data.file = /nonexistent.csv\n")
     assert main(["estimate", "--config", cfg]) == 2
@@ -198,7 +212,7 @@ def test_sweep_oracle_columns_and_limit_tail(tmp_path, capsys):
     measure = sobol_measure(2, 256, scramble_seed=9)
     pred = SimpleKriging(KernelSpec("matern52", 4.0), design)
     y = np.loadtxt(ycsv, skiprows=1)
-    lim = independent_limit_bundle(pred.loo, pred, design, measure)
+    lim = independent_limit_bundle(pred, measure)
     limit_value = E.ise_blp(lim, pred.loo_residuals(y), clamp=True).value
     for est in estimates:
         assert abs(est - limit_value) <= 1e-3 * abs(limit_value)
@@ -388,8 +402,7 @@ estimator.kernel.theta = 8.0
     from looise.designs import uniform_measure
     from looise.kernels import KernelSpec
 
-    bundle = build_bundle(pred.loo, pred, KernelSpec("matern32", 8.0),
-                          design, uniform_measure(support))
+    bundle = build_bundle(pred, KernelSpec("matern32", 8.0), uniform_measure(support))
     expected = ise_blp(bundle, pred.loo_residuals(y)).value
     assert np.isclose(out["ise_blp"], expected, rtol=1e-10)
 

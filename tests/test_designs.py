@@ -374,8 +374,7 @@ def test_theta_loo_is_the_same_on_any_worker_count_and_hands_its_record_on(monke
                         lambda spec, X: built.append(spec) or kernel_matrix(spec, X))
     kern = KernelSpec("matern32", theta)
     pred = SimpleKriging(KernelSpec("matern52", 5.0), design)
-    bundle = moments.build_bundle(pred.loo, pred, kern, design, sobol_measure(2, 64),
-                                  shared=shared)
+    bundle = moments.build_bundle(pred, kern, sobol_measure(2, 64), shared=shared)
     assert built == []  # the record at the returned range came from theta_loo
     record = bundle.components[0].record
     assert np.array_equal(record.K, kernel_matrix(kern, design.points))

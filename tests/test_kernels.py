@@ -66,6 +66,13 @@ def test_symmetry_exact(family):
     for _ in range(10):
         x, y = gen.uniform(size=3), gen.uniform(size=3)
         assert kernel_eval(spec, x, y) == kernel_eval(spec, y, x)
+    # kernel_matrix does not symmetrize: distances(X, X) is exact, the rest elementwise
+    for d, n in [(1, 2), (2, 17), (3, 40), (5, 120)]:
+        X = gen.uniform(size=(n, d))
+        for nugget in (0.0, 0.01):
+            spec = KernelSpec(family, gen.uniform(0.5, 20.0), nugget)
+            for K in (kernel_matrix(spec, X), kernel_matrix(spec, X, distances(X, X))):
+                assert np.array_equal(K, K.T)
 
 
 def test_kernel_matrix_single_point():

@@ -12,7 +12,7 @@ from looise.moments import (
     mixture_bundle,
     pointwise_c_rho,
 )
-from looise.predictors import EmpiricalMean, OrdinaryKriging, SimpleKriging
+from looise.predictors import EmpiricalMean, OrdinaryKriging, SimpleKriging, TableWeights
 from looise.rng import stream
 from looise.selftest import rho2
 
@@ -82,7 +82,8 @@ def test_bundle_identity_case():
     design = random_design(2, 6, seed=8)
     kern = KernelSpec("gaussian", 1e8)
     measure = small_measure(2, 64, seed=2)
-    bundle = build_bundle(np.eye(6), np.zeros((measure.size, 6)), kern, design, measure)
+    zero = TableWeights(measure.points, np.zeros((measure.size, 6)), design, loo_matrix=np.eye(6))
+    bundle = build_bundle(zero, kern, measure)
     assert np.allclose(bundle.u, 1.0)
     assert np.allclose(bundle.S, np.ones((6, 6)) + 2.0 * np.eye(6))
     assert np.isclose(bundle.J, 1.0)  # J = K(x,x) for zero weights
@@ -93,7 +94,7 @@ def test_bundle_b_matches_streamed_c():
     p = SimpleKriging(KernelSpec("matern32", 6.0), design)
     measure = small_measure(1, 100, seed=5)
     kern = KernelSpec("matern32", 9.0)
-    bundle = build_bundle(p.loo, p, kern, design, measure)
+    bundle = build_bundle(p, kern, measure)
     c_rows, rho = pointwise_c_rho(bundle, measure.points)
     assert np.allclose(measure.weights @ c_rows, bundle.b, rtol=1e-13)
     assert np.isclose(measure.weights @ rho, bundle.J, rtol=1e-13)
@@ -105,7 +106,7 @@ def test_monte_carlo_moments_smallscale():
     kern = KernelSpec("matern32", 6.0)
     p = SimpleKriging(KernelSpec("matern52", 9.0), design)
     measure = uniform_measure(np.array([[0.23], [0.71]]))
-    bundle = build_bundle(p.loo, p, kern, design, measure, compute_Vn=True)
+    bundle = build_bundle(p, kern, measure, compute_Vn=True)
 
     ndraw = 20000
     joint = np.vstack([design.points, measure.points])
@@ -134,8 +135,8 @@ def test_monte_carlo_moments_smallscale():
 def test_independent_limit_zero_weights():
     design = random_design(1, 5, seed=11)
     measure = small_measure(1, 64, seed=7)
-    lim = independent_limit_bundle(np.eye(5), np.zeros((measure.size, 5)),
-                                   design, measure)
+    zero = TableWeights(measure.points, np.zeros((measure.size, 5)), design, loo_matrix=np.eye(5))
+    lim = independent_limit_bundle(zero, measure)
     assert np.isclose(lim.J, 1.0)
 
 
@@ -145,7 +146,7 @@ def test_flat_limit_singular_raised():
     p = SimpleKriging(KernelSpec("matern52", 8.0), design)
     measure = small_measure(1, 64, seed=9)
     with pytest.raises(FlatLimitSingular):
-        build_bundle(p.loo, p, KernelSpec("gaussian", 1e-5), design, measure)
+        build_bundle(p, KernelSpec("gaussian", 1e-5), measure)
 
 
 def test_vn_loop_order_invariance():
@@ -153,7 +154,7 @@ def test_vn_loop_order_invariance():
     p = SimpleKriging(KernelSpec("matern32", 7.0), design)
     measure = small_measure(1, 100, seed=10)
     kern = KernelSpec("matern32", 5.0)
-    bundle = build_bundle(p.loo, p, kern, design, measure, compute_Vn=True)
+    bundle = build_bundle(p, kern, measure, compute_Vn=True)
     # direct double loop in the transposed order
     W = p.weights_matrix(measure.points)
     total = 0.0
@@ -169,12 +170,11 @@ def test_mixture_bundle_reductions():
     design = random_design(2, 8, seed=15)
     p = OrdinaryKriging(KernelSpec("matern32", 6.0), design)
     measure = small_measure(2, 64, seed=11)
-    R = p.loo
     k1 = KernelSpec("matern32", 5.0)
     k2 = KernelSpec("gaussian", 9.0)
-    single = build_bundle(R, p, k1, design, measure, compute_Vn=True)
-    m1 = mixture_bundle([k1], [1.0], R, p, design, measure, compute_Vn=True)
-    m10 = mixture_bundle([k1, k2], [1.0, 0.0], R, p, design, measure, compute_Vn=True)
+    single = build_bundle(p, k1, measure, compute_Vn=True)
+    m1 = mixture_bundle(p, [k1], [1.0], measure, compute_Vn=True)
+    m10 = mixture_bundle(p, [k1, k2], [1.0, 0.0], measure, compute_Vn=True)
     for m in (m1, m10):
         assert np.allclose(m.u, single.u)
         assert np.allclose(m.S, single.S)
@@ -182,9 +182,9 @@ def test_mixture_bundle_reductions():
         assert np.isclose(m.J, single.J)
         assert np.isclose(m.V, single.V)
     with pytest.raises(WeightSimplexViolation):
-        mixture_bundle([k1, k2], [0.7, 0.6], R, p, design, measure)
+        mixture_bundle(p, [k1, k2], [0.7, 0.6], measure)
     with pytest.raises(WeightSimplexViolation):
-        mixture_bundle([k1, k2], [1.5, -0.5], R, p, design, measure)
+        mixture_bundle(p, [k1, k2], [1.5, -0.5], measure)
 
 
 def test_mixture_bundle_monte_carlo():
@@ -194,8 +194,7 @@ def test_mixture_bundle_monte_carlo():
     measure = uniform_measure(np.array([[0.33]]))
     k1, k2 = KernelSpec("matern32", 3.0), KernelSpec("gaussian", 12.0)
     nu = [0.4, 0.6]
-    R = p.loo
-    bundle = mixture_bundle([k1, k2], nu, R, p, design, measure)
+    bundle = mixture_bundle(p, [k1, k2], nu, measure)
 
     ndraw = 60000
     gen = stream(7)
@@ -226,7 +225,7 @@ def test_bundle_builds_each_kernel_matrix_once(monkeypatch):
     p = SimpleKriging(KernelSpec("matern52", 6.0), design)
     eps = p.loo_residuals(np.linspace(-1.0, 1.0, 12))
     monkeypatch.setattr(moments, "kernel_matrix", counting)
-    bundle = build_bundle(p.loo, p, KernelSpec("matern32", 8.0), design, measure)
+    bundle = build_bundle(p, KernelSpec("matern32", 8.0), measure)
     assert len(calls) == 1
     from looise.estimators import ise_blp, ise_blup, trend_corrected_ise
 
@@ -235,7 +234,7 @@ def test_bundle_builds_each_kernel_matrix_once(monkeypatch):
     trend_corrected_ise(bundle, np.linspace(1.0, 2.0, 12))
     assert len(calls) == 1
     kernels = [KernelSpec("matern32", 8.0), KernelSpec("gaussian", 5.0)]
-    mixture_bundle(kernels, [0.4, 0.6], p.loo, p, design, measure)
+    mixture_bundle(p, kernels, [0.4, 0.6], measure)
     assert calls[1:] == kernels
 
 
@@ -251,7 +250,7 @@ def test_bundles_sharing_a_dict_share_one_kernel_record(monkeypatch):
     kern = KernelSpec("matern32", 8.0)
     y = np.sin(5.0 * design.points.sum(axis=1)) + 2.0
     preds = [SimpleKriging(KernelSpec("matern52", t), design) for t in (4.0, 6.0, 9.0)]
-    alone = [trend_corrected_ise(build_bundle(p.loo, p, kern, design, measure), y).value
+    alone = [trend_corrected_ise(build_bundle(p, kern, measure), y).value
              for p in preds]
     built, factored = [], []
     build, factorize = moments.kernel_matrix, numerics.spd_factorize
@@ -259,7 +258,7 @@ def test_bundles_sharing_a_dict_share_one_kernel_record(monkeypatch):
                         lambda spec, X: built.append(spec) or build(spec, X))
     monkeypatch.setattr(numerics, "spd_factorize", lambda A: factored.append(A) or factorize(A))
     shared = {}
-    bundles = [build_bundle(p.loo, p, kern, design, measure, shared=shared) for p in preds]
+    bundles = [build_bundle(p, kern, measure, shared=shared) for p in preds]
     values = [trend_corrected_ise(b, y).value for b in bundles]
     K = bundles[0].components[0].record.K
     assert built == [kern]
@@ -279,7 +278,7 @@ def test_a_mixture_bundle_factorizes_its_covariance_once(monkeypatch):
     p = SimpleKriging(KernelSpec("matern52", 6.0), design)
     y = np.cos(4.0 * design.points.sum(axis=1)) + 3.0
     kernels = [KernelSpec("matern32", 8.0), KernelSpec("gaussian", 5.0)]
-    bundle = mixture_bundle(kernels, [0.3, 0.7], p.loo, p, design, measure)
+    bundle = mixture_bundle(p, kernels, [0.3, 0.7], measure)
     factored, factorize = [], numerics.spd_factorize
     monkeypatch.setattr(numerics, "spd_factorize", lambda A: factored.append(A) or factorize(A))
     for est in ("blp", "blup"):
@@ -296,8 +295,8 @@ def test_sum_to_one_defect_is_flat_limit_J0():
     kern = KernelSpec("matern32", 7.0)
     for p in (OrdinaryKriging(KernelSpec("matern52", 5.0), design),
               SimpleKriging(KernelSpec("matern52", 5.0), design)):
-        bundle = build_bundle(p.loo, p, kern, design, measure)
-        J0 = flat_limit_diagnostics(p.loo, p, measure)["J0"]
+        bundle = build_bundle(p, kern, measure)
+        J0 = flat_limit_diagnostics(p, measure)["J0"]
         assert bundle.sum_to_one_defect == J0
 
 
@@ -306,7 +305,8 @@ def test_array_weights_lookup_matches_signed_zero():
     measure = uniform_measure(np.array([[0.0], [0.5], [1.0]]))
     p = SimpleKriging(KernelSpec("matern52", 3.0), design)
     W = p.weights_matrix(measure.points)
-    bundle = build_bundle(p.loo, W, KernelSpec("matern32", 4.0), design, measure)
+    table = TableWeights(measure.points, W, design, loo_matrix=p.loo.matrix)
+    bundle = build_bundle(table, KernelSpec("matern32", 4.0), measure)
     c_neg, rho_neg = pointwise_c_rho(bundle, [[-0.0]])
     c_pos, rho_pos = pointwise_c_rho(bundle, [[0.0]])
     assert np.array_equal(c_neg, c_pos) and np.array_equal(rho_neg, rho_pos)
@@ -317,9 +317,11 @@ def test_array_weights_lookup_follows_the_coincidence_rule():
     measure = uniform_measure(np.array([[0.0], [0.5], [1.0]]))
     p = SimpleKriging(KernelSpec("matern52", 3.0), design)
     W = p.weights_matrix(measure.points)
-    bundle = build_bundle(p.loo, W, KernelSpec("matern32", 4.0), design, measure)
+    table = TableWeights(measure.points, W, design, loo_matrix=p.loo.matrix)
+    bundle = build_bundle(table, KernelSpec("matern32", 4.0), measure)
     assert 0.5 + 1e-16 != 0.5
-    assert np.array_equal(bundle.weights.at([[0.5 + 1e-16], [-0.0]]), W[[1, 0]])
+    assert np.array_equal(bundle.weights.predictor.weights_matrix([[0.5 + 1e-16], [-0.0]]),
+                          W[[1, 0]])
     with pytest.raises(DomainViolation, match="is 1e-12 from the nearest known point"):
         pointwise_c_rho(bundle, [[0.5 + 1e-12]])
 
@@ -345,7 +347,7 @@ def test_one_support_pass_per_bundle_and_residual_vector(monkeypatch):
     y = np.linspace(-1.0, 1.0, 12) + 0.5
     eps = p.loo_residuals(y)
     monkeypatch.setattr(moments.WeightSource, "block", counting)
-    bundle = build_bundle(p.loo, p, kern, design, measure)
+    bundle = build_bundle(p, kern, measure)
     ise_blp(bundle, eps)
     ise_blup(bundle, eps)
     assert bundle.J > 0.0 and bundle.sum_to_one_defect > 0.0
@@ -357,7 +359,7 @@ def test_one_support_pass_per_bundle_and_residual_vector(monkeypatch):
     ise_blp(bundle, 2.0 * eps)
     assert sum(rows) == 2 * N
     rows.clear()
-    fresh = build_bundle(p.loo, p, kern, design, measure)
+    fresh = build_bundle(p, kern, measure)
     trend_corrected_ise(fresh, y)
     trend_corrected_ise(fresh, y, estimator="blup")
     assert sum(rows) == N
@@ -380,7 +382,7 @@ def test_bundle_shared_by_threads_makes_one_pass(monkeypatch):
     N = 2 * moments.BLOCK
     measure = small_measure(2, N, seed=34)
     p = SimpleKriging(KernelSpec("matern52", 6.0), design)
-    bundle = build_bundle(p.loo, p, KernelSpec("matern32", 8.0), design, measure)
+    bundle = build_bundle(p, KernelSpec("matern32", 8.0), measure)
     eps_sq = p.loo_residuals(np.linspace(-1.0, 1.0, 10)) ** 2
     monkeypatch.setattr(moments.WeightSource, "block", counting)
     results = []
@@ -430,12 +432,12 @@ def test_vn_over_block_pairs_equals_the_full_block_loop(monkeypatch):
     p = SimpleKriging(KernelSpec("matern52", 5.0), design)
     W = p.weights_matrix(measure.points)
     kernels = [KernelSpec("matern32", 6.0, nugget=0.05), KernelSpec("gaussian", 12.0)]
-    singles = [build_bundle(p.loo, p, k, design, measure, compute_Vn=True) for k in kernels]
+    singles = [build_bundle(p, k, measure, compute_Vn=True) for k in kernels]
     full = [_vn_full_loop(k, W, design, measure, block) for k in kernels]
     for bundle, want in zip(singles, full):
         assert np.isclose(bundle.V, want, rtol=1e-12, atol=0.0)
     nu = np.array([0.3, 0.7])
-    mix = mixture_bundle(kernels, nu, p.loo, p, design, measure, compute_Vn=True)
+    mix = mixture_bundle(p, kernels, nu, measure, compute_Vn=True)
     J = np.array([b.J for b in singles])
     want = nu @ full + 0.5 * nu @ (J - nu @ J) ** 2  # E[ISE^2] = sum_k nu_k (J_k^2 + 2 V_k)
     assert np.isclose(mix.V, want, rtol=1e-12, atol=0.0)
@@ -456,14 +458,16 @@ def test_a_shared_cross_dict_builds_each_kernel_block_once(monkeypatch):
     measure = small_measure(2, 40, seed=52)  # three blocks, the last one partial
     kern = KernelSpec("matern32", 7.0)
     preds = [SimpleKriging(KernelSpec("matern52", t), design) for t in (4.0, 9.0)]
-    W = [p.weights_matrix(measure.points) for p in preds]  # array-backed: no cross_matrix
-    bundles = [build_bundle(p.loo, w, kern, design, measure) for p, w in zip(preds, W)]
+    # weight tables: their draws make no cross_matrix call
+    tables = [TableWeights(measure.points, p.weights_matrix(measure.points), design,
+                           loo_matrix=p.loo.matrix) for p in preds]
+    bundles = [build_bundle(table, kern, measure) for table in tables]
     monkeypatch.setattr(moments, "cross_matrix", counting)
     shared = {}
     for bundle in bundles:  # two walks, one dict
         moments.support_pass([(bundle, None)], shared=shared)
     assert calls == [kern] * 3
-    fresh = [build_bundle(p.loo, w, kern, design, measure) for p, w in zip(preds, W)]
+    fresh = [build_bundle(table, kern, measure) for table in tables]
     moments.support_pass([(bundle, None) for bundle in fresh])
     assert len(calls) == 3 + 2 * 3
     for a, b in zip(bundles, fresh):
@@ -486,9 +490,7 @@ def test_overlapping_walks_from_threads_make_one_pass(monkeypatch):
     design = random_design(2, 10, seed=53)
     measure = small_measure(2, 64, seed=54)
     p = SimpleKriging(KernelSpec("matern52", 6.0), design)
-    weights = moments.WeightSource(p, measure, design.n)
-    bundles = [build_bundle(p.loo, weights, KernelSpec("matern32", t), design, measure)
-               for t in (4.0, 8.0, 16.0)]
+    bundles = [build_bundle(p, KernelSpec("matern32", t), measure) for t in (4.0, 8.0, 16.0)]
     monkeypatch.setattr(moments.WeightSource, "block", counting)
     orders = [bundles, bundles[::-1], bundles[1:] + bundles[:1]] * 2  # opposite lock orders
     errors = []
@@ -520,10 +522,33 @@ def test_a_weight_source_on_another_measure_is_rejected():
 
     design = random_design(1, 5, seed=55)
     p = SimpleKriging(KernelSpec("matern52", 6.0), design)
-    weights = moments.WeightSource(p, small_measure(1, 32, seed=56), design.n)
-    with pytest.raises(DimensionMismatch, match="another measure"):
-        build_bundle(p.loo, weights, KernelSpec("matern32", 8.0), design,
-                     small_measure(1, 32, seed=57))
+    bundles = [build_bundle(p, KernelSpec("matern32", 8.0), small_measure(1, 32, seed=seed))
+               for seed in (56, 57)]
+    with pytest.raises(DimensionMismatch, match="share one measure"):
+        moments.support_pass([(b, None) for b in bundles])
+
+
+def test_bundles_of_one_predictor_built_apart_draw_its_rows_once(monkeypatch):
+    import looise.moments as moments
+
+    rows = []
+    draw = moments.WeightSource.block
+
+    def counting(self, lo, hi, *dist):
+        rows.append((lo, hi))
+        return draw(self, lo, hi, *dist)
+
+    design = random_design(2, 10, seed=58)
+    measure = small_measure(2, 3 * moments.BLOCK, seed=59)
+    p = SimpleKriging(KernelSpec("matern52", 6.0), design)
+    single = build_bundle(p, KernelSpec("matern32", 8.0), measure)
+    mix = mixture_bundle(p, [KernelSpec("matern32", 4.0), KernelSpec("gaussian", 9.0)],
+                         [0.4, 0.6], measure)
+    monkeypatch.setattr(moments.WeightSource, "block", counting)
+    moments.support_pass([(single, None), (mix, None)])
+    N, B = measure.size, moments.BLOCK
+    assert sorted(rows) == [(lo, lo + B) for lo in range(0, N, B)]  # one draw per block
+    assert single._moments is not None and mix._moments is not None
 
 
 class _CountingPool:
@@ -546,16 +571,16 @@ class _CountingPool:
 
 def _walk_everything(moments, p, design, measure):
     """Every kind of walk job, and V_n, on fresh bundles; all their results."""
-    weights = moments.WeightSource(p, measure, design.n)
     kernels = [KernelSpec("matern32", 6.0, nugget=0.05), KernelSpec("gaussian", 12.0)]
-    single = build_bundle(p.loo, weights, kernels[0], design, measure, compute_Vn=True)
-    mix = mixture_bundle(kernels, [0.3, 0.7], p.loo, weights, design, measure, compute_Vn=True)
-    limit = independent_limit_bundle(p.loo, weights, design, measure)
+    single = build_bundle(p, kernels[0], measure, compute_Vn=True)
+    mix = mixture_bundle(p, kernels, [0.3, 0.7], measure, compute_Vn=True)
+    limit = independent_limit_bundle(p, measure)
     y = np.sin(3.0 * design.points).sum(axis=1)
     eps_sq = p.loo_residuals(y) ** 2
     f = np.sin(3.0 * measure.points).sum(axis=1)
     sums = moments.support_pass([(b, eps_sq) for b in (single, mix, limit)],
-                                [(f, weights, y)], shared={})  # workers share the dict
+                                [(f, moments.WeightSource(p, measure), y)],
+                                shared={})  # workers share the dict
     out = [sums]
     for b in (single, mix, limit):
         out += [b.b.tobytes(), b.J, b.sum_to_one_defect, b.clamped_integrals(eps_sq), b.V]
@@ -601,7 +626,7 @@ def test_a_walk_inside_a_pool_worker_starts_no_thread(monkeypatch):
     thetas = (4.0, 8.0)
 
     def walk(theta):
-        bundle = build_bundle(p.loo, p, KernelSpec("matern32", theta), design, measure)
+        bundle = build_bundle(p, KernelSpec("matern32", theta), measure)
         return bundle.b.tobytes(), bundle.J
 
     monkeypatch.setattr(numerics, "default_workers", lambda: 2)
@@ -628,8 +653,7 @@ def test_vn_draws_its_weights_through_the_block_counter(monkeypatch):
     measure = small_measure(2, 40, seed=66)
     p = SimpleKriging(KernelSpec("matern52", 6.0), design)
     monkeypatch.setattr(moments.WeightSource, "block", counting)
-    bundle = build_bundle(p.loo, p, KernelSpec("matern32", 8.0), design, measure,
-                          compute_Vn=True)
+    bundle = build_bundle(p, KernelSpec("matern32", 8.0), measure, compute_Vn=True)
     assert sum(rows) == measure.size  # V_n's draw of the whole support
     bundle.J
     assert sum(rows) == 2 * measure.size
@@ -648,12 +672,12 @@ def test_vn_scratch_does_not_grow_with_the_support(monkeypatch, N):
     design = random_design(2, n, seed=71)
     measure = small_measure(2, N, seed=72)
     p = SimpleKriging(KernelSpec("matern52", 6.0), design)
-    W = p.weights_matrix(measure.points)  # array-backed: its draws allocate nothing
-    R = p.loo
+    table = TableWeights(measure.points, p.weights_matrix(measure.points), design,
+                         loo_matrix=p.loo.matrix)  # its draws only copy table rows
+    table.loo  # its rank check runs before tracing starts, as p.loo did
     tracemalloc.start()
     try:
-        build_bundle(R, W, KernelSpec("matern32", 8.0, nugget=0.05), design, measure,
-                     compute_Vn=True)
+        build_bundle(table, KernelSpec("matern32", 8.0, nugget=0.05), measure, compute_Vn=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -7,6 +7,7 @@ from conftest import gp_draw, predict_many, random_design
 from looise import numerics
 from looise.designs import Design, regular_grid, sobol_points
 from looise.errors import (
+    DegenerateData,
     DimensionMismatch,
     DomainViolation,
     LooiseError,
@@ -74,6 +75,19 @@ def test_empirical_mean_n2():
     p = EmpiricalMean(Design(points=np.array([[0.1], [0.9]])))
     eps = p.loo_residuals(np.array([3.0, 1.0]))
     assert np.allclose(eps, [2.0, -2.0])
+
+
+@pytest.mark.parametrize("make", [EmpiricalMean,
+                                  lambda d: OrdinaryKriging(KernelSpec("matern52", 5.0), d)],
+                         ids=["empirical-mean", "ordinary-kriging"])
+def test_one_point_sum_to_one_predictors_have_no_loo(make):
+    import warnings
+
+    pred = make(Design(points=np.array([[0.4]])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # it raises before any 0 / 0
+        with pytest.raises(DegenerateData, match="one-point sum-to-one predictor is undefined"):
+            pred.loo_residuals(np.array([1.5]))
 
 
 def test_ordinary_kriging_constant_data_zero_residuals():

@@ -26,6 +26,7 @@ from looise.predictors import (
     EmpiricalMean,
     OrdinaryKriging,
     SimpleKriging,
+    TableWeights,
     loo_residuals_bruteforce,
     poly_basis,
     tensor_basis,
@@ -45,13 +46,12 @@ def bundles(draw):
     measure = small_measure(d, 32, seed=seed + 1)
     pred = SimpleKriging(KernelSpec("matern52", draw(st.floats(2.0, 20.0))), design)
     thetas = st.floats(3.0, 30.0)
-    R = pred.loo
     if draw(st.booleans()):
-        bundle = build_bundle(R, pred, KernelSpec("matern32", draw(thetas)), design, measure)
+        bundle = build_bundle(pred, KernelSpec("matern32", draw(thetas)), measure)
     else:
         nu = draw(st.floats(0.05, 0.95))
         kernels = [KernelSpec("matern32", draw(thetas)), KernelSpec("gaussian", draw(thetas))]
-        bundle = mixture_bundle(kernels, [nu, 1.0 - nu], R, pred, design, measure)
+        bundle = mixture_bundle(pred, kernels, [nu, 1.0 - nu], measure)
     return bundle
 
 
@@ -111,7 +111,7 @@ def _three_estimates(design, measure, kern_p, kern_e, y):
     try:
         pred = SimpleKriging(kern_p, design)
         eps = pred.loo_residuals(y)
-        bundle = build_bundle(pred.loo, pred, kern_e, design, measure)
+        bundle = build_bundle(pred, kern_e, measure)
         return np.array([ise_loo(eps).value] + [
             est(bundle, eps, clamp=clamp).value
             for est in (ise_blp, ise_blup) for clamp in (True, False)])
@@ -228,7 +228,7 @@ WALK_THETAS = st.sampled_from([4.0, 9.0, 25.0])
 def walks(draw):
     """A batch of walk jobs over one support that does not fill its last
     block: bundles under one kernel, a two-kernel mixture or the
-    independent limit, on predictor- or array-backed weight sources shared
+    independent limit, of kriging predictors or their weight tables shared
     between jobs, with or without residuals, and squared-error sums; the
     walk shares its cross-correlations between bundles or not."""
     d = draw(st.integers(1, 2))
@@ -255,22 +255,22 @@ def _walk_jobs(spec):
     preds, sources = [], []
     for theta_p, array_backed in spec["sources"]:
         pred = SimpleKriging(KernelSpec("matern52", theta_p), design)
-        weights = pred.weights_matrix(measure.points) if array_backed else pred
         preds.append(pred)
-        sources.append(WeightSource(weights, measure, design.n))
+        sources.append(TableWeights(measure.points, pred.weights_matrix(measure.points), design,
+                                    loo_matrix=pred.loo.matrix) if array_backed else pred)
     jobs = []
     for i, kind, t1, t2, nu, with_eps in spec["jobs"]:
-        R, ws = preds[i].loo, sources[i]
+        ws = sources[i]
         if kind == "single":
-            bundle = build_bundle(R, ws, KernelSpec("matern32", t1), design, measure)
+            bundle = build_bundle(ws, KernelSpec("matern32", t1), measure)
         elif kind == "mixture":
             kernels = [KernelSpec("matern32", t1), KernelSpec("gaussian", t2)]
-            bundle = mixture_bundle(kernels, [nu, 1.0 - nu], R, ws, design, measure)
+            bundle = mixture_bundle(ws, kernels, [nu, 1.0 - nu], measure)
         else:
-            bundle = independent_limit_bundle(R, ws, design, measure)
+            bundle = independent_limit_bundle(ws, measure)
         jobs.append((bundle, preds[i].loo_residuals(y) ** 2 if with_eps else None))
     fvals = np.cos(5.0 * measure.points.sum(axis=1))
-    return jobs, [(fvals, sources[i], y) for i in spec["errors"]]
+    return jobs, [(fvals, WeightSource(sources[i], measure), y) for i in spec["errors"]]
 
 
 def _walk_results(jobs):
@@ -286,7 +286,7 @@ def test_a_batched_walk_equals_one_bundle_walks_bit_for_bit(spec):
     block = WeightSource.block
 
     def counting(self, lo, hi, *dist):
-        draws.append((id(self), lo, hi))
+        draws.append((id(self.predictor), lo, hi))
         return block(self, lo, hi, *dist)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -294,8 +294,9 @@ def test_a_batched_walk_equals_one_bundle_walks_bit_for_bit(spec):
         mp.setattr(WeightSource, "block", counting)
         jobs, errors = _walk_jobs(spec)
         batched = support_pass(jobs, errors, shared={} if spec["shared"] else None)
-        walked = {id(b.weights) for b, _ in jobs} | {id(ws) for _, ws, _ in errors}
-        for source in walked:  # each source draws every support row once
+        walked = {id(b.weights.predictor) for b, _ in jobs}
+        walked |= {id(ws.predictor) for _, ws, _ in errors}
+        for source in walked:  # each predictor draws every support row once
             rows = sorted((lo, hi) for sid, lo, hi in draws if sid == source)
             assert [lo for lo, _ in rows] == list(range(0, spec["N"], spec["block"]))
             assert sum(hi - lo for lo, hi in rows) == spec["N"]
@@ -338,12 +339,11 @@ def test_the_projected_walk_matches_sums_over_full_c_rows(predictor, kind, spec)
     kern_p, kern_1, kern_2 = spec["kernels"]
     pred = predictor(kern_p, design)
     if kind == "single":
-        bundle = build_bundle(pred.loo, pred, kern_1, design, measure)
+        bundle = build_bundle(pred, kern_1, measure)
     elif kind == "mixture":
-        bundle = mixture_bundle([kern_1, kern_2], [spec["nu"], 1.0 - spec["nu"]],
-                                pred.loo, pred, design, measure)
+        bundle = mixture_bundle(pred, [kern_1, kern_2], [spec["nu"], 1.0 - spec["nu"]], measure)
     else:
-        bundle = independent_limit_bundle(pred.loo, pred, design, measure)
+        bundle = independent_limit_bundle(pred, measure)
     eps_sq = pred.loo_residuals(spec["y"]) ** 2
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(moments, "BLOCK", spec["block"])

@@ -87,10 +87,8 @@ def test_dominance_gap_at_independent_limit_grid_study():
     idx, lam = poly_basis(2, 50)
     pred = BayesPolynomial(idx, lam, 0.1, design)
     measure = sobol_measure(2, 2**10)
-    R = pred.loo
-    bundle_true = build_bundle(R, pred, KernelSpec("matern32", 10.0),
-                               design, measure, compute_Vn=True)
-    lim = independent_limit_bundle(R, pred, design, measure)
+    bundle_true = build_bundle(pred, KernelSpec("matern32", 10.0), measure, compute_Vn=True)
+    lim = independent_limit_bundle(pred, measure)
     # graft the limit weights into a dominance record via the generic checker
     rec_loo = estimators.performance_report(np.full(100, 0.01), bundle_true)
     rec_lim = estimators.performance_report(lim.solve_S(lim.b), bundle_true)

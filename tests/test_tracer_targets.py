@@ -40,10 +40,12 @@ def test_every_traced_target_resolves():
 
 
 def test_weight_source_keeps_the_measure_the_tracer_reads():
-    from looise.designs import sobol_measure
+    from looise.designs import Design, sobol_measure
     from looise.moments import WeightSource
+    from looise.predictors import TableWeights
 
     measure = sobol_measure(1, 16)
-    source = WeightSource(np.zeros((16, 3)), measure, 3)
+    design = Design(points=np.array([[0.1], [0.5], [0.9]]))
+    source = WeightSource(TableWeights(measure.points, np.zeros((16, 3)), design), measure)
     assert source._measure.size == 16  # read by the tracer's support-pass counter
     assert source.block(4, 8).shape == (4, 3)
