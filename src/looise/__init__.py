@@ -13,7 +13,6 @@ from .estimators import (
     ise_loo,
     optimal_mixture_weights,
     performance_report,
-    sigma2_estimators,
     tail_stats,
     trend_corrected_ise,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "estimator_dominance_check",
     "trend_corrected_ise",
     "optimal_mixture_weights",
-    "sigma2_estimators",
     "tail_stats",
     "__version__",
 ]

@@ -1,5 +1,4 @@
-"""ISE estimators, exact performance analysis, trend correction and
-variance estimation.
+"""ISE estimators, exact performance analysis and trend correction.
 
 The estimators are linear (or clamped-linear) forms in the squared LOO
 residuals. The unweighted mean is the classical criterion; the weighted
@@ -18,17 +17,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import numerics
-from .designs import Design
 from .errors import (
-    BundleMismatch,
     DegenerateConstraint,
-    DegenerateData,
     DimensionMismatch,
     EmptyInput,
     SingularGram,
 )
-from .kernels import KernelSpec, kernel_matrix
 from .moments import MomentBundle, pointwise_c_rho
 
 __all__ = [
@@ -44,8 +38,6 @@ __all__ = [
     "trend_centering",
     "trend_corrected_ise",
     "optimal_mixture_weights",
-    "sigma2_ml",
-    "sigma2_estimators",
     "tail_stats",
 ]
 
@@ -65,13 +57,12 @@ class PerformanceReport:
     """Exact moments of a linear estimator gamma^T eps_loo^{o2} under a
     generating kernel (through its moment bundle)."""
 
-    e_ise: float  # sigma^2 J, the expected ISE of the predictor
-    e_estimate: float  # sigma^2 gamma^T u
+    e_ise: float  # J, the expected ISE of the predictor, per unit process variance
+    e_estimate: float  # gamma^T u
     bias: float
     variance: float
     mse: float
     vn_included: bool
-    sigma2: float = 1.0
 
 
 def ise_loo(eps_loo) -> IseEstimate:
@@ -130,7 +121,7 @@ def ise_blup(bundle: MomentBundle, eps_loo, clamp: bool = True) -> IseEstimate:
     return IseEstimate(value=float(gamma @ eps_sq), estimator="blup", gamma=gamma)
 
 
-def performance_report(gamma, bundle: MomentBundle, sigma2: float = 1.0) -> PerformanceReport:
+def performance_report(gamma, bundle: MomentBundle) -> PerformanceReport:
     """Exact bias, variance and MSE of gamma^T eps_loo^{o2} under the
     generating kernel of `bundle`.
 
@@ -141,20 +132,16 @@ def performance_report(gamma, bundle: MomentBundle, sigma2: float = 1.0) -> Perf
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (bundle.n,):
         raise DimensionMismatch(f"gamma has shape {gamma.shape}, expected ({bundle.n},)")
-    s2 = float(sigma2)
     V = bundle.V if bundle.V is not None else 0.0
-    e_est = s2 * float(gamma @ bundle.u)
-    e_ise = s2 * bundle.J
+    e_est = float(gamma @ bundle.u)
+    e_ise = bundle.J
     # equals 2 gamma^T (R^T K R)^{o2} gamma for a single kernel, and adds the
     # between-component spread for mixtures
-    var = s2 * s2 * (float(gamma @ bundle.S @ gamma) - float(gamma @ bundle.u) ** 2)
-    mse = s2 * s2 * (
-        float(gamma @ bundle.S @ gamma) - 2.0 * float(gamma @ bundle.b)
-        + bundle.J**2 + 2.0 * V
-    )
+    var = float(gamma @ bundle.S @ gamma) - float(gamma @ bundle.u) ** 2
+    mse = (float(gamma @ bundle.S @ gamma) - 2.0 * float(gamma @ bundle.b)
+           + bundle.J**2 + 2.0 * V)
     return PerformanceReport(e_ise=e_ise, e_estimate=e_est, bias=e_est - e_ise,
-                             variance=var, mse=mse, vn_included=bundle.V is not None,
-                             sigma2=s2)
+                             variance=var, mse=mse, vn_included=bundle.V is not None)
 
 
 def estimator_dominance_check(bundle_e: MomentBundle, bundle_true: MomentBundle) -> dict:
@@ -239,43 +226,6 @@ def optimal_mixture_weights(E_loo, gamma) -> np.ndarray:
     if not np.isfinite(cond) or cond > 1e12:
         raise SingularGram(f"E Gamma E^T condition estimate {cond:.3e} exceeds 1e12")
     return sol / float(sol.sum())
-
-
-def sigma2_ml(y, kernel_e: KernelSpec, design: Design) -> float:
-    """Maximum-likelihood variance estimate y^T K^{-1} y / n."""
-    y = np.asarray(y, dtype=float)
-    F = numerics.spd_factorize(kernel_matrix(kernel_e, design.points))
-    return float(y @ numerics.solve(F, y)) / len(y)
-
-
-def sigma2_estimators(y, kernel_e: KernelSpec, bundle: MomentBundle) -> dict:
-    """Variance estimates {ml, loo, blp, blup} for the assumed kernel.
-
-    The bundle must have been built for the simple-kriging predictor of
-    `kernel_e` (whose expected ISE is sigma^2 J), and the factor of its
-    kernel matrix is reused (BundleMismatch if it has none). ml and loo
-    read K^{-1} y from one solve and diag(K^{-1}) from the triangular
-    inverse, as the LOO criterion of `designs.theta_loo` does. Requires
-    n >= 2; with a single observation only the ML estimate exists.
-    """
-    y = np.asarray(y, dtype=float)
-    n = len(y)
-    if n < 2:
-        raise DegenerateData("LOO-based variance estimates need n >= 2")
-    record = next((c.record for c in bundle.components if c.kernel == kernel_e), None)
-    if record is None:
-        raise BundleMismatch(f"the bundle has no component of kernel {kernel_e}")
-    My = numerics.solve(record.factor, y)
-    diag = numerics.inverse_diagonal(record.factor)
-    eps = bundle.R.T @ y
-    if bundle.J <= 0:
-        raise DegenerateData("bundle has J <= 0")
-    return {
-        "ml": float(y @ My) / n,
-        "loo": float(np.sum(My * My / diag)) / n,
-        "blp": ise_blp(bundle, eps, clamp=False).value / bundle.J,
-        "blup": ise_blup(bundle, eps, clamp=False).value / bundle.J,
-    }
 
 
 def tail_stats(values, alpha: float) -> dict:

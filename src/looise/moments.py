@@ -31,7 +31,9 @@ symmetric, so it is summed over each unordered pair of row blocks once.
 Both integrals are ordered folds: each row block runs on a thread of
 :func:`numerics.map_ordered` and returns its own terms, and the calling
 thread adds them in block order with the expressions of a serial loop.
-BLOCK and VN_BLOCK alone fix the blocks, so no bit depends on the workers.
+The support size, the largest predictor size n among the jobs, BLOCK,
+BLOCK_ENTRIES and VN_BLOCK alone fix the blocks, so no bit depends on the
+workers.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ from .errors import (
 from .kernels import KernelSpec, cross_matrix, distances, kernel_matrix
 from .numerics import DesignKernel
 
-BLOCK = 1024  # support rows per block of the single integrals
+BLOCK = 1024  # at most this many support rows per block of the single integrals
+BLOCK_ENTRIES = 1 << 17  # and at most this many doubles in a block's (rows, n) arrays
 VN_BLOCK = 512  # rows per block of the O(N^2) V_n double integral
 CONSTRAINT_TOL = 1e-14  # q = u^T S^{-1} u at or below this: degenerate constraint
 
@@ -67,21 +70,32 @@ class WeightSource:
     def __init__(self, predictor, measure: IntegrationMeasure):
         self.predictor = predictor
         self._measure = measure
+        self._table = predictor.table_on(measure.points)
 
     def block(self, lo: int, hi: int, dist=None) -> np.ndarray:
-        """The weight rows of support rows lo:hi; `dist`, their distances to the
-        predictor's design when the caller has them, is only read."""
+        """The weight rows of support rows lo:hi, a view of the predictor's table
+        when it holds one over the whole support, so only read; `dist`, their
+        distances to the predictor's design when the caller has them, is only read."""
+        if self._table is not None:
+            return self._table[lo:hi]
         return self.predictor.weights_matrix(self._measure.points[lo:hi], dist)
 
 
-def support_blocks(measure: IntegrationMeasure, weights: WeightSource | None = None,
-                   size: int | None = None):
-    """The one loop over the support, in blocks of `size` rows (BLOCK by default).
+def block_rows(n: int) -> int:
+    """Rows per support block for predictors of at most n points: BLOCK, halved
+    while the block's (rows, n) arrays would hold more than BLOCK_ENTRIES doubles."""
+    rows = BLOCK
+    while rows > 1 and rows * n > BLOCK_ENTRIES:
+        rows //= 2
+    return rows
+
+
+def support_blocks(measure: IntegrationMeasure, size: int, weights: WeightSource | None = None):
+    """The one loop over the support, in blocks of `size` rows.
 
     Yields (rows, X, mu, W): the slice of the block, its points, their
     measure weights and, when a weight source is given, its weight rows.
     """
-    size = size or BLOCK
     for lo in range(0, measure.size, size):
         hi = min(lo + size, measure.size)
         W = None if weights is None else weights.block(lo, hi)
@@ -346,12 +360,15 @@ def _walk(accumulators, shared: dict | None) -> None:
         geometry = _Geometry(X, shared, measure, rows.start)
         terms = []
         for ws, group in zip(sources, groups.values()):
-            W = ws.block(rows.start, rows.stop, geometry.distances(ws.predictor.design))
+            reads = ws.predictor.reads_distances
+            W = ws.block(rows.start, rows.stop,
+                         geometry.distances(ws.predictor.design) if reads else None)
             terms += [acc.terms(rows, X, mu, W, geometry) for acc in group]
         return terms
 
     ordered = [acc for group in groups.values() for acc in group]
-    for terms in numerics.map_ordered(block_terms, support_blocks(measure)):
+    size = block_rows(max(ws.predictor.n for ws in sources))
+    for terms in numerics.map_ordered(block_terms, support_blocks(measure, size)):
         for acc, term in zip(ordered, terms):
             acc.add(term)
 
@@ -483,7 +500,7 @@ def _vn_component(comp: Component, W: np.ndarray, design: Design,
 
     total = diag = 0.0
     for own, off, d in numerics.map_ordered(block_row,
-                                             support_blocks(measure, size=VN_BLOCK)):
+                                             support_blocks(measure, VN_BLOCK)):
         total += own + off
         diag += d
     return total, diag
@@ -506,7 +523,7 @@ def _assemble(parts, pred, measure: IntegrationMeasure, compute_Vn: bool) -> Mom
     V = None
     if compute_Vn:
         W_full = np.empty((measure.size, n))
-        for rows, *_ in support_blocks(measure):  # no block outlives its copy
+        for rows, *_ in support_blocks(measure, block_rows(n)):  # no block outlives its copy
             W_full[rows] = weights.block(rows.start, rows.stop)
         VJ = [_vn_component(comp, W_full, design, measure) for comp in components]
         V = sum(comp.nu * v for comp, (v, _) in zip(components, VJ))
@@ -568,7 +585,7 @@ def flat_limit_diagnostics(pred, measure: IntegrationMeasure) -> dict:
     """
     u0 = (pred.loo.matrix.T @ np.ones(pred.n)) ** 2
     J0 = 0.0
-    for _, _, mu, W in support_blocks(measure, WeightSource(pred, measure)):
+    for _, _, mu, W in support_blocks(measure, block_rows(pred.n), WeightSource(pred, measure)):
         J0 += _sum_to_one_defect(mu, W)
     sum_to_one = bool(J0 < 1e-12 and np.max(u0, initial=0.0) < 1e-12)
     return {

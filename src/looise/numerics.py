@@ -215,12 +215,13 @@ LAPACK = load_lapack()
 # glibc's malloc takes a block below its mmap threshold from the heap, and returns
 # the heap's free top to the kernel above its trim threshold (twice the first).
 # By default the mmap threshold rises to the largest mmapped block freed so far,
-# so whether the walk's per-block temporaries (BLOCK x n doubles, 1.6 MB at
-# n = 200) reuse heap pages or fault in fresh ones depended on what the process
-# had freed before: a table2 replication pair took 437k page faults in one
-# process and 9k in another. Fixed thresholds make it the same in every process:
-# 4 MiB lies above those temporaries up to n = 500, and the trim threshold is
-# twice it, as glibc's own adjustment would set it.
+# so whether the walk's per-block temporaries reuse heap pages or fault in fresh
+# ones depended on what the process had freed before: a table2 replication pair
+# took 437k page faults in one process and 9k in another. Fixed thresholds make
+# it the same in every process. The walk sizes its blocks so that each (rows, n)
+# temporary holds at most moments.BLOCK_ENTRIES doubles, 1 MiB, well below the
+# 4 MiB mmap threshold for any n; the trim threshold is twice it, as glibc's own
+# adjustment would set it, and a block's temporaries freed together stay below it.
 MALLOC_MMAP_THRESHOLD = 4 << 20
 MALLOC_TRIM_THRESHOLD = 8 << 20
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters in glibc's malloc.h

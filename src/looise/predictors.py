@@ -45,6 +45,7 @@ class LinearPredictor:
 
     design: Design
     sum_to_one = False  # True where w(x)^T 1 = 1 for every x, so that R^T 1 = 0
+    reads_distances = False  # True where weights_matrix reads the `dist` it is given
 
     @property
     def n(self) -> int:
@@ -55,6 +56,11 @@ class LinearPredictor:
         distances of X to the design when the caller has them, is only read;
         predictors whose weights do not depend on distances ignore it."""
         raise NotImplementedError
+
+    def table_on(self, points) -> np.ndarray | None:
+        """The weight rows of all of `points`, in order, when the predictor holds
+        them as one table; None when it evaluates them."""
+        return None
 
     def weights(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -123,6 +129,8 @@ class SimpleKriging(LinearPredictor):
     of a block of points are C K_n^{-1}, one multiply by the record's inverse
     that the LOO operator needs anyway, rather than a triangular solve per point.
     """
+
+    reads_distances = True
 
     def __init__(self, kernel: KernelSpec, design: Design):
         self.kernel = kernel
@@ -254,6 +262,8 @@ class BayesPolynomial(SimpleKriging):
     under the degenerate kernel sum_l Lambda_l phi_l(x) phi_l(x') plus a
     nugget of noise_var, so only K_n and the cross-correlations differ."""
 
+    reads_distances = False
+
     def __init__(self, indices, prior_diag, noise_var: float, design: Design):
         self.indices = np.asarray(indices, dtype=int)
         self.prior_diag = np.asarray(prior_diag, dtype=float)
@@ -349,6 +359,16 @@ class TableWeights(LinearPredictor):
 
     def weights_matrix(self, X, dist=None) -> np.ndarray:
         return self.table[self._index.rows(X)]
+
+    def table_on(self, points) -> np.ndarray | None:
+        """The table itself when `points` are its support, no two of which
+        coincide: each point then looks up its own row."""
+        same = points is self.support or np.array_equal(points, self.support)
+        return self.table if same and self._distinct else None
+
+    @cached_property
+    def _distinct(self) -> bool:
+        return bool(self._index.first_of_each().all())
 
     def _loo_matrix(self) -> np.ndarray:
         if self._loo_given is None:

@@ -454,6 +454,25 @@ estimator.kernel.theta = 8.0
 """)
 
 
+@pytest.mark.parametrize("fmt, sliced", [(".17g", True), (".15g", False)])
+def test_a_table_over_the_measure_support_is_sliced_not_looked_up(tmp_path, capsys, monkeypatch,
+                                                                   fmt, sliced):
+    # at 17 digits the table's support is the measure's points, at 15 it only
+    # coincides with them; the slices give the bytes of the lookup
+    from looise.kernels import PointIndex
+    from looise.predictors import TableWeights
+
+    cfg = interpolation_table(tmp_path, fmt)
+    lookup, calls = PointIndex.rows, []
+    monkeypatch.setattr(PointIndex, "rows", lambda self, X: calls.append(len(X)) or lookup(self, X))
+    assert main(["estimate", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert bool(calls) is not sliced
+    monkeypatch.setattr(TableWeights, "table_on", lambda self, points: None)
+    assert main(["estimate", "--config", cfg]) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_estimate_with_a_15_digit_weight_table(tmp_path, capsys):
     from looise.designs import sobol_points
 

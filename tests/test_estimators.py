@@ -2,14 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import gp_draw, random_design, small_measure
-from looise.designs import Design
-from looise import estimators
 from looise import moments
 from looise import numerics
 from looise.errors import (
     BundleMismatch,
     DegenerateConstraint,
-    DegenerateData,
     SingularGram,
 )
 from looise.estimators import (
@@ -21,8 +18,6 @@ from looise.estimators import (
     ise_loo,
     optimal_mixture_weights,
     performance_report,
-    sigma2_estimators,
-    sigma2_ml,
     trend_corrected_ise,
 )
 from looise.kernels import KernelSpec, kernel_matrix
@@ -106,7 +101,8 @@ def _separate_pass(bundle, eps_sq, mode):
     q = float(bundle.u @ h)
     ug = float(bundle.u @ g)
     total = 0.0
-    for _, X, mu, W in support_blocks(bundle.measure, bundle.weights):
+    for _, X, mu, W in support_blocks(bundle.measure, moments.block_rows(bundle.n),
+                                      bundle.weights):
         parts, rho = moments._rho_gg(bundle.components, X, W, bundle.design, bundle.R)
         cv = moments._project(parts, np.column_stack([g, h]))
         vals = cv[:, 0]
@@ -285,7 +281,7 @@ def test_trend_correction_reuses_the_bundle_kernel_matrix(monkeypatch):
         calls.append(spec)
         return kernel_matrix(spec, X)
 
-    monkeypatch.setattr(estimators, "kernel_matrix", counting)
+    monkeypatch.setattr(moments, "kernel_matrix", counting)
     reused = trend_corrected_ise(bundle, y)
     assert calls == []
     assert reused.value == fresh.value
@@ -318,73 +314,3 @@ def test_optimal_mixture_weights():
         assert obj <= e @ G @ e + 1e-12
 
 
-def test_sigma2_estimators():
-    design = random_design(1, 12, seed=61)
-    kern = KernelSpec("matern32", 7.0)
-    p = SimpleKriging(kern, design)
-    measure = small_measure(1, 128, seed=62)
-    bundle = build_bundle(p, kern, measure)
-    out = sigma2_estimators(np.zeros(12), kern, bundle)
-    assert all(v == 0.0 for v in out.values())
-    y = gp_draw(kern, design, seed=63)
-    out = sigma2_estimators(y, kern, bundle)
-    M = np.linalg.inv(kernel_matrix(kern, design.points))
-    assert np.isclose(out["ml"], y @ M @ y / 12, rtol=1e-9)
-    D = np.diag(1.0 / np.diag(M))
-    assert np.isclose(out["loo"], y @ M @ D @ M @ y / 12, rtol=1e-9)
-
-
-def test_sigma2_estimators_reuse_the_bundle_kernel_matrix(monkeypatch):
-    design = random_design(1, 12, seed=61)
-    kern = KernelSpec("matern32", 7.0)
-    p = SimpleKriging(kern, design)
-    bundle = build_bundle(p, kern, small_measure(1, 128, seed=62))
-    y = gp_draw(kern, design, seed=63)
-    F = numerics.spd_factorize(kernel_matrix(kern, design.points))
-    My = numerics.solve(F, y)
-    eps = bundle.R.T @ y
-    expected = {
-        "ml": float(y @ My) / 12,
-        "loo": float(np.sum(My * My / numerics.inverse_diagonal(F))) / 12,
-        "blp": ise_blp(bundle, eps, clamp=False).value / bundle.J,
-        "blup": ise_blup(bundle, eps, clamp=False).value / bundle.J,
-    }
-    calls = []
-
-    def counting(spec, X):
-        calls.append(spec)
-        return kernel_matrix(spec, X)
-
-    monkeypatch.setattr(estimators, "kernel_matrix", counting)
-    assert sigma2_estimators(y, kern, bundle) == expected
-    assert calls == []
-    with pytest.raises(BundleMismatch):
-        sigma2_estimators(y, KernelSpec("matern52", 7.0), bundle)
-
-
-def test_sigma2_ml_single_point_and_record_error():
-    design = Design(points=np.array([[0.4]]))
-    kern = KernelSpec("matern32", 5.0, nugget=0.25)
-    assert np.isclose(sigma2_ml(np.array([2.0]), kern, design), 4.0 / 1.25)
-    measure = small_measure(1, 16, seed=1)
-    with pytest.raises(DegenerateData):
-        # n=1 record: LOO undefined
-        sigma2_estimators(np.array([2.0]), kern,
-                          _FakeBundle())
-
-
-class _FakeBundle:
-    pass
-
-
-def test_sigma2_ml_chi_square_mc():
-    design = random_design(1, 10, seed=65)
-    kern = KernelSpec("matern52", 6.0)
-    vals = []
-    for rep in range(500):
-        y = gp_draw(kern, design, seed=9000 + rep)
-        vals.append(sigma2_ml(y, kern, design))
-    vals = np.asarray(vals)
-    # y^T K^{-1} y ~ chi2(n): mean sigma2, var 2 sigma4 / n
-    se = np.sqrt(2.0 / 10) / np.sqrt(500)
-    assert abs(vals.mean() - 1.0) < 3 * se

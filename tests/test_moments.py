@@ -221,7 +221,7 @@ def test_bundle_builds_each_kernel_matrix_once(monkeypatch):
         return kernel_matrix(spec, X)
 
     design = random_design(2, 12, seed=21)
-    measure = small_measure(2, 3 * moments.BLOCK, seed=22)
+    measure = small_measure(2, 3 * moments.block_rows(12), seed=22)
     p = SimpleKriging(KernelSpec("matern52", 6.0), design)
     eps = p.loo_residuals(np.linspace(-1.0, 1.0, 12))
     monkeypatch.setattr(moments, "kernel_matrix", counting)
@@ -340,7 +340,7 @@ def test_one_support_pass_per_bundle_and_residual_vector(monkeypatch):
         return draw(self, lo, hi, *dist)
 
     design = random_design(2, 12, seed=31)
-    N = 3 * moments.BLOCK
+    N = 3 * moments.block_rows(12)
     measure = small_measure(2, N, seed=32)
     p = SimpleKriging(KernelSpec("matern52", 6.0), design)
     kern = KernelSpec("matern32", 8.0)
@@ -379,7 +379,7 @@ def test_bundle_shared_by_threads_makes_one_pass(monkeypatch):
         return draw(self, lo, hi, *dist)
 
     design = random_design(2, 10, seed=33)
-    N = 2 * moments.BLOCK
+    N = 2 * moments.block_rows(10)
     measure = small_measure(2, N, seed=34)
     p = SimpleKriging(KernelSpec("matern52", 6.0), design)
     bundle = build_bundle(p, KernelSpec("matern32", 8.0), measure)
@@ -539,14 +539,14 @@ def test_bundles_of_one_predictor_built_apart_draw_its_rows_once(monkeypatch):
         return draw(self, lo, hi, *dist)
 
     design = random_design(2, 10, seed=58)
-    measure = small_measure(2, 3 * moments.BLOCK, seed=59)
+    measure = small_measure(2, 3 * moments.block_rows(10), seed=59)
     p = SimpleKriging(KernelSpec("matern52", 6.0), design)
     single = build_bundle(p, KernelSpec("matern32", 8.0), measure)
     mix = mixture_bundle(p, [KernelSpec("matern32", 4.0), KernelSpec("gaussian", 9.0)],
                          [0.4, 0.6], measure)
     monkeypatch.setattr(moments.WeightSource, "block", counting)
     moments.support_pass([(single, None), (mix, None)])
-    N, B = measure.size, moments.BLOCK
+    N, B = measure.size, moments.block_rows(10)
     assert sorted(rows) == [(lo, lo + B) for lo in range(0, N, B)]  # one draw per block
     assert single._moments is not None and mix._moments is not None
 
@@ -684,3 +684,79 @@ def test_vn_scratch_does_not_grow_with_the_support(monkeypatch, N):
     # V_n's copy of W, C and T hold N x n doubles each; each worker adds a few
     # block x block tiles and its row of at most N sums
     assert peak - 3 * N * n * 8 <= workers * (8 * block**2 + N) * 8
+
+
+def test_support_blocks_hold_at_most_block_entries_doubles(monkeypatch):
+    import looise.moments as moments
+
+    assert [moments.block_rows(n) for n in (1, 40, 80, 128)] == [1024] * 4
+    assert [moments.block_rows(n) for n in (129, 200, 256, 400, 600)] == [512, 512, 512, 256, 128]
+    monkeypatch.setattr(moments, "BLOCK", 64)  # a lower BLOCK still caps the rows
+    assert [moments.block_rows(n) for n in (12, 2048, 4096)] == [64, 64, 32]
+
+
+def test_every_job_of_a_walk_takes_the_blocks_of_its_largest_predictor(monkeypatch):
+    import looise.moments as moments
+
+    rows = []
+    draw = moments.WeightSource.block
+
+    def counting(self, lo, hi, *dist):
+        rows.append((self.predictor.n, lo, hi))
+        return draw(self, lo, hi, *dist)
+
+    measure = small_measure(2, 600, seed=81)
+    small, large = (SimpleKriging(KernelSpec("matern52", 6.0), random_design(2, n, seed=n))
+                    for n in (12, 200))
+    kern = KernelSpec("matern32", 8.0)
+    monkeypatch.setattr(moments.WeightSource, "block", counting)
+    moments.support_pass([(build_bundle(small, kern, measure), None)])
+    assert rows == [(12, 0, 600)]
+    rows.clear()
+    moments.support_pass([(build_bundle(p, kern, measure), None) for p in (small, large)])
+    assert sorted(rows) == [(12, 0, 512), (12, 512, 600), (200, 0, 512), (200, 512, 600)]
+    rows.clear()
+    build_bundle(large, kern, measure, compute_Vn=True)  # V_n's weight draw
+    flat_limit_diagnostics(large, measure)
+    assert rows == [(200, 0, 512), (200, 512, 600)] * 2
+
+
+def _mean_and_polynomial(design):
+    from looise.predictors import BayesPolynomial, FixedMixture, poly_basis
+
+    mean = EmpiricalMean(design)
+    poly = BayesPolynomial(*poly_basis(2, 6), 0.1, design)
+    return mean, poly, FixedMixture([mean, poly], [0.5, 0.5])
+
+
+def test_a_walk_computes_distances_only_for_predictors_that_read_them(monkeypatch):
+    import looise.kernels as kernels
+    import looise.moments as moments
+    from looise.predictors import LinearPredictor
+
+    design = random_design(2, 9, seed=83)
+    measure = small_measure(2, 100, seed=84)
+    mean, poly, mix = _mean_and_polynomial(design)
+    table = TableWeights(measure.points, poly.weights_matrix(measure.points), design,
+                         loo_matrix=poly.loo.matrix)
+    f = np.cos(4.0 * measure.points.sum(axis=1))
+    y = np.cos(4.0 * design.points.sum(axis=1))
+
+    def walk(pred):
+        limit = independent_limit_bundle(pred, measure)
+        eps_sq = pred.loo_residuals(y) ** 2
+        ise, = moments.support_pass([(limit, eps_sq)],
+                                    [(f, moments.WeightSource(pred, measure), y)])
+        return ise, limit.b.tobytes(), limit.J, limit.clamped_integrals(eps_sq)
+
+    calls = []
+    for module in (kernels, moments):
+        counted = module.distances
+        monkeypatch.setattr(module, "distances",
+                            lambda X, Y, counted=counted: calls.append(len(X)) or counted(X, Y))
+    lean = [walk(pred) for pred in (mean, poly, mix, table)]
+    assert calls == []
+    monkeypatch.setattr(LinearPredictor, "reads_distances", True)
+    monkeypatch.setattr(type(poly), "reads_distances", True)
+    assert [walk(pred) for pred in (mean, poly, mix, table)] == lean
+    assert calls  # forced, the walk computes the distances that nothing reads

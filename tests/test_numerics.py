@@ -153,9 +153,10 @@ def test_import_pins_both_pools_over_the_environment():
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc malloc only")
 def test_block_temporaries_reuse_heap_pages_in_a_fresh_process():
-    # three support-block-sized temporaries freed together leave more than the
-    # default trim threshold free at the heap top; unpinned, each round faults
-    # in about 1,200 fresh pages
+    # three (1024, 200) temporaries, the size of a walk's blocks at n = 200 before
+    # blocks were sized by entries, freed together leave more than the default
+    # trim threshold free at the heap top; unpinned, each round faults in about
+    # 1,200 fresh pages
     probe = (
         "import resource, numpy as np\n"
         "from looise import numerics\n"
@@ -170,6 +171,34 @@ def test_block_temporaries_reuse_heap_pages_in_a_fresh_process():
     pinned, faults = out.stdout.split()
     assert pinned == "True"
     assert int(faults) < 20_000
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc malloc only")
+def test_a_walk_at_n_400_reuses_heap_pages_in_a_fresh_process():
+    # with 1024-row blocks each (1024, 400) temporary takes 3.3 MB, several of them
+    # freed together pass the trim threshold, and the second request faulted in
+    # about 12,700 pages at N = 4096 (7 on two workers and 0 on one with 256-row blocks)
+    probe = (
+        "import resource, numpy as np\n"
+        "from looise.designs import sobol_design, sobol_measure\n"
+        "from looise.estimators import ise_blp\n"
+        "from looise.kernels import KernelSpec\n"
+        "from looise.moments import build_bundle\n"
+        "from looise.predictors import SimpleKriging\n"
+        "design = sobol_design(4, 400, scramble_seed=7)\n"
+        "measure = sobol_measure(4, 4096, scramble_seed=1)\n"
+        "pred = SimpleKriging(KernelSpec('matern52', 5.0), design)\n"
+        "eps = pred.loo_residuals(np.sin(3.0 * design.points).sum(axis=1))\n"
+        "def request():\n"
+        "    ise_blp(build_bundle(pred, KernelSpec('matern32', 10.0), measure), eps)\n"
+        "request()\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "request()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=subprocess_env(),
+                         capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 2_000
 
 
 @needs_lapacke

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import gp_draw, predict_many, random_design
 from looise import numerics
-from looise.designs import Design, regular_grid, sobol_points
+from looise.designs import Design, regular_grid, sobol_points, uniform_measure
 from looise.errors import (
     DegenerateData,
     DimensionMismatch,
@@ -319,3 +319,22 @@ def test_bordered_and_ill_conditioned_loo_operators_still_run_the_svd(svd_calls)
     assert isinstance(pred, BayesPolynomial) and svd_calls[0] == 1
     OrdinaryKriging(KernelSpec("matern32", 5.0), random_design(2, 12, seed=4)).loo
     assert svd_calls[0] == 2
+
+
+def test_a_table_hands_out_its_rows_only_over_its_own_distinct_support():
+    from looise.moments import WeightSource
+
+    design = random_design(2, 5, seed=5)
+    support = sobol_points(2, 64, scramble_seed=6)
+    table = np.random.default_rng(7).standard_normal((64, 5))
+    p = TableWeights(support, table, design)
+    assert p.table_on(support) is p.table and p.table_on(support.copy()) is p.table
+    assert p.table_on(support[::-1]) is None and p.table_on(support[:32]) is None
+    # an exact duplicate looks up the first of its rows, so that table keeps the lookup
+    dup = support.copy()
+    dup[40] = dup[10]
+    q = TableWeights(dup, table, design)
+    assert q.table_on(dup) is None
+    source = WeightSource(q, uniform_measure(dup))
+    assert np.array_equal(source.block(32, 64)[8], table[10])
+    assert np.array_equal(WeightSource(p, uniform_measure(support)).block(32, 64), table[32:])
