@@ -48,27 +48,29 @@ def distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
     Each entry is the square root of the squared coordinate differences
     summed in coordinate order, one pair at a time in effect; rows are
-    filled in chunks, so the scratch memory is bounded whatever m.
+    filled in chunks, so the scratch memory is bounded whatever m. Each
+    x_k - y_k is the product [x_k, 1] [1, -y_k]^T: both terms are exact and
+    their sum is rounded once, so a matrix product, faster than a broadcast
+    subtraction, keeps the subtraction's bits.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if X.ndim != 2 or Y.ndim != 2 or X.shape[1] != Y.shape[1]:
         raise DimensionMismatch(f"cannot pair points of shapes {X.shape} and {Y.shape}")
-    m, n = len(X), len(Y)
-    if X.shape[1] == 0:
+    (m, d), n = X.shape, len(Y)
+    if d == 0:
         return np.zeros((m, n))
-    XT, YT = np.ascontiguousarray(X.T), np.ascontiguousarray(Y.T)
-    D = np.empty((m, n))
+    YB = np.ones((d, 2, n))
+    YB[:, 1] = -Y.T
+    D = np.zeros((m, n))
     step = max(1, CHUNK_ENTRIES // max(n, 1))
-    diff = np.empty((min(step, m), n))
+    diff, XA = np.empty((min(step, m), n)), np.ones((min(step, m), 2))
     for lo in range(0, m, step):
-        part, tmp = D[lo:lo + step], diff[:min(step, m - lo)]
-        np.subtract.outer(XT[0, lo:lo + step], YT[0], out=part)
-        part *= part
-        for k in range(1, len(XT)):
-            np.subtract.outer(XT[k, lo:lo + step], YT[k], out=tmp)
-            tmp *= tmp
-            part += tmp
+        part = D[lo:lo + step]
+        tmp, xa = diff[:len(part)], XA[:len(part)]
+        for k in range(d):
+            xa[:, 0] = X[lo:lo + step, k]
+            part += np.square(np.matmul(xa, YB[k], out=tmp), out=tmp)
     return np.sqrt(D, out=D)
 
 
@@ -186,11 +188,15 @@ class PointIndex:
                                   f"nearest known point (coincidence: <= {COINCIDENCE_TOL:g})")
         return rows
 
+    def coinciding_pairs(self) -> list[tuple[int, int]]:
+        """The (i, j), i < j, of every two known points that coincide, in order."""
+        i, j, _ = self._coinciding(self.points)
+        return sorted(zip(i[i < j].tolist(), j[i < j].tolist()))
+
     def first_of_each(self) -> np.ndarray:
         """Mask of the known points that coincide with no earlier kept one."""
         keep = np.ones(len(self.points), dtype=bool)
-        i, j, _ = self._coinciding(self.points)
-        for a, b in sorted(zip(i[i < j].tolist(), j[i < j].tolist())):
+        for a, b in self.coinciding_pairs():
             keep[b] &= not keep[a]
         return keep
 

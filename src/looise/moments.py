@@ -26,7 +26,8 @@ the arithmetic of a walk of its own. A bundle asked for b or J first makes
 a one-job walk, under its lock.
 
 V is the O(N^2) double integral of rho^4(x, x'). Its integrand is
-symmetric, so it is summed over each unordered pair of row blocks once.
+symmetric, so it is summed over each unordered pair of row blocks once;
+besides W and C (2 N n doubles) it holds a few tiles per worker.
 
 Both integrals are ordered folds: each row block runs on a thread of
 :func:`numerics.map_ordered` and returns its own terms, and the calling
@@ -379,13 +380,14 @@ class _Geometry:
     walk's `shared` dict, both are kept there under the block's measure and
     first row (each block has its own keys, so no two workers build one
     entry); otherwise the distances live with this block and every request
-    forms its cross-correlations anew."""
+    forms its cross-correlations anew, an array the caller may overwrite."""
 
     def __init__(self, X: np.ndarray, shared: dict | None = None, measure=None, lo: int = 0):
         self.X = X
         self._shared = shared
         self._cache = {} if shared is None else shared
         self._measure, self._lo = measure, lo
+        self.fresh_cross = shared is None
 
     def distances(self, design: Design) -> np.ndarray:
         key = ("distances", id(design), id(self._measure), self._lo)
@@ -394,7 +396,7 @@ class _Geometry:
         return self._cache[key][2]
 
     def cross(self, kernel: KernelSpec, design: Design) -> np.ndarray:
-        """The block's cross-correlations with the design; only read."""
+        """The block's cross-correlations with the design; only read unless fresh_cross."""
         if self._shared is None:
             return cross_matrix(kernel, design.points, self.X, self.distances(design))
         key = (kernel, id(design), id(self._measure), self._lo)
@@ -418,7 +420,8 @@ def _rho_gg(components, X: np.ndarray, W: np.ndarray, design: Design, R: np.ndar
     The component's c(x) = rho^2(x) u + 2 G(x)^{o2}, with G = (R^T t(x))^T
     and t(x) = k(x) - K w(x), so c(x)^T v = rho^2(x) u^T v + 2 G^{o2} v for
     any v. The cross-correlations of X with the design come from the walk's
-    `geometry` of the block when it has one, and are only read.
+    `geometry` of the block when it has one; G is written into them when the
+    geometry hands them out fresh, and they are only read otherwise.
     """
     geometry = geometry or _Geometry(X)
     parts, rho_mix = [], 0.0
@@ -430,7 +433,8 @@ def _rho_gg(components, X: np.ndarray, W: np.ndarray, design: Design, R: np.ndar
             C = geometry.cross(comp.kernel, design)
             T = W @ comp.record.K
             rho = (1.0 + comp.kernel.nugget) - 2.0 * _row_dots(W, C) + _row_dots(T, W)
-            G = np.subtract(C, T, out=T) @ R
+            np.subtract(C, T, out=T)
+            G = np.matmul(T, R, out=C) if geometry.fresh_cross else T @ R
         G *= G
         parts.append((comp.nu, comp.u, rho, G))
         rho_mix = rho_mix + comp.nu * rho
@@ -467,36 +471,38 @@ def _vn_component(comp: Component, W: np.ndarray, design: Design,
 
     rho^2(x, x') is symmetric, so each unordered pair of row blocks is
     visited once: a block row is evaluated against itself and the columns
-    after it, and the blocks off the diagonal count twice. A block row is
-    built one VN_BLOCK-wide column tile at a time and folded against the
-    row weights at once, so a worker holds a few VN_BLOCK^2 tiles whatever N.
+    after it, and the blocks off the diagonal count twice. A block row forms
+    its rows of t(x) = k(x) - K w(x) and is built in tiles of VN_BLOCK rows and
+    min(VN_BLOCK, BLOCK_ENTRIES // VN_BLOCK) columns, each folded against the
+    row weights at once: a worker holds a few tiles, its t and N sums whatever N.
     """
     mu = measure.weights
     kernel = comp.kernel
     pts = measure.points
     N = measure.size
     C = cross_matrix(kernel, design.points, pts)
-    # t(x) = k(x) - K w(x), so rho^2(x, x') = k(x, x') - w(x)^T k(x') - t(x)^T w(x')
-    T = W @ comp.record.K
-    np.subtract(C, T, out=T)
+    width = min(VN_BLOCK, BLOCK_ENTRIES // VN_BLOCK)
 
     def block_row(block) -> tuple[float, float, float]:
         rows, X, mu_rows, _ = block
         lo, m = rows.start, rows.stop - rows.start
-        row, diag = np.empty(N - lo), 0.0  # mu_rows^T rho^4 over the columns lo:
-        for start in range(lo, N, VN_BLOCK):
-            cols = slice(start, min(start + VN_BLOCK, N))
+        # rho^2(x, x') = k(x, x') - w(x)^T k(x') - t(x)^T w(x')
+        T = W[rows] @ comp.record.K
+        np.subtract(C[rows], T, out=T)
+        row, diag = np.empty(N - lo), np.empty(m)  # mu_rows^T rho^4 over the columns lo:
+        for start in range(lo, N, width):
+            cols = slice(start, min(start + width, N))
             tile = cross_matrix(kernel, pts[cols], X)
-            own = start == lo  # the first tile holds the block's diagonal
-            if own and kernel.nugget:
-                tile[np.arange(m), np.arange(m)] += kernel.nugget
+            i = np.arange(start - lo, min(cols.stop - lo, m))
+            own = (i, i - (start - lo))  # the entries of the block's diagonal in the tile
+            tile[own] += kernel.nugget
             tile -= W[rows] @ C[cols].T
-            tile -= T[rows] @ W[cols].T
-            if own:
-                diag = float(mu_rows @ np.diagonal(tile))
+            tile -= T @ W[cols].T
+            diag[i] = tile[own]
             tile *= tile
             row[start - lo:cols.stop - lo] = mu_rows @ tile
-        return float(row[:m] @ mu_rows), 2.0 * float(row[m:] @ mu[rows.stop:]), diag
+        return float(row[:m] @ mu_rows), 2.0 * float(row[m:] @ mu[rows.stop:]), \
+            float(mu_rows @ diag)
 
     total = diag = 0.0
     for own, off, d in numerics.map_ordered(block_row,

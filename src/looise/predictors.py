@@ -340,8 +340,8 @@ class TableWeights(LinearPredictor):
 
     Weight rows are looked up under the one coincidence rule
     (:class:`~looise.kernels.PointIndex`), so evaluation is only possible
-    on (subsets of) the tabulated support. A LOO matrix may be
-    supplied alongside; without one the LOO operator is unavailable.
+    on (subsets of) the tabulated support, whose points are distinct. A LOO
+    matrix may be supplied alongside; without one the LOO operator is unavailable.
     """
 
     def __init__(self, support, table, design: Design, loo_matrix=None):
@@ -351,6 +351,8 @@ class TableWeights(LinearPredictor):
         if self.table.shape != (len(self.support), design.n):
             raise DimensionMismatch("weight table must be (len(support), n)")
         self._index = PointIndex(self.support)
+        if pairs := self._index.coinciding_pairs():
+            raise ValueError("weight-table support points %d and %d coincide" % pairs[0])
         self._loo_given = None
         if loo_matrix is not None:
             self._loo_given = np.asarray(loo_matrix, dtype=float)
@@ -361,14 +363,10 @@ class TableWeights(LinearPredictor):
         return self.table[self._index.rows(X)]
 
     def table_on(self, points) -> np.ndarray | None:
-        """The table itself when `points` are its support, no two of which
-        coincide: each point then looks up its own row."""
+        """The table itself when `points` are its support, whose points are
+        distinct: each point then looks up its own row."""
         same = points is self.support or np.array_equal(points, self.support)
-        return self.table if same and self._distinct else None
-
-    @cached_property
-    def _distinct(self) -> bool:
-        return bool(self._index.first_of_each().all())
+        return self.table if same else None
 
     def _loo_matrix(self) -> np.ndarray:
         if self._loo_given is None:

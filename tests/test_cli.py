@@ -498,6 +498,17 @@ def test_estimate_rejects_a_non_finite_weight(tmp_path, capsys):
     assert captured.out == "" and f"{weights} holds a non-finite value" in captured.err
 
 
+def test_estimate_rejects_a_weight_table_whose_support_points_coincide(tmp_path, capsys):
+    cfg = interpolation_table(tmp_path, ".17g")
+    weights = tmp_path / "weights.17g.csv"
+    lines = weights.read_text().splitlines()  # the header, then support row i on line i + 1
+    lines[21] = lines[6].split(",", 1)[0] + "," + lines[21].split(",", 1)[1]
+    weights.write_text("\n".join(lines) + "\n")
+    assert main(["estimate", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "support points 5 and 20 coincide" in captured.err
+
+
 def test_exit_code_follows_where_the_error_came_from(tmp_path, capsys, monkeypatch):
     ycsv = write(tmp_path, "y.csv", "y\n" + "\n".join(["0.5"] * 10) + "\n")
     cfg = write(tmp_path, "run.cfg", BASE_CONFIG + f"data.file = {ycsv}\n")

@@ -120,6 +120,45 @@ def test_distances_equal_the_naive_broadcast(d):
     assert np.array_equal(kernel_matrix(spec, X), correlation(spec.family, 3.0 * naive_xx))
 
 
+def distances_by_outer_subtraction(X, Y):
+    """The reference loop of distances(): per coordinate a broadcast subtraction,
+    squared and added in coordinate order, then the square root."""
+    D = np.subtract.outer(X[:, 0], Y[:, 0])
+    D *= D
+    for k in range(1, X.shape[1]):
+        t = np.subtract.outer(X[:, k], Y[:, k])
+        t *= t
+        D += t
+    return np.sqrt(D)
+
+
+@st.composite
+def signed_point_sets(draw):
+    """Two point sets of either sign at scales from 1e-12 to 1e6, with signed
+    zeros, rows of Y that repeat or negate rows of X, and a point set large
+    enough to span several chunks of distances()."""
+    d = draw(st.integers(1, 8))
+    m, n = draw(st.sampled_from([1, 7, 40, 300])), draw(st.integers(1, 140))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-12.0, 6.0))
+    X, Y = gen.standard_normal((m, d)) * scale, gen.standard_normal((n, d)) * scale
+    X[gen.random((m, d)) < 0.1] = 0.0
+    X[gen.random((m, d)) < 0.1] = -0.0
+    Y[gen.random((n, d)) < 0.1] = -0.0
+    for i in range(draw(st.integers(0, min(m, n)))):
+        Y[i] = draw(st.sampled_from([1.0, -1.0])) * X[i]
+    return X, Y
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sets=signed_point_sets())
+def test_distances_keep_the_bits_of_the_outer_subtraction(sets):
+    X, Y = sets
+    D = distances(X, Y)
+    assert np.array_equal(D.view(np.int64), distances_by_outer_subtraction(X, Y).view(np.int64))
+    assert np.array_equal(np.diagonal(distances(X, X)).view(np.int64), np.zeros(len(X), np.int64))
+
+
 def psi_vectorized(family, s):
     """The numpy expressions of correlation before it took `out`; the operations,
     in their order, that every form of it must keep bit for bit."""

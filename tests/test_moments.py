@@ -4,7 +4,7 @@ import pytest
 from conftest import random_design, small_measure
 from looise.designs import Design, uniform_measure
 from looise.errors import DomainViolation, FlatLimitSingular, WeightSimplexViolation
-from looise.kernels import KernelSpec, cross_matrix, kernel_eval, kernel_matrix
+from looise.kernels import CHUNK_ENTRIES, KernelSpec, cross_matrix, kernel_eval, kernel_matrix
 from looise.moments import (
     build_bundle,
     flat_limit_diagnostics,
@@ -681,9 +681,37 @@ def test_vn_scratch_does_not_grow_with_the_support(monkeypatch, N):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # V_n's copy of W, C and T hold N x n doubles each; each worker adds a few
-    # block x block tiles and its row of at most N sums
-    assert peak - 3 * N * n * 8 <= workers * (8 * block**2 + N) * 8
+    # V_n's copy of W and its C hold N x n doubles each, and forming C takes the
+    # kernels' chunk scratch; each worker adds three block x width tiles (the
+    # tile, a product subtracted from it and the tile's distance scratch), its
+    # block's rows of t and its row of at most N sums
+    width = min(block, moments.BLOCK_ENTRIES // block)
+    scratch = CHUNK_ENTRIES + workers * (3 * block * width + block * n + N)
+    assert peak - 2 * N * n * 8 <= scratch * 8
+
+
+def test_a_walk_without_a_shared_dict_writes_g_into_its_cross_correlations(monkeypatch):
+    import tracemalloc
+
+    import looise.moments as moments
+    from looise import numerics
+
+    monkeypatch.setattr(numerics, "default_workers", lambda: 1)
+    n = 200
+    design = random_design(2, n, seed=91)
+    measure = small_measure(2, 2048, seed=92)
+    bundle = build_bundle(SimpleKriging(KernelSpec("matern52", 6.0), design),
+                          KernelSpec("matern32", 8.0), measure)
+    tracemalloc.start()
+    try:
+        bundle.J
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # per block of 512 rows four block-sized arrays: the distances, the weights,
+    # the cross-correlations that G overwrites and t; a fifth one for G exceeds the bound
+    assert moments.block_rows(n) == 512
+    assert peak <= 4.5 * 512 * n * 8
 
 
 def test_support_blocks_hold_at_most_block_entries_doubles(monkeypatch):

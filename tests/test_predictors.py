@@ -15,7 +15,7 @@ from looise.errors import (
     RankDeficient,
     WeightSimplexViolation,
 )
-from looise.kernels import KernelSpec
+from looise.kernels import COINCIDENCE_TOL, KernelSpec
 from looise.predictors import (
     POLY_INDEX_TABLE_D2_M50,
     BayesPolynomial,
@@ -330,11 +330,9 @@ def test_a_table_hands_out_its_rows_only_over_its_own_distinct_support():
     p = TableWeights(support, table, design)
     assert p.table_on(support) is p.table and p.table_on(support.copy()) is p.table
     assert p.table_on(support[::-1]) is None and p.table_on(support[:32]) is None
-    # an exact duplicate looks up the first of its rows, so that table keeps the lookup
-    dup = support.copy()
-    dup[40] = dup[10]
-    q = TableWeights(dup, table, design)
-    assert q.table_on(dup) is None
-    source = WeightSource(q, uniform_measure(dup))
-    assert np.array_equal(source.block(32, 64)[8], table[10])
     assert np.array_equal(WeightSource(p, uniform_measure(support)).block(32, 64), table[32:])
+    # a support whose points coincide is refused, as a design's is, naming both rows
+    dup = support.copy()
+    dup[40] = dup[10] + 0.5 * COINCIDENCE_TOL
+    with pytest.raises(ValueError, match="points 10 and 40 coincide"):
+        TableWeights(dup, table, design)

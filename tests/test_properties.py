@@ -363,7 +363,8 @@ def test_the_projected_walk_matches_sums_over_full_c_rows(predictor, kind, spec)
 @st.composite
 def vn_tilings(draw):
     """A design, a support of N points, a Matern predictor and assumed kernel,
-    with or without a nugget, and two V_n block sizes that N fills neither."""
+    with or without a nugget, and two V_n block sizes that N fills neither;
+    the test runs each with tiles of 1, 3 and VN_BLOCK columns."""
     d = draw(st.integers(1, 3))
     n = draw(st.integers(4, 12))
     seed = draw(st.integers(0, 10_000))
@@ -386,16 +387,18 @@ def test_vn_does_not_depend_on_the_tiling(spec):
     comp = moments.Component(nu=1.0, kernel=spec["kern_e"], record=record, u=None)
     tiled = []
     for block in spec["blocks"]:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(moments, "VN_BLOCK", block)
-            tiled.append(moments._vn_component(comp, W, design, measure))
+        for width in (1, 3, block):  # columns per tile: min(VN_BLOCK, BLOCK_ENTRIES // VN_BLOCK)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(moments, "VN_BLOCK", block)
+                mp.setattr(moments, "BLOCK_ENTRIES", block * width)
+                tiled.append(moments._vn_component(comp, W, design, measure))
     # the dense rho^2(x, x') on the whole support, nugget on its diagonal
     kern, mu = spec["kern_e"], measure.weights
     C = cross_matrix(kern, design.points, measure.points)
     rho2 = cross_matrix(kern, measure.points, measure.points) + kern.nugget * np.eye(spec["N"])
     rho2 += -W @ C.T - C @ W.T + W @ record.K @ W.T
     dense = (float(mu @ (rho2 * rho2) @ mu), float(mu @ np.diagonal(rho2)))
-    np.testing.assert_allclose(tiled, [dense, dense], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(tiled, [dense] * len(tiled), rtol=1e-12, atol=0.0)
 
 
 def _svd_verdict(R):
