@@ -7,13 +7,11 @@ from .estimators import (
     PerformanceReport,
     blp_pointwise,
     blup_weights,
-    estimator_dominance_check,
     ise_blp,
     ise_blup,
     ise_loo,
     optimal_mixture_weights,
     performance_report,
-    tail_stats,
     trend_corrected_ise,
 )
 from .kernels import KernelSpec
@@ -62,9 +60,7 @@ __all__ = [
     "blp_pointwise",
     "blup_weights",
     "performance_report",
-    "estimator_dominance_check",
     "trend_corrected_ise",
     "optimal_mixture_weights",
-    "tail_stats",
     "__version__",
 ]

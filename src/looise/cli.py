@@ -211,6 +211,7 @@ def _mixture_spec(cfg: dict):
         raise ConfigError("estimator.mixture.* needs matching comma lists") from exc
     if not len(families) == len(thetas) == len(nus):
         raise ConfigError("estimator.mixture.* lists must have equal length")
+    _finite(np.asarray(nus), "estimator.mixture.weights")
     nugget = get_float(cfg, "estimator.kernel.nugget", 0.0)
     return [KernelSpec(f, t, nugget) for f, t in zip(families, thetas)], nus
 

@@ -7,6 +7,7 @@ strings until a consumer coerces them; serialization round-trips.
 
 from __future__ import annotations
 
+import math
 import shlex
 
 from .errors import ConfigError
@@ -104,9 +105,12 @@ def get_float(cfg: dict, key: str, default=None) -> float:
             raise ConfigError(f"missing required key {key!r}")
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: expected a number, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def get_int(cfg: dict, key: str, default=None) -> int:

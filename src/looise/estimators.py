@@ -12,7 +12,6 @@ linear forms only).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,7 +19,6 @@ import numpy as np
 from .errors import (
     DegenerateConstraint,
     DimensionMismatch,
-    EmptyInput,
     SingularGram,
 )
 from .moments import MomentBundle, pointwise_c_rho
@@ -34,11 +32,9 @@ __all__ = [
     "blup_weights",
     "ise_blup",
     "performance_report",
-    "estimator_dominance_check",
     "trend_centering",
     "trend_corrected_ise",
     "optimal_mixture_weights",
-    "tail_stats",
 ]
 
 
@@ -144,30 +140,6 @@ def performance_report(gamma, bundle: MomentBundle) -> PerformanceReport:
                              variance=var, mse=mse, vn_included=bundle.V is not None)
 
 
-def estimator_dominance_check(bundle_e: MomentBundle, bundle_true: MomentBundle) -> dict:
-    """MSE gaps between the unweighted, assumed-kernel and matched-kernel
-    weighted estimators, all evaluated under the generating kernel.
-
-    gap_loo_oracle and gap_oracle are nonnegative up to rounding by the
-    optimality identities; gap_loo_blp (unweighted vs assumed-kernel
-    weights) may be negative for a sufficiently bad assumed kernel.
-    """
-    if bundle_e.n != bundle_true.n:
-        raise DimensionMismatch("bundles must share the LOO operator")
-    n = bundle_true.n
-    rep_loo = performance_report(np.full(n, 1.0 / n), bundle_true)
-    rep_e = performance_report(bundle_e.gamma_blp, bundle_true)
-    rep_oracle = performance_report(bundle_true.gamma_blp, bundle_true)
-    return {
-        "mse_loo": rep_loo.mse,
-        "mse_blp": rep_e.mse,
-        "mse_blp_oracle": rep_oracle.mse,
-        "gap_loo_blp": rep_loo.mse - rep_e.mse,
-        "gap_oracle": rep_e.mse - rep_oracle.mse,
-        "gap_loo_oracle": rep_loo.mse - rep_oracle.mse,
-    }
-
-
 def trend_centering(bundle: MomentBundle, y) -> tuple[float, np.ndarray]:
     """The BLUE tau of a constant mean under the bundle's own covariance
     sum_k nu_k K_k, and the LOO residuals R^T (y - tau) of the centered data.
@@ -226,23 +198,3 @@ def optimal_mixture_weights(E_loo, gamma) -> np.ndarray:
     if not np.isfinite(cond) or cond > 1e12:
         raise SingularGram(f"E Gamma E^T condition estimate {cond:.3e} exceeds 1e12")
     return sol / float(sol.sum())
-
-
-def tail_stats(values, alpha: float) -> dict:
-    """Empirical lower quantile and conditional tail mean of pointwise
-    squared-error estimates.
-
-    Flagged unreliable: pointwise estimates and true squared errors have
-    different distributions, so tail summaries of the former say little
-    about the latter. Only the mean (the ISE estimate itself) is
-    trustworthy.
-    """
-    vals = np.sort(np.asarray(values, dtype=float).ravel())
-    if vals.size == 0:
-        raise EmptyInput("no values")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    k = max(1, math.ceil(alpha * vals.size))
-    q = float(vals[k - 1])
-    tail = vals[vals >= q]
-    return {"quantile": q, "cvar": float(tail.mean()), "unreliable": True}

@@ -212,10 +212,10 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}; choose from {FAMILIES}")
-        if not self.theta > 0:
-            raise ValueError("theta must be > 0")
-        if self.nugget < 0:
-            raise ValueError("nugget must be >= 0")
+        if not 0 < self.theta < math.inf:
+            raise ValueError(f"theta must be > 0 and finite, got {self.theta!r}")
+        if not 0 <= self.nugget < math.inf:
+            raise ValueError(f"nugget must be >= 0 and finite, got {self.nugget!r}")
 
 
 def correlation(family: str, s, out=None):

@@ -91,16 +91,15 @@ def block_rows(n: int) -> int:
     return rows
 
 
-def support_blocks(measure: IntegrationMeasure, size: int, weights: WeightSource | None = None):
+def support_blocks(measure: IntegrationMeasure, size: int):
     """The one loop over the support, in blocks of `size` rows.
 
-    Yields (rows, X, mu, W): the slice of the block, its points, their
-    measure weights and, when a weight source is given, its weight rows.
+    Yields (rows, X, mu): the slice of the block, its points and their
+    measure weights.
     """
     for lo in range(0, measure.size, size):
         hi = min(lo + size, measure.size)
-        W = None if weights is None else weights.block(lo, hi)
-        yield slice(lo, hi), measure.points[lo:hi], measure.weights[lo:hi], W
+        yield slice(lo, hi), measure.points[lo:hi], measure.weights[lo:hi]
 
 
 @dataclass(frozen=True)
@@ -357,7 +356,7 @@ def _walk(accumulators, shared: dict | None) -> None:
         raise DimensionMismatch("the jobs of one support pass must share one measure")
 
     def block_terms(block) -> list:
-        rows, X, mu, _ = block
+        rows, X, mu = block
         geometry = _Geometry(X, shared, measure, rows.start)
         terms = []
         for ws, group in zip(sources, groups.values()):
@@ -484,7 +483,7 @@ def _vn_component(comp: Component, W: np.ndarray, design: Design,
     width = min(VN_BLOCK, BLOCK_ENTRIES // VN_BLOCK)
 
     def block_row(block) -> tuple[float, float, float]:
-        rows, X, mu_rows, _ = block
+        rows, X, mu_rows = block
         lo, m = rows.start, rows.stop - rows.start
         # rho^2(x, x') = k(x, x') - w(x)^T k(x') - t(x)^T w(x')
         T = W[rows] @ comp.record.K
@@ -563,7 +562,7 @@ def mixture_bundle(pred, kernels, nu, measure: IntegrationMeasure,
     nu = np.asarray(nu, dtype=float)
     if len(nu) != len(kernels):
         raise DimensionMismatch("one weight per kernel required")
-    if (nu < 0).any() or abs(nu.sum() - 1.0) > 1e-12:
+    if not ((nu >= 0).all() and abs(nu.sum() - 1.0) <= 1e-12):  # NaN weights fail too
         raise WeightSimplexViolation("mixture weights must be nonnegative and sum to 1")
     parts = [(float(w), k, _record(k, pred.design, {})) for k, w in zip(kernels, nu)]
     return _assemble(parts, pred, measure, compute_Vn)
@@ -590,9 +589,9 @@ def flat_limit_diagnostics(pred, measure: IntegrationMeasure) -> dict:
     limit.
     """
     u0 = (pred.loo.matrix.T @ np.ones(pred.n)) ** 2
-    J0 = 0.0
-    for _, _, mu, W in support_blocks(measure, block_rows(pred.n), WeightSource(pred, measure)):
-        J0 += _sum_to_one_defect(mu, W)
+    weights, J0 = WeightSource(pred, measure), 0.0
+    for rows, _, mu in support_blocks(measure, block_rows(pred.n)):
+        J0 += _sum_to_one_defect(mu, weights.block(rows.start, rows.stop))
     sum_to_one = bool(J0 < 1e-12 and np.max(u0, initial=0.0) < 1e-12)
     return {
         "J0": J0,

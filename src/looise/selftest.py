@@ -1,11 +1,13 @@
 """Built-in invariant suite for `looise selftest`.
 
 Each check is a small named assertion over seeded inputs: closed-form
-LOO identities against brute-force refits, moment-matrix structure,
-optimality and unbiasedness of the weighted estimators, limit
-consistency, and the golden fixtures of the benchmark functions. The
-whole suite runs in well under a minute. Tier-1 runs the same registry,
-one test per check named after it (tests/test_selftest.py).
+LOO identities, moment-matrix structure, optimality and unbiasedness of
+the weighted estimators, limit consistency, and the golden fixtures of
+the benchmark functions. The whole suite runs in well under a minute.
+Tier-1 runs the same registry, one test per check named after it
+(tests/test_selftest.py). The comparisons with brute-force refits and
+the dominance identities over many configurations are Tier-1 tests
+only (tests/test_acceptance.py, tests/test_properties.py).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .designs import (
     theta_from_coverage,
     uniform_measure,
 )
-from .errors import EmptyInput, NotPositiveDefinite
+from .errors import NotPositiveDefinite
 from .kernels import (
     FAMILIES,
     KernelSpec,
@@ -33,12 +35,9 @@ from .kernels import (
     kernel_matrix,
 )
 from .predictors import (
-    BayesPolynomial,
     EmpiricalMean,
     OrdinaryKriging,
     SimpleKriging,
-    loo_residuals_bruteforce,
-    poly_basis,
 )
 from .testbed import environmental, piston4d, sample_gp
 
@@ -155,38 +154,6 @@ def _n4():
     # the jitter ladder must not rescue a genuinely singular matrix
     for size in (5, 6):
         _raises(NotPositiveDefinite, numerics.spd_factorize, np.ones((size, size)))
-
-
-@check("loo: simple kriging matches brute force")
-def _l1():
-    design = _design(2, 12, 4)
-    pred = SimpleKriging(KernelSpec("matern52", 6.0), design)
-    y = sample_gp(KernelSpec("matern32", 7.0), design.points, 11)
-    assert np.max(np.abs(pred.loo_residuals(y) - loo_residuals_bruteforce(pred, y))) < 1e-8
-
-
-@check("loo: ordinary kriging matches brute force")
-def _l2():
-    design = _design(2, 11, 5)
-    pred = OrdinaryKriging(KernelSpec("matern32", 5.0), design)
-    y = sample_gp(KernelSpec("matern32", 7.0), design.points, 12)
-    assert np.max(np.abs(pred.loo_residuals(y) - loo_residuals_bruteforce(pred, y))) < 1e-8
-
-
-@check("loo: polynomial model matches brute force")
-def _l3():
-    design = _design(2, 13, 6)
-    pred = BayesPolynomial(*poly_basis(2, 10, c=10.0), 0.05, design)
-    y = sample_gp(KernelSpec("matern32", 7.0), design.points, 13)
-    assert np.max(np.abs(pred.loo_residuals(y) - loo_residuals_bruteforce(pred, y))) < 1e-8
-
-
-@check("loo: empirical mean matches brute force")
-def _l4():
-    design = _design(1, 9, 7)
-    pred = EmpiricalMean(design)
-    y = sample_gp(KernelSpec("matern32", 5.0), design.points, 14)
-    assert np.max(np.abs(pred.loo_residuals(y) - loo_residuals_bruteforce(pred, y))) < 1e-8
 
 
 @check("loo: deleted-point variance identity")
@@ -356,16 +323,6 @@ def _e3():
     assert mse_blp < bundle.J**2 + 2 * bundle.V
 
 
-@check("estimators: oracle weights dominate misspecified ones")
-def _e4():
-    _, pred, measure, kern, bundle_true, _ = _setup(24)
-    for theta in (2.0, *np.logspace(0, 1.7, 8)):
-        bundle_e = moments.build_bundle(pred, KernelSpec("matern32", theta), measure)
-        rec = estimators.estimator_dominance_check(bundle_e, bundle_true)
-        assert rec["gap_oracle"] >= -1e-9 * max(abs(rec["mse_blp"]), abs(rec["mse_loo"]))
-        assert rec["gap_loo_oracle"] >= -1e-9 * abs(rec["mse_loo"])
-
-
 @check("estimators: matched weighted estimator is negatively biased")
 def _e5():
     design = _design(1, 11, 25)
@@ -411,16 +368,6 @@ def _e8():
     plain = estimators.ise_blp(bundle, pred.loo_residuals(y))
     assert est.trend_correction_applied and est.trend_amount < 1e-12
     assert abs(est.value - plain.value) <= 1e-10 * max(1.0, plain.value)
-
-
-@check("estimators: tail statistics conventions")
-def _e9():
-    out = estimators.tail_stats([1.0, 2.0, 3.0, 4.0], 0.5)
-    assert out["quantile"] == 2.0 and out["cvar"] == 3.0 and out["unreliable"]
-    out = estimators.tail_stats(np.full(6, 2.5), 0.9)
-    assert out["quantile"] == 2.5 and out["cvar"] == 2.5
-    assert estimators.tail_stats(np.arange(1.0, 101.0), 1e-9)["cvar"] == 50.5
-    _raises(EmptyInput, estimators.tail_stats, [], 0.5)
 
 
 @check("designs: coverage rule round trip")

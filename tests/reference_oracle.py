@@ -1,11 +1,41 @@
-"""Independent transcription of the published weighted-LOO routine.
+"""Oracles the package is tested against.
 
-Literal port of the original Matlab function (column conventions kept:
-WnN and knx are (n, N), Mu is the weight row). Used as an oracle only;
-nothing here touches the package implementation.
+`ise_wloo_blp` is an independent transcription of the published
+weighted-LOO routine: a literal port of the original Matlab function
+(column conventions kept: WnN and knx are (n, N), Mu is the weight row)
+that touches no package code. `loo_residuals_bruteforce` computes LOO
+residuals by n actual refits, each predictor rebuilt from its public
+attributes on the design without one point.
 """
 
 import numpy as np
+
+from looise.designs import Design
+from looise.predictors import BayesPolynomial, EmpiricalMean, FixedMixture, SimpleKriging
+
+
+def _refit(pred, keep):
+    """The same predictor fit on the design rows `keep` alone."""
+    design = Design(points=pred.design.points[keep], provenance=pred.design.provenance)
+    if isinstance(pred, BayesPolynomial):  # before SimpleKriging, its base class
+        return BayesPolynomial(pred.indices, pred.prior_diag, pred.noise_var, design)
+    if isinstance(pred, SimpleKriging):  # OrdinaryKriging too
+        return type(pred)(pred.kernel, design)
+    if isinstance(pred, EmpiricalMean):
+        return EmpiricalMean(design)
+    if isinstance(pred, FixedMixture):
+        return FixedMixture([_refit(c, keep) for c in pred.components], pred.nu)
+    raise TypeError(f"a {type(pred).__name__} cannot be refit")
+
+
+def loo_residuals_bruteforce(pred, y) -> np.ndarray:
+    """LOO residuals by n actual refits; O(n^4)."""
+    y = np.asarray(y, dtype=float)
+    out = np.empty(pred.n)
+    for i in range(pred.n):
+        keep = np.arange(pred.n) != i
+        out[i] = y[i] - _refit(pred, keep).predict(y[keep], pred.design.points[i])
+    return out
 
 
 def ise_wloo_blp(yn, Rn, Mu, WnN, Kn_BLP, knx_BLP, nugget, constant_term):

@@ -153,6 +153,25 @@ def test_estimate_rejects_non_finite_data(tmp_path, capsys, bad):
     assert captured.out == "" and f"{ycsv} holds a non-finite value" in captured.err
 
 
+NON_FINITE_FLAGS = {
+    "estimator.kernel.nugget": ["--estimator.kernel.nugget=nan"],
+    "estimator.kernel.theta": ["--estimator.kernel.theta=inf"],
+    "predictor.kernel.nugget": ["--predictor.kernel.nugget=nan"],
+    "estimator.mixture.weights": ["--estimator.mixture.families=matern32,gaussian",
+                                  "--estimator.mixture.thetas=4,9",
+                                  "--estimator.mixture.weights=nan,1"],
+}
+
+
+@pytest.mark.parametrize("key", NON_FINITE_FLAGS)
+def test_estimate_rejects_non_finite_numbers_in_the_config(tmp_path, capsys, key):
+    ycsv = write(tmp_path, "y.csv", "y\n" + "\n".join(["0.5"] * 10) + "\n")
+    cfg = write(tmp_path, "run.cfg", BASE_CONFIG + f"data.file = {ycsv}\n")
+    assert main(["estimate", "--config", cfg, *NON_FINITE_FLAGS[key]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and key in captured.err
+
+
 def test_sweep_single_theta_matches_estimate(tmp_path, capsys):
     gen = np.random.default_rng(4)
     ycsv = write(tmp_path, "y.csv",

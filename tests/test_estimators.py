@@ -12,7 +12,6 @@ from looise.errors import (
 from looise.estimators import (
     blp_pointwise,
     blup_weights,
-    estimator_dominance_check,
     ise_blp,
     ise_blup,
     ise_loo,
@@ -101,8 +100,8 @@ def _separate_pass(bundle, eps_sq, mode):
     q = float(bundle.u @ h)
     ug = float(bundle.u @ g)
     total = 0.0
-    for _, X, mu, W in support_blocks(bundle.measure, moments.block_rows(bundle.n),
-                                      bundle.weights):
+    for rows, X, mu in support_blocks(bundle.measure, moments.block_rows(bundle.n)):
+        W = bundle.weights.block(rows.start, rows.stop)
         parts, rho = moments._rho_gg(bundle.components, X, W, bundle.design, bundle.R)
         cv = moments._project(parts, np.column_stack([g, h]))
         vals = cv[:, 0]
@@ -241,13 +240,6 @@ def test_blp_beats_other_weights_under_matched_kernel():
             candidates.append(v / v.sum())
         for gamma in candidates:
             assert performance_report(gamma, bundle).mse >= mse_blp - 1e-9 * abs(mse_blp)
-
-
-def test_dominance_check_matched_gap_zero():
-    p, bundle = make_bundle(seed=43)
-    rec = estimator_dominance_check(bundle, bundle)
-    assert abs(rec["gap_oracle"]) < 1e-10 * max(1.0, rec["mse_loo"])
-    assert rec["gap_loo_oracle"] >= -1e-10 * rec["mse_loo"]
 
 
 def test_trend_correction_constant_data():

@@ -236,6 +236,9 @@ def test_spec_validation():
         KernelSpec("matern32", 1.0, nugget=-1e-3)
     with pytest.raises(ValueError):
         KernelSpec("cubic", 1.0)
+    for theta, nugget in [(np.inf, 0.0), (np.nan, 0.0), (1.0, np.inf), (1.0, np.nan)]:
+        with pytest.raises(ValueError):
+            KernelSpec("matern32", theta, nugget)
 
 
 def test_point_index_follows_the_coincidence_rule():

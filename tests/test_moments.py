@@ -185,6 +185,8 @@ def test_mixture_bundle_reductions():
         mixture_bundle(p, [k1, k2], [0.7, 0.6], measure)
     with pytest.raises(WeightSimplexViolation):
         mixture_bundle(p, [k1, k2], [1.5, -0.5], measure)
+    with pytest.raises(WeightSimplexViolation):
+        mixture_bundle(p, [k1, k2], [np.nan, 1.0], measure)
 
 
 def test_mixture_bundle_monte_carlo():

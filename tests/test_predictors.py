@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import gp_draw, predict_many, random_design
+from reference_oracle import loo_residuals_bruteforce
 from looise import numerics
 from looise.designs import Design, regular_grid, sobol_points, uniform_measure
 from looise.errors import (
@@ -25,7 +26,6 @@ from looise.predictors import (
     SimpleKriging,
     TableWeights,
     legendre_orthonormal,
-    loo_residuals_bruteforce,
     poly_basis,
     poly_prior_weights,
     tensor_basis,
@@ -207,6 +207,8 @@ def test_mixture_weight_validation():
     comps = [EmpiricalMean(design), EmpiricalMean(design)]
     with pytest.raises(WeightSimplexViolation):
         FixedMixture(comps, [0.6, 0.6])
+    with pytest.raises(WeightSimplexViolation):
+        FixedMixture(comps, [np.nan, 1.0])
     FixedMixture(comps, [1.4, -0.4])  # affine weights allowed
 
 
@@ -221,8 +223,6 @@ def test_table_weights_lookup_and_errors():
         p.weights([0.99])
     with pytest.raises(LooiseError):
         p.loo
-    with pytest.raises(LooiseError):
-        p.drop_point(0)
 
 
 def test_table_weights_support_rounded_to_15_digits_returns_the_exact_rows():
