@@ -211,7 +211,10 @@ def _mixture_spec(cfg: dict):
         raise ConfigError("estimator.mixture.* needs matching comma lists") from exc
     if not len(families) == len(thetas) == len(nus):
         raise ConfigError("estimator.mixture.* lists must have equal length")
-    _finite(np.asarray(nus), "estimator.mixture.weights")
+    try:
+        nus = moments.simplex(nus)
+    except LooiseError as exc:  # the WeightSimplexViolation that mixture_bundle would raise
+        raise ConfigError(f"estimator.mixture.weights: {exc}") from exc
     nugget = get_float(cfg, "estimator.kernel.nugget", 0.0)
     return [KernelSpec(f, t, nugget) for f, t in zip(families, thetas)], nus
 
@@ -232,8 +235,8 @@ def _estimate_payload(cfg: dict) -> dict:
     trend_mode = cfg.get("trend.mode", "zero")
     if trend_mode not in ("zero", "constant"):
         raise ConfigError("trend.mode must be 'zero' or 'constant'")
-    design, measure, predictor, y, eps, clamp = _inputs(cfg)
     mixture = _mixture_spec(cfg)
+    design, measure, predictor, y, eps, clamp = _inputs(cfg)
     if mixture is not None:
         kernels, nus = mixture
         theta, theta_rule = None, "mixture"  # no single assumed range

@@ -81,10 +81,6 @@ class DomainViolation(LooiseError):
     pass
 
 
-class EmptyInput(LooiseError):
-    pass
-
-
 class ConfigError(LooiseError):
     pass
 

@@ -27,7 +27,7 @@ a one-job walk, under its lock.
 
 V is the O(N^2) double integral of rho^4(x, x'). Its integrand is
 symmetric, so it is summed over each unordered pair of row blocks once;
-besides W and C (2 N n doubles) it holds a few tiles per worker.
+besides C (N n doubles) and W (kept as the bundle's table) it holds a few tiles per worker.
 
 Both integrals are ordered folds: each row block runs on a thread of
 :func:`numerics.map_ordered` and returns its own terms, and the calling
@@ -74,9 +74,8 @@ class WeightSource:
         self._table = predictor.table_on(measure.points)
 
     def block(self, lo: int, hi: int, dist=None) -> np.ndarray:
-        """The weight rows of support rows lo:hi, a view of the predictor's table
-        when it holds one over the whole support, so only read; `dist`, their
-        distances to the predictor's design when the caller has them, is only read."""
+        """Weight rows lo:hi of the support: a view of the source's table when it holds one
+        (the predictor's, or V_n's draw), so only read; `dist`, their distances, is only read."""
         if self._table is not None:
             return self._table[lo:hi]
         return self.predictor.weights_matrix(self._measure.points[lo:hi], dist)
@@ -235,7 +234,7 @@ class _BundleIntegrals:
         bundle = self.bundle
         parts, rho = _rho_gg(bundle.components, X, W, bundle.design, bundle.R, geometry)
         known = None if not self.fill else (
-            _sum_to_one_defect(mu, W),
+            float(mu @ (1.0 - W.sum(axis=1)) ** 2),
             sum(nu * ((mu @ rho_k) * u + 2.0 * (mu @ GG)) for nu, u, rho_k, GG in parts),
             float(mu @ rho))
         clamped = []
@@ -296,11 +295,11 @@ def support_pass(jobs, ise_jobs=(), shared: dict | None = None) -> list[float]:
     observations; the walk integrates (f - W y)^2 against the measure and
     returns these sums in order.
 
-    Per block, each distinct predictor (by identity) draws its rows once
-    and holds them only while its own jobs compute their terms. A block's
-    distances to a design are computed once, and every kernel's
-    cross-correlations (the predictors' and the assumed kernels') are formed
-    from them. `shared`, a dict the caller keeps (as for build_bundle), keeps
+    Per block, each distinct predictor (by identity) draws its rows once, or slices
+    them from a table one of its sources holds (V_n's draw), and holds them only while
+    its own jobs compute their terms. A block's distances to a design are computed
+    once, and every kernel's cross-correlations (the predictors' and the assumed
+    kernels') are formed from them. `shared`, a dict the caller keeps (as for build_bundle), keeps
     both the distances and each (kernel, design) block of cross-correlations
     for the other jobs of this walk and for later walks over the same
     measure; it holds N x n values per design and per kernel and design.
@@ -345,8 +344,8 @@ def predictor_walk(pred, measure: IntegrationMeasure, kernels, residuals=lambda 
 
 
 def _walk(accumulators, shared: dict | None) -> None:
-    groups = {}  # id(predictor) -> its accumulators, in order of appearance
-    for acc in accumulators:
+    groups = {}  # id(predictor) -> its accumulators, those whose source holds a table first
+    for acc in sorted(accumulators, key=lambda acc: acc.weights._table is None):
         groups.setdefault(id(acc.weights.predictor), []).append(acc)
     if not groups:
         return
@@ -458,15 +457,10 @@ def pointwise_c_rho(bundle: MomentBundle, X):
     return sum(nu * (rho_k[:, None] * u + 2.0 * GG) for nu, u, rho_k, GG in parts), rho
 
 
-def _sum_to_one_defect(mu: np.ndarray, W: np.ndarray) -> float:
-    """One block's share of int (1 - w(x)^T 1)^2 dmu."""
-    return float(mu @ (1.0 - W.sum(axis=1)) ** 2)
-
-
 def _vn_component(comp: Component, W: np.ndarray, design: Design,
                   measure: IntegrationMeasure) -> tuple[float, float]:
-    """Double integral of rho^4(x, x') against the measure for one kernel, and
-    the integral of its diagonal rho^2(x, x), which is the kernel's J.
+    """Double integral of rho^4(x, x') against the measure for one kernel, and the
+    integral of its diagonal rho^2(x, x), the kernel's J; W, the support's rows, is only read.
 
     rho^2(x, x') is symmetric, so each unordered pair of row blocks is
     visited once: a block row is evaluated against itself and the columns
@@ -512,6 +506,7 @@ def _vn_component(comp: Component, W: np.ndarray, design: Design,
 
 
 def _assemble(parts, pred, measure: IntegrationMeasure, compute_Vn: bool) -> MomentBundle:
+    """The bundle of `pred` under (nu, kernel, record) parts; V_n's draw of W stays as its table."""
     R, design, weights = pred.loo.matrix, pred.design, WeightSource(pred, measure)
     n = design.n
     u = np.zeros(n)
@@ -527,10 +522,12 @@ def _assemble(parts, pred, measure: IntegrationMeasure, compute_Vn: bool) -> Mom
 
     V = None
     if compute_Vn:
-        W_full = np.empty((measure.size, n))
-        for rows, *_ in support_blocks(measure, block_rows(n)):  # no block outlives its copy
-            W_full[rows] = weights.block(rows.start, rows.stop)
-        VJ = [_vn_component(comp, W_full, design, measure) for comp in components]
+        if weights._table is None:
+            table = np.empty((measure.size, n))
+            for rows, *_ in support_blocks(measure, block_rows(n)):  # no block outlives its copy
+                table[rows] = weights.block(rows.start, rows.stop)
+            weights._table = table
+        VJ = [_vn_component(comp, weights._table, design, measure) for comp in components]
         V = sum(comp.nu * v for comp, (v, _) in zip(components, VJ))
         if len(components) > 1:  # half the spread of the per-kernel J around J
             J = sum(comp.nu * j for comp, (_, j) in zip(components, VJ))
@@ -559,13 +556,18 @@ def mixture_bundle(pred, kernels, nu, measure: IntegrationMeasure,
     is not Gaussian, so S is the mixture of the per-kernel fourth-moment
     matrices, not the fourth-moment matrix of a mixed kernel).
     """
-    nu = np.asarray(nu, dtype=float)
     if len(nu) != len(kernels):
         raise DimensionMismatch("one weight per kernel required")
+    parts = [(float(w), k, _record(k, pred.design, {})) for k, w in zip(kernels, simplex(nu))]
+    return _assemble(parts, pred, measure, compute_Vn)
+
+
+def simplex(nu) -> np.ndarray:
+    """The mixture weights nu as an array, checked to be nonnegative and to sum to 1."""
+    nu = np.asarray(nu, dtype=float)
     if not ((nu >= 0).all() and abs(nu.sum() - 1.0) <= 1e-12):  # NaN weights fail too
         raise WeightSimplexViolation("mixture weights must be nonnegative and sum to 1")
-    parts = [(float(w), k, _record(k, pred.design, {})) for k, w in zip(kernels, nu)]
-    return _assemble(parts, pred, measure, compute_Vn)
+    return nu
 
 
 def independent_limit_bundle(pred, measure: IntegrationMeasure) -> MomentBundle:
@@ -579,19 +581,17 @@ def independent_limit_bundle(pred, measure: IntegrationMeasure) -> MomentBundle:
     return _assemble([(1.0, None, None)], pred, measure, False)
 
 
-def flat_limit_diagnostics(pred, measure: IntegrationMeasure) -> dict:
-    """Limits as the assumed range parameter tends to zero.
+def flat_limit_diagnostics(bundle: MomentBundle) -> dict:
+    """Limits of the bundle's predictor as the assumed range parameter tends to zero.
 
-    Reports J(0) = int (1 - w^T 1)^2 dmu, u(0) = (R^T 1)^{o2},
-    b(0) = 3 J(0) u(0), and whether the predictor is in the sum-to-one
-    class (u(0) = 0 and J(0) = 0, the benign case). Otherwise S(0) is
-    the rank-one matrix 3 u(0) u(0)^T and the estimator has no flat
+    Reports J(0) = int (1 - w^T 1)^2 dmu, the bundle's sum-to-one defect,
+    u(0) = (R^T 1)^{o2}, b(0) = 3 J(0) u(0), and whether the predictor is in
+    the sum-to-one class (u(0) = 0 and J(0) = 0, the benign case). Otherwise
+    S(0) is the rank-one matrix 3 u(0) u(0)^T and the estimator has no flat
     limit.
     """
-    u0 = (pred.loo.matrix.T @ np.ones(pred.n)) ** 2
-    weights, J0 = WeightSource(pred, measure), 0.0
-    for rows, _, mu in support_blocks(measure, block_rows(pred.n)):
-        J0 += _sum_to_one_defect(mu, weights.block(rows.start, rows.stop))
+    u0 = (bundle.R.T @ np.ones(bundle.n)) ** 2
+    J0 = bundle.sum_to_one_defect
     sum_to_one = bool(J0 < 1e-12 and np.max(u0, initial=0.0) < 1e-12)
     return {
         "J0": J0,

@@ -283,14 +283,14 @@ def _m6():
 def _m7():
     design = _design(2, 10, 19)
     measure = uniform_measure(sobol_points(2, 64, scramble_seed=20))
-    ok = OrdinaryKriging(KernelSpec("matern32", 6.0), design)
-    diag = moments.flat_limit_diagnostics(ok, measure)
+    def diagnostics(pred):  # J0 comes from the walk of the cheapest bundle
+        return moments.flat_limit_diagnostics(moments.independent_limit_bundle(pred, measure))
+
+    diag = diagnostics(OrdinaryKriging(KernelSpec("matern32", 6.0), design))
     assert diag["J0"] < 1e-12 and np.max(diag["u0"]) < 1e-12
     assert diag["sum_to_one_class"] and not diag["rank_one_S0"]
-    em = EmpiricalMean(design)
-    assert moments.flat_limit_diagnostics(em, measure)["J0"] < 1e-12
-    sk = SimpleKriging(KernelSpec("matern52", 6.0), design)
-    diag = moments.flat_limit_diagnostics(sk, measure)
+    assert diagnostics(EmpiricalMean(design))["J0"] < 1e-12
+    diag = diagnostics(SimpleKriging(KernelSpec("matern52", 6.0), design))
     assert diag["rank_one_S0"] and not diag["sum_to_one_class"]
     assert np.allclose(diag["b0"], 3.0 * diag["J0"] * diag["u0"])
 

@@ -172,6 +172,19 @@ def test_estimate_rejects_non_finite_numbers_in_the_config(tmp_path, capsys, key
     assert captured.out == "" and key in captured.err
 
 
+@pytest.mark.parametrize("weights", ["0.5,0.6", "-0.5,1.5"])
+def test_estimate_rejects_mixture_weights_off_the_simplex(tmp_path, capsys, monkeypatch, weights):
+    import looise.cli
+
+    # the weights are checked before any input is read or kernel matrix built
+    monkeypatch.setattr(looise.cli, "_inputs", lambda cfg: pytest.fail("inputs read first"))
+    cfg = write(tmp_path, "run.cfg", BASE_CONFIG)
+    assert main(["estimate", "--config", cfg, "--estimator.mixture.families=matern32,gaussian",
+                 "--estimator.mixture.thetas=4,9", f"--estimator.mixture.weights={weights}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "estimator.mixture.weights" in captured.err
+
+
 def test_sweep_single_theta_matches_estimate(tmp_path, capsys):
     gen = np.random.default_rng(4)
     ycsv = write(tmp_path, "y.csv",

@@ -295,11 +295,18 @@ def test_sum_to_one_defect_is_flat_limit_J0():
     design = random_design(2, 10, seed=23)
     measure = small_measure(2, 5000, seed=24)
     kern = KernelSpec("matern32", 7.0)
-    for p in (OrdinaryKriging(KernelSpec("matern52", 5.0), design),
-              SimpleKriging(KernelSpec("matern52", 5.0), design)):
+    ok, sk = (variant(KernelSpec("matern52", 5.0), design)
+              for variant in (OrdinaryKriging, SimpleKriging))
+    for p in (ok, sk):
         bundle = build_bundle(p, kern, measure)
-        J0 = flat_limit_diagnostics(p, measure)["J0"]
+        J0 = flat_limit_diagnostics(bundle)["J0"]
         assert bundle.sum_to_one_defect == J0
+        if p is ok:
+            assert J0 < 1e-12
+        else:  # the full-matrix sum of mu (1 - W 1)^2
+            W = p.weights_matrix(measure.points)
+            direct = measure.weights @ (1.0 - W.sum(axis=1)) ** 2
+            assert np.isclose(J0, direct, rtol=1e-12, atol=0.0) and J0 > 1e-3
 
 
 def test_array_weights_lookup_matches_signed_zero():
@@ -640,6 +647,18 @@ def test_a_walk_inside_a_pool_worker_starts_no_thread(monkeypatch):
     assert pools.sizes == [2]  # the outer map's pool; its workers walk inline
 
 
+def _count_weight_rows(monkeypatch, cls):
+    """The number of rows each call of cls.weights_matrix evaluates, in a list."""
+    rows, evaluate = [], cls.weights_matrix
+
+    def counting(self, X, *dist):
+        rows.append(len(X))
+        return evaluate(self, X, *dist)
+
+    monkeypatch.setattr(cls, "weights_matrix", counting)
+    return rows
+
+
 def test_vn_draws_its_weights_through_the_block_counter(monkeypatch):
     import looise.moments as moments
 
@@ -655,10 +674,38 @@ def test_vn_draws_its_weights_through_the_block_counter(monkeypatch):
     measure = small_measure(2, 40, seed=66)
     p = SimpleKriging(KernelSpec("matern52", 6.0), design)
     monkeypatch.setattr(moments.WeightSource, "block", counting)
+    evaluated = _count_weight_rows(monkeypatch, SimpleKriging)
     bundle = build_bundle(p, KernelSpec("matern32", 8.0), measure, compute_Vn=True)
     assert sum(rows) == measure.size  # V_n's draw of the whole support
+    assert sum(evaluated) == measure.size
     bundle.J
     assert sum(rows) == 2 * measure.size
+    assert sum(evaluated) == measure.size  # the walk sliced the rows V_n drew
+
+
+def test_a_walk_reads_the_weight_rows_its_vn_bundle_drew(monkeypatch):
+    import looise.moments as moments
+
+    monkeypatch.setattr(moments, "BLOCK", 64)
+    design = random_design(2, 10, seed=67)
+    measure = small_measure(2, 200, seed=68)  # four blocks, the last one partial
+    p = SimpleKriging(KernelSpec("matern52", 6.0), design)
+    eps = p.loo_residuals(np.sin(5.0 * design.points.sum(axis=1)))
+    eps_sq = eps**2
+    oracle_kernel = KernelSpec("matern32", 10.0)
+    evaluated = _count_weight_rows(monkeypatch, SimpleKriging)
+    # as sweep does: a V_n oracle and bundles under three kernels, built apart, in one walk
+    oracle = build_bundle(p, oracle_kernel, measure, compute_Vn=True)
+    moments.predictor_walk(p, measure, [KernelSpec("matern32", t) for t in (2.0, 8.0, 32.0)],
+                           lambda bundle: [eps], oracle=oracle)
+    got = (oracle.b.tobytes(), oracle.J, oracle.sum_to_one_defect,
+           oracle.clamped_integrals(eps_sq))
+    assert sum(evaluated) == measure.size  # one draw of the support
+    plain = build_bundle(p, oracle_kernel, measure)
+    moments.support_pass([(plain, eps_sq)])
+    assert sum(evaluated) == 2 * measure.size  # the bundle without V_n draws in its walk
+    assert got == (plain.b.tobytes(), plain.J, plain.sum_to_one_defect,
+                   plain.clamped_integrals(eps_sq))
 
 
 @pytest.mark.parametrize("N", [1024, 4096])
@@ -746,9 +793,11 @@ def test_every_job_of_a_walk_takes_the_blocks_of_its_largest_predictor(monkeypat
     moments.support_pass([(build_bundle(p, kern, measure), None) for p in (small, large)])
     assert sorted(rows) == [(12, 0, 512), (12, 512, 600), (200, 0, 512), (200, 512, 600)]
     rows.clear()
-    build_bundle(large, kern, measure, compute_Vn=True)  # V_n's weight draw
-    flat_limit_diagnostics(large, measure)
-    assert rows == [(200, 0, 512), (200, 512, 600)] * 2
+    vn = build_bundle(small, kern, measure, compute_Vn=True)  # V_n draws in its own blocks
+    assert rows == [(12, 0, 600)]
+    rows.clear()
+    moments.support_pass([(vn, None), (build_bundle(large, kern, measure), None)])
+    assert sorted(rows) == [(12, 0, 512), (12, 512, 600), (200, 0, 512), (200, 512, 600)]
 
 
 def _mean_and_polynomial(design):

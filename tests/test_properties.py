@@ -257,49 +257,51 @@ WALK_THETAS = st.sampled_from([4.0, 9.0, 25.0])
 def walks(draw):
     """A batch of walk jobs over one support that does not fill its last
     block: bundles under one kernel, a two-kernel mixture or the
-    independent limit, of kriging predictors or their weight tables shared
-    between jobs, with or without residuals, and squared-error sums; the
-    walk shares its cross-correlations between bundles or not."""
+    independent limit, of kriging predictors on designs of their own size
+    or their weight tables shared between jobs, with or without residuals,
+    the single and mixture bundles with or without V_n (whose draw of the
+    support the walk then reads), and squared-error sums; the walk shares
+    its cross-correlations between bundles or not."""
     d = draw(st.integers(1, 2))
-    n = draw(st.integers(4, 8))
     seed = draw(st.integers(0, 10_000))
     block = draw(st.integers(3, 9))
     N = draw(st.integers(10, 40).filter(lambda N: N % block))
     n_sources = draw(st.integers(1, 3))
-    sources = [(draw(st.floats(2.0, 20.0)), draw(st.booleans())) for _ in range(n_sources)]
+    sources = [(draw(st.floats(2.0, 20.0)), draw(st.booleans()), draw(st.integers(4, 8)))
+               for _ in range(n_sources)]
     source = st.integers(0, n_sources - 1)
     jobs = draw(st.lists(st.tuples(source, st.sampled_from(["single", "mixture", "limit"]),
                                    WALK_THETAS, WALK_THETAS, st.floats(0.05, 0.95),
-                                   st.booleans()), min_size=1, max_size=6))
+                                   st.booleans(), st.booleans()), min_size=1, max_size=6))
     errors = draw(st.lists(source, max_size=3))
-    return dict(d=d, n=n, seed=seed, block=block, N=N, sources=sources, jobs=jobs,
+    return dict(d=d, seed=seed, block=block, N=N, sources=sources, jobs=jobs,
                 errors=errors, shared=draw(st.booleans()))
 
 
 def _walk_jobs(spec):
     """Fresh bundles and weight sources for the spec, built the same way each call."""
-    design = random_design(spec["d"], spec["n"], seed=spec["seed"])
     measure = small_measure(spec["d"], spec["N"], seed=spec["seed"] + 1)
-    y = np.sin(7.0 * design.points.sum(axis=1))
-    preds, sources = [], []
-    for theta_p, array_backed in spec["sources"]:
+    preds, sources, ys = [], [], []
+    for i, (theta_p, array_backed, n) in enumerate(spec["sources"]):
+        design = random_design(spec["d"], n, seed=spec["seed"] + 2 + i)
         pred = SimpleKriging(KernelSpec("matern52", theta_p), design)
         preds.append(pred)
         sources.append(TableWeights(measure.points, pred.weights_matrix(measure.points), design,
                                     loo_matrix=pred.loo.matrix) if array_backed else pred)
+        ys.append(np.sin(7.0 * design.points.sum(axis=1)))
     jobs = []
-    for i, kind, t1, t2, nu, with_eps in spec["jobs"]:
+    for i, kind, t1, t2, nu, with_eps, with_vn in spec["jobs"]:
         ws = sources[i]
         if kind == "single":
-            bundle = build_bundle(ws, KernelSpec("matern32", t1), measure)
+            bundle = build_bundle(ws, KernelSpec("matern32", t1), measure, compute_Vn=with_vn)
         elif kind == "mixture":
             kernels = [KernelSpec("matern32", t1), KernelSpec("gaussian", t2)]
-            bundle = mixture_bundle(ws, kernels, [nu, 1.0 - nu], measure)
+            bundle = mixture_bundle(ws, kernels, [nu, 1.0 - nu], measure, compute_Vn=with_vn)
         else:
             bundle = independent_limit_bundle(ws, measure)
-        jobs.append((bundle, preds[i].loo_residuals(y) ** 2 if with_eps else None))
+        jobs.append((bundle, preds[i].loo_residuals(ys[i]) ** 2 if with_eps else None))
     fvals = np.cos(5.0 * measure.points.sum(axis=1))
-    return jobs, [(fvals, WeightSource(sources[i], measure), y) for i in spec["errors"]]
+    return jobs, [(fvals, WeightSource(sources[i], measure), ys[i]) for i in spec["errors"]]
 
 
 def _walk_results(jobs):
@@ -320,8 +322,8 @@ def test_a_batched_walk_equals_one_bundle_walks_bit_for_bit(spec):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(moments, "BLOCK", spec["block"])
+        jobs, errors = _walk_jobs(spec)  # V_n's draws are not the walk's
         mp.setattr(WeightSource, "block", counting)
-        jobs, errors = _walk_jobs(spec)
         batched = support_pass(jobs, errors, shared={} if spec["shared"] else None)
         walked = {id(b.weights.predictor) for b, _ in jobs}
         walked |= {id(ws.predictor) for _, ws, _ in errors}
