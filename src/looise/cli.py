@@ -58,7 +58,7 @@ def _load_config(args, extra: dict[str, str]) -> dict[str, str]:
             cfg = parse_config(fh.read())
     cfg = apply_overrides(cfg, extra)
     if "threads" in cfg and args.command != "reproduce":
-        raise ConfigError("threads sizes only the replication pool of reproduce; "
+        raise ConfigError("threads sizes only the pool of reproduce; "
                           f"{args.command} runs on every CPU the process may use")
     for key in ("seed", "threads"):
         if getattr(args, key, None) is not None:
@@ -350,6 +350,8 @@ def cmd_sweep(args, extra) -> int:
 def cmd_reproduce(args, extra) -> int:
     cfg = _load_config(args, extra)
     threads = get_int(cfg, "threads", numerics.default_workers())
+    if threads < 1:
+        raise ConfigError(f"threads: expected at least 1, got {threads}")
     out = run_experiment(args.experiment, args.out or ".", threads=threads)
     print(json.dumps({"experiment": args.experiment, "csv": out.get("csv")}, indent=2))
     return EXIT_OK

@@ -376,8 +376,9 @@ class _Geometry:
     """A block of points' distances to each design, computed once, and each
     (kernel, design) block of cross-correlations, formed from them. Given the
     walk's `shared` dict, both are kept there under the block's measure and
-    first row (each block has its own keys, so no two workers build one
-    entry); otherwise the distances live with this block and every request
+    first row (each block has its own keys, and walks that share a dict at
+    once find it filled by a first walk, so no two workers build one entry);
+    otherwise the distances live with this block and every request
     forms its cross-correlations anew, an array the caller may overwrite."""
 
     def __init__(self, X: np.ndarray, shared: dict | None = None, measure=None, lo: int = 0):

@@ -596,7 +596,7 @@ def test_threads_key_is_rejected_where_nothing_reads_it(tmp_path, capsys, comman
     ycsv = write(tmp_path, "y.csv", "y\n" + "\n".join(["0.5"] * 10) + "\n")
     cfg = write(tmp_path, "run.cfg", BASE_CONFIG + f"data.file = {ycsv}\nthreads = 7\n")
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert "replication pool of reproduce" in capsys.readouterr().err
+    assert "pool of reproduce" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -644,6 +644,25 @@ def test_reproduce_threads_default_to_the_cpus_the_process_may_use(tmp_path, cap
     assert main(["reproduce", "fig2", "--out", str(tmp_path), "--threads", "5"]) == 0
     capsys.readouterr()
     assert seen == [3, 5]
+
+
+@pytest.mark.parametrize("source", ["flag", "key", "variable"])
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_reproduce_threads_below_one_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                       source, threads):
+    import looise.cli as cli
+
+    monkeypatch.delenv("LOOISE_THREADS", raising=False)
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("ran"))
+    argv = ["reproduce", "fig2", "--out", str(tmp_path)]
+    if source == "flag":
+        argv += ["--threads", threads]
+    elif source == "key":
+        argv += ["--config", write(tmp_path, "run.cfg", f"threads = {threads}\n")]
+    else:
+        monkeypatch.setenv("LOOISE_THREADS", threads)
+    assert main(argv) == 2
+    assert f"threads: expected at least 1, got {threads}" in capsys.readouterr().err
 
 
 def test_reproduce_suppf1_structure(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import json
 import subprocess
 import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +16,10 @@ from looise.reproduce import (
     run_fig8,
     run_suppF1,
     run_table1,
+    run_table2,
 )
+
+TABLE2_N, TABLE2_DESIGN = 2**12, 200  # table2's support and design sizes
 
 
 def test_unknown_experiment(tmp_path):
@@ -127,12 +132,13 @@ def test_suppf1_replications_differ(tmp_path):
 
 
 def test_table2_is_bit_identical_for_any_pool_and_blas_thread_count(tmp_path):
-    """One replication run twice in fresh interpreters, with one replication
-    thread and one BLAS thread, then with two of each: the CSVs match byte
-    for byte, because the pin at import overrides OPENBLAS_NUM_THREADS."""
+    """Two replications run twice in fresh interpreters, with one pool thread
+    and one BLAS thread, then with two of each, where each replication's
+    candidate ranges run on a pool of two: the CSVs match byte for byte,
+    because the pin at import overrides OPENBLAS_NUM_THREADS."""
     probe = ("import os, sys\n"
              "from looise.reproduce import run_table2\n"
-             "run_table2(sys.argv[1], threads=int(os.environ['LOOISE_THREADS']), n_designs=1)\n")
+             "run_table2(sys.argv[1], threads=int(os.environ['LOOISE_THREADS']), n_designs=2)\n")
     runs = []
     for threads in ("1", "2"):
         env = subprocess_env(LOOISE_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
@@ -147,3 +153,41 @@ def test_table2_is_bit_identical_for_any_pool_and_blas_thread_count(tmp_path):
             proc.kill()  # no-op for a process that has exited
     first, second = [(out / "table2.csv").read_bytes() for out, _ in runs]
     assert first == second
+
+
+def test_table2_keeps_one_support_cache_alive(tmp_path):
+    # the candidates of one replication share its D and C_e on the support,
+    # 2·N·n doubles: the bound leaves room for that one cache, not for two
+    tracemalloc.start()
+    try:
+        run_table2(str(tmp_path), threads=2, n_designs=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * TABLE2_N * TABLE2_DESIGN * 8
+
+
+def test_table2_builds_its_support_cache_once_per_replication(tmp_path, monkeypatch):
+    # the first candidate's walk fills the cache before the pool's walks read it;
+    # walks that raced to fill it would build some blocks twice
+    from looise import moments
+
+    counts = {"distances": 0, "cross_matrix": 0}
+    lock = threading.Lock()
+
+    def counting(name):
+        fn = getattr(moments, name)
+
+        def wrapped(*args, **kwargs):
+            with lock:
+                counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in counts:
+        monkeypatch.setattr(moments, name, counting(name))
+    run_table2(str(tmp_path), threads=2, n_designs=2)
+    blocks = TABLE2_N // moments.block_rows(TABLE2_DESIGN)
+    assert blocks == 8
+    assert counts == {"distances": 2 * blocks, "cross_matrix": 2 * blocks}
