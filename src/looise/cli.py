@@ -116,8 +116,8 @@ def _build_measure(cfg: dict, d: int):
                               f"the design has dimension {d}")
         return uniform_measure(pts)
     N = get_int(cfg, "measure.sobol_n", 1024)
-    seed = cfg.get("measure.seed")
-    return sobol_measure(d, N, scramble_seed=int(seed) if seed else None)
+    seed = get_int(cfg, "measure.seed") if "measure.seed" in cfg else None
+    return sobol_measure(d, N, scramble_seed=seed)
 
 
 @_reads_inputs
@@ -183,15 +183,13 @@ def _load_y(cfg: dict, design: Design) -> np.ndarray:
     return fn(design.points)
 
 
-def _estimator_theta(cfg: dict, y, design: Design, trend_mode: str,
-                     shared: dict) -> tuple[float, str]:
+def _estimator_theta(cfg: dict, y, design: Design, trend_mode: str) -> tuple[float, str]:
     if cfg.get("estimator.kernel.theta") != "loo":
         return get_float(cfg, "estimator.kernel.theta"), "fixed"
     # validates the family and nugget; the range itself comes from LOO
     kern = _kernel_from(cfg, "estimator.kernel", theta_override=1.0)
     mean_mode = "constant" if trend_mode == "constant" else "zero"
-    theta = clamp_theta(theta_loo(y, design, kern.family, mean_mode=mean_mode,
-                                  nugget=kern.nugget, shared=shared))
+    theta = clamp_theta(theta_loo(y, design, kern.family, mean_mode=mean_mode, nugget=kern.nugget))
     return theta, "loo-selected, clamped to [5, 50]"
 
 
@@ -242,10 +240,9 @@ def _estimate_payload(cfg: dict) -> dict:
         theta, theta_rule = None, "mixture"  # no single assumed range
         bundle = moments.mixture_bundle(predictor, kernels, nus, measure)
     else:
-        shared = {}  # the record of K_e that theta_loo leaves
-        theta, theta_rule = _estimator_theta(cfg, y, design, trend_mode, shared)
+        theta, theta_rule = _estimator_theta(cfg, y, design, trend_mode)
         kern_e = _kernel_from(cfg, "estimator.kernel", theta_override=theta)
-        bundle = moments.build_bundle(predictor, kern_e, measure, shared=shared)
+        bundle = moments.build_bundle(predictor, kern_e, measure)
     est_loo = estimators.ise_loo(eps)
     if trend_mode == "constant":
         est_blp = estimators.trend_corrected_ise(bundle, y, "blp", clamp)
@@ -349,6 +346,10 @@ def cmd_sweep(args, extra) -> int:
 
 def cmd_reproduce(args, extra) -> int:
     cfg = _load_config(args, extra)
+    unread = sorted(key for key in cfg if key != "threads")
+    if unread:
+        raise ConfigError(f"{unread[0]}: reproduce reads only threads; each experiment "
+                          "fixes its own settings")
     threads = get_int(cfg, "threads", numerics.default_workers())
     if threads < 1:
         raise ConfigError(f"threads: expected at least 1, got {threads}")

@@ -87,12 +87,13 @@ def _direction_integers() -> np.ndarray:
 _SOBOL_V = _direction_integers()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Design:
     """A set of distinct points in [0,1]^d with a provenance tag.
 
     Points are distinct when no two of them coincide in the sense of
-    `kernels.coincide` (distance at most 1e-14).
+    `kernels.coincide` (distance at most 1e-14). Designs compare and hash
+    by identity, so a design can key a cache.
     """
 
     points: np.ndarray  # (n, d)
@@ -116,9 +117,10 @@ class Design:
         return self.points.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntegrationMeasure:
-    """Discrete measure: support points and nonnegative weights summing to 1."""
+    """Discrete measure: support points and nonnegative weights summing to 1;
+    measures compare and hash by identity, as designs do."""
 
     points: np.ndarray  # (N, d)
     weights: np.ndarray = field(default=None)  # (N,)
@@ -311,7 +313,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def theta_loo(y, design: Design, family: str, mean_mode: str = "zero",
-              nugget: float = 0.0, shared: dict | None = None) -> float:
+              nugget: float = 0.0) -> float:
     """Range parameter minimizing the LOO criterion of the kriging predictor.
 
     The criterion is the mean squared LOO residual of the simple-kriging
@@ -323,9 +325,7 @@ def theta_loo(y, design: Design, family: str, mean_mode: str = "zero",
     (see ``_loo_criterion``). Search: 60 log-spaced nodes on [1e-2, 1e3],
     evaluated on the threads of ``numerics.map_ordered``, then
     golden-section refinement of the bracketing interval to 1e-4
-    relative width. Deterministic. With a `shared` dict, as build_bundle
-    takes, the kernel's record at the returned range, factor included, is
-    left there when the refinement found that range.
+    relative width. Deterministic.
     Raises DegenerateData when the criterion is infinite at every grid node.
     """
     y = np.asarray(y, dtype=float)
@@ -337,16 +337,13 @@ def theta_loo(y, design: Design, family: str, mean_mode: str = "zero",
         raise DegenerateData("constant data: all ordinary-kriging LOO residuals are zero")
     D = distances(design.points, design.points)
 
-    def fit(theta: float) -> tuple[float, DesignKernel | None]:
+    def objective(theta: float) -> float:
         # ranges whose kernel matrix is numerically singular are off-limits
         record = DesignKernel(kernel_matrix(KernelSpec(family, theta, nugget), design.points, D))
         try:
-            return _loo_criterion(record, y, mean_mode), record
+            return _loo_criterion(record, y, mean_mode)
         except NotPositiveDefinite:
-            return math.inf, None
-
-    def objective(theta: float) -> float:
-        return fit(theta)[0]
+            return math.inf
 
     values = numerics.map_ordered(objective, THETA_LOO_GRID)
     if not np.isfinite(values).any():
@@ -372,11 +369,7 @@ def theta_loo(y, design: Design, family: str, mean_mode: str = "zero",
             fd = objective(math.exp(d_))
     best = math.exp(0.5 * (a_ + b_))
     # return the best point actually evaluated
-    value, record = fit(best)
-    theta = min((values[i], float(THETA_LOO_GRID[i])), (value, best))[1]
-    if shared is not None and theta == best and record is not None:
-        numerics.shared_record(shared, KernelSpec(family, theta, nugget), design, lambda: record)
-    return theta
+    return min((values[i], float(THETA_LOO_GRID[i])), (objective(best), best))[1]
 
 
 def clamp_theta(theta: float, lo: float = 5.0, hi: float = 50.0) -> float:

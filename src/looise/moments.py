@@ -374,41 +374,39 @@ def _walk(accumulators, shared: dict | None) -> None:
 
 class _Geometry:
     """A block of points' distances to each design, computed once, and each
-    (kernel, design) block of cross-correlations, formed from them. Given the
-    walk's `shared` dict, both are kept there under the block's measure and
-    first row (each block has its own keys, and walks that share a dict at
-    once find it filled by a first walk, so no two workers build one entry);
-    otherwise the distances live with this block and every request
-    forms its cross-correlations anew, an array the caller may overwrite."""
+    (kernel, design) block of cross-correlations, formed from them. Given the walk's
+    `shared` dict, both are kept there under the design, kernel, measure and block's
+    first row (walks that share a dict at once find it filled by a first walk, so no
+    two workers build one entry); otherwise the distances live with this block and
+    every request forms its cross-correlations anew, an array the caller may overwrite."""
 
     def __init__(self, X: np.ndarray, shared: dict | None = None, measure=None, lo: int = 0):
         self.X = X
-        self._shared = shared
+        self.fresh_cross = shared is None
         self._cache = {} if shared is None else shared
         self._measure, self._lo = measure, lo
-        self.fresh_cross = shared is None
 
     def distances(self, design: Design) -> np.ndarray:
-        key = ("distances", id(design), id(self._measure), self._lo)
-        if key not in self._cache:  # design and measure ride along, so that their ids stay unique
-            self._cache[key] = (design, self._measure, distances(self.X, design.points))
-        return self._cache[key][2]
+        key = ("distances", design, self._measure, self._lo)
+        if key not in self._cache:
+            self._cache[key] = distances(self.X, design.points)
+        return self._cache[key]
 
     def cross(self, kernel: KernelSpec, design: Design) -> np.ndarray:
         """The block's cross-correlations with the design; only read unless fresh_cross."""
-        if self._shared is None:
+        if self.fresh_cross:
             return cross_matrix(kernel, design.points, self.X, self.distances(design))
-        key = (kernel, id(design), id(self._measure), self._lo)
-        if key not in self._shared:
-            self._shared[key] = (design, self._measure, cross_matrix(
-                kernel, design.points, self.X, self.distances(design)))
-        return self._shared[key][2]
+        key = (kernel, design, self._measure, self._lo)
+        if key not in self._cache:
+            self._cache[key] = cross_matrix(kernel, design.points, self.X, self.distances(design))
+        return self._cache[key]
 
 
 def _record(kernel: KernelSpec, design: Design, shared: dict) -> DesignKernel:
     """The kernel's record on the design, built once per `shared` dict."""
-    return numerics.shared_record(
-        shared, kernel, design, lambda: DesignKernel(kernel_matrix(kernel, design.points)))
+    if (kernel, design) not in shared:
+        shared[kernel, design] = DesignKernel(kernel_matrix(kernel, design.points))
+    return shared[kernel, design]
 
 
 def _rho_gg(components, X: np.ndarray, W: np.ndarray, design: Design, R: np.ndarray,

@@ -431,12 +431,3 @@ class DesignKernel:
         a = solve(self.factor, ones)
         return a, float(ones @ a)
 
-
-def shared_record(shared: dict, kernel, design, build) -> DesignKernel:
-    """The record of `kernel` on `design` kept in `shared`, the dict in which a
-    caller keeps the state its walks on one design share: build() makes it on
-    first request."""
-    key = (kernel, id(design))
-    if key not in shared:  # the design rides along, so that its id stays unique
-        shared[key] = (design, build())
-    return shared[key][1]

@@ -13,6 +13,7 @@ The tests check every closed form against n actual refits
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -225,19 +226,28 @@ def poly_prior_weights(indices, c: float = 1000.0, t: float = 2.0) -> np.ndarray
 
 
 def poly_basis(d: int, m: int, c: float = 1000.0, t: float = 2.0):
-    """Multi-indices and prior weights of the m terms with largest Lambda.
+    """Multi-indices and prior weights of the m terms with largest Lambda among
+    the C(12 + d, d) multi-indices of total degree at most 12.
 
     The d=2, m=50 case returns the shipped table; other sizes select the
     m largest prior weights with a deterministic tie-break (total degree,
-    then lexicographic).
+    then lexicographic). Raises ValueError for m outside [1, C(12 + d, d)],
+    or for a decay t < 1, under which Lambda would grow with the degree.
     """
+    max_deg = 12
+    terms = math.comb(max_deg + d, d)
+    if not 1 <= m <= terms:
+        raise ValueError(f"poly_basis: m = {m} is outside [1, {terms}], the terms of "
+                         f"total degree at most {max_deg} in dimension {d}")
+    if not t >= 1.0:
+        raise ValueError(f"poly_basis: decay t = {t} is below 1")
     if d == 2 and m == 50:
         idx = np.asarray(POLY_INDEX_TABLE_D2_M50, dtype=int)
         return idx, poly_prior_weights(idx, c, t)
-    max_deg = 12
-    from itertools import product
-
-    all_idx = np.array(list(product(range(max_deg + 1), repeat=d)), dtype=int)
+    indices = [()]
+    for _ in range(d):  # one more coordinate, keeping the total degree at most max_deg
+        indices = [i + (k,) for i in indices for k in range(max_deg + 1 - sum(i))]
+    all_idx = np.array(indices, dtype=int)
     lam = poly_prior_weights(all_idx, c, t)
     order = sorted(range(len(all_idx)),
                    key=lambda i: (-lam[i], int(all_idx[i].sum()), tuple(all_idx[i])))

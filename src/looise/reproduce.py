@@ -344,9 +344,8 @@ def run_table2(outdir: str, threads: int = 1, n_designs: int = 20) -> dict:
     def one(rep: int):
         design, y = _env_design(candidates, rep)
         omega = testbed.omega_n(y)
+        theta_blp = clamp_theta(theta_loo(y, design, "matern52", mean_mode="constant"))
         shared = {}  # K_e, its trend BLUE, D and C_e on the support, once for all predictors
-        theta_blp = clamp_theta(theta_loo(y, design, "matern52", mean_mode="constant",
-                                          shared=shared))
         kern_e = KernelSpec("matern52", theta_blp)
 
         def scores(tp):  # at most `threads` candidates' predictors and bundles are alive

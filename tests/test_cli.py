@@ -591,6 +591,30 @@ def test_estimate_rejects_the_vn_key(tmp_path, capsys):
     assert "only the oracle columns of sweep" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--predictor.poly.m=-3", "m = -3 is outside [1, 13]"),
+    ("--predictor.poly.decay=0.5", "decay t = 0.5 is below 1"),
+])
+def test_poly_keys_out_of_bounds_are_config_errors(tmp_path, capsys, flag, message):
+    # a 1-d basis holds the 13 terms of degree 0 to 12, so the default m = 50 is too many
+    ycsv = write(tmp_path, "y.csv", "y\n" + "\n".join(["0.5"] * 10) + "\n")
+    cfg = write(tmp_path, "run.cfg", BASE_CONFIG + f"data.file = {ycsv}\n")
+    argv = ["estimate", "--config", cfg, "--predictor.variant=bayes-poly"]
+    assert main(argv + ["--predictor.poly.m=5"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--predictor.poly.m=5", flag]) == 2
+    assert message in capsys.readouterr().err
+    assert main(argv) == 2
+    assert "m = 50 is outside [1, 13]" in capsys.readouterr().err
+
+
+def test_an_empty_measure_seed_is_a_config_error(tmp_path, capsys):
+    ycsv = write(tmp_path, "y.csv", "y\n" + "\n".join(["0.5"] * 10) + "\n")
+    cfg = write(tmp_path, "run.cfg", BASE_CONFIG + f"data.file = {ycsv}\n")
+    assert main(["estimate", "--config", cfg, "--measure.seed="]) == 2
+    assert "measure.seed: expected an integer, got ''" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["estimate", "sweep", "design"])
 def test_threads_key_is_rejected_where_nothing_reads_it(tmp_path, capsys, command):
     ycsv = write(tmp_path, "y.csv", "y\n" + "\n".join(["0.5"] * 10) + "\n")
@@ -663,6 +687,20 @@ def test_reproduce_threads_below_one_is_a_config_error(tmp_path, capsys, monkeyp
         monkeypatch.setenv("LOOISE_THREADS", threads)
     assert main(argv) == 2
     assert f"threads: expected at least 1, got {threads}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_reproduce_rejects_keys_it_does_not_read(tmp_path, capsys, monkeypatch, source):
+    import looise.cli as cli
+
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("ran"))
+    argv = ["reproduce", "table1", "--out", str(tmp_path)]
+    if source == "flag":
+        argv.append("--design.n=5")
+    else:
+        argv += ["--config", write(tmp_path, "run.cfg", "design.n = 5\nestimator.clamp = maybe\n")]
+    assert main(argv) == 2
+    assert "design.n: reproduce reads only threads" in capsys.readouterr().err
 
 
 def test_reproduce_suppf1_structure(tmp_path, capsys):

@@ -193,6 +193,21 @@ def test_poly_basis_generic_selection():
     assert all(a >= b for a, b in zip(lam, lam[1:]))
 
 
+@pytest.mark.parametrize("d, terms", [(1, 13), (2, 91), (3, 455)])  # C(12 + d, d)
+def test_poly_basis_takes_one_to_all_terms_of_degree_at_most_12(d, terms):
+    assert poly_basis(d, 1)[0].shape == (1, d)
+    assert poly_basis(d, terms)[0].sum(axis=1).max() == 12
+    for m in (-3, 0, terms + 1, 500):
+        with pytest.raises(ValueError, match="is outside"):
+            poly_basis(d, m)
+
+
+@pytest.mark.parametrize("m", [10, 50])  # 50 is the shipped table at d = 2
+def test_poly_basis_rejects_a_decay_below_one(m):
+    with pytest.raises(ValueError, match="decay t = 0.5 is below 1"):
+        poly_basis(2, m, t=0.5)
+
+
 def test_tensor_basis_values():
     idx = np.array([[0, 0], [1, 0], [0, 2]])
     X = np.array([[0.3, 0.7]])

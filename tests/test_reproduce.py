@@ -191,3 +191,27 @@ def test_table2_builds_its_support_cache_once_per_replication(tmp_path, monkeypa
     blocks = TABLE2_N // moments.block_rows(TABLE2_DESIGN)
     assert blocks == 8
     assert counts == {"distances": 2 * blocks, "cross_matrix": 2 * blocks}
+
+
+def test_table2_builds_k_e_once_per_replication(tmp_path, monkeypatch):
+    # the first candidate's bundle builds K_e's record, and the other 45 share it
+    from looise import moments
+
+    walk, build = moments.predictor_walk, moments.kernel_matrix
+    records, builds = [], []
+
+    def capturing(*args, **kwargs):
+        bundles, ise = walk(*args, **kwargs)
+        records.extend((b.design, b.components[0].record) for b in bundles)
+        return bundles, ise
+
+    monkeypatch.setattr(moments, "predictor_walk", capturing)
+    monkeypatch.setattr(moments, "kernel_matrix",
+                        lambda spec, *args: builds.append(spec) or build(spec, *args))
+    run_table2(str(tmp_path), threads=2, n_designs=2)
+    per_design = {}  # designs and records hash by identity
+    for design, record in records:
+        per_design.setdefault(design, set()).add(record)
+    assert len(records) == 2 * 46
+    assert [len(kept) for kept in per_design.values()] == [1, 1]
+    assert [spec.family for spec in builds] == ["matern52", "matern52"]
