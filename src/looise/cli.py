@@ -33,7 +33,14 @@ from .designs import (
     theta_loo,
     uniform_measure,
 )
-from .errors import ConfigError, DimensionMismatch, LooiseError, UnknownExperiment
+from .errors import (
+    ConfigError,
+    DimensionMismatch,
+    LooiseError,
+    TooManyPoints,
+    UnknownExperiment,
+    UnsupportedDimension,
+)
 from .kernels import KernelSpec
 from .predictors import (
     BayesPolynomial,
@@ -67,13 +74,14 @@ def _load_config(args, extra: dict[str, str]) -> dict[str, str]:
 
 
 def _reads_inputs(fn):
-    """A ValueError or DimensionMismatch while reading or checking inputs is a ConfigError."""
+    """A ValueError, DimensionMismatch, UnsupportedDimension (a Sobol' dimension outside
+    [1, 21]) or TooManyPoints (more points than candidates) in reading inputs is a ConfigError."""
 
     @functools.wraps(fn)
     def wrapped(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ValueError, DimensionMismatch) as exc:
+        except (ValueError, DimensionMismatch, UnsupportedDimension, TooManyPoints) as exc:
             raise ConfigError(str(exc)) from exc
 
     return wrapped

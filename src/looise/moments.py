@@ -30,8 +30,9 @@ symmetric, so it is summed over each unordered pair of row blocks once;
 besides C (N n doubles) and W (kept as the bundle's table) it holds a few tiles per worker.
 
 Both integrals are ordered folds: each row block runs on a thread of
-:func:`numerics.map_ordered` and returns its own terms, and the calling
-thread adds them in block order with the expressions of a serial loop.
+:func:`numerics.map_ordered` and returns its own terms, and each
+accumulator's `finish` (V's: :func:`_vn_component`) adds up its blocks'
+terms left to right, in block order, as a serial loop would.
 The support size, the largest predictor size n among the jobs, BLOCK,
 BLOCK_ENTRIES and VN_BLOCK alone fix the blocks, so no bit depends on the
 workers.
@@ -212,8 +213,7 @@ class _BundleIntegrals:
         self.bundle = bundle
         self.weights = bundle.weights
         self.fill = bundle._moments is None
-        self.b, self.J, self.defect = np.zeros(bundle.n), 0.0, 0.0
-        self.clamped = {}  # eps^2 bytes -> [g, u^T g, blp, blup]
+        self.clamped = {}  # eps^2 bytes -> (g, u^T g)
 
     def add_residuals(self, eps_sq: np.ndarray) -> None:
         bundle = self.bundle
@@ -225,7 +225,7 @@ class _BundleIntegrals:
             bundle._hq = (h, float(bundle.u @ h))
         else:
             g = bundle.solve_S(eps_sq)
-        self.clamped[key] = [g, float(bundle.u @ g), 0.0, 0.0]
+        self.clamped[key] = (g, float(bundle.u @ g))
 
     def terms(self, rows, X, mu, W, geometry) -> tuple:
         """One block's terms, changing nothing: (defect, mu^T c, mu . rho^2) or
@@ -240,31 +240,23 @@ class _BundleIntegrals:
         clamped = []
         if self.clamped:
             h, q = bundle._hq
-            cv = _project(parts, np.column_stack([g for g, *_ in self.clamped.values()] + [h]))
-            for j, (_, ug, _, _) in enumerate(self.clamped.values()):
+            cv = _project(parts, np.column_stack([g for g, _ in self.clamped.values()] + [h]))
+            for j, (_, ug) in enumerate(self.clamped.values()):
                 blp, blup = float(mu @ np.maximum(cv[:, j], 0.0)), 0.0
                 if q > CONSTRAINT_TOL:
                     blup = float(mu @ np.maximum(cv[:, j] + (rho - cv[:, -1]) * (ug / q), 0.0))
                 clamped.append((blp, blup))
         return known, clamped
 
-    def add(self, terms: tuple) -> None:
-        known, clamped = terms
-        if known is not None:
-            self.defect += known[0]
-            self.b += known[1]
-            self.J += known[2]
-        for acc, (blp, blup) in zip(self.clamped.values(), clamped):
-            acc[2] += blp
-            acc[3] += blup
-
-    def finish(self) -> None:
+    def finish(self, blocks: list) -> None:
+        """Stores on the bundle the sums of `blocks`, each block's terms, left to right."""
         bundle = self.bundle
         if self.fill:
-            bundle._moments = (self.b, self.J, self.defect)
-        degenerate = bundle._hq is None or bundle._hq[1] <= CONSTRAINT_TOL
-        for key, (_, _, blp, blup) in self.clamped.items():
-            bundle._clamped[key] = (blp, None if degenerate else blup)
+            defect, b, J = (sum(col) for col in zip(*(known for known, _ in blocks)))
+            bundle._moments = (b, J, defect)
+        for key, *pairs in zip(self.clamped, *(clamped for _, clamped in blocks)):
+            blp, blup = (sum(col) for col in zip(*pairs))
+            bundle._clamped[key] = (blp, None if bundle._hq[1] <= CONSTRAINT_TOL else blup)
 
 
 class _SquaredError:
@@ -274,14 +266,13 @@ class _SquaredError:
         self.fvals = np.asarray(f, dtype=float)
         self.weights = weights
         self.y = np.asarray(y, dtype=float)
-        self.total = 0.0
 
     def terms(self, rows, X, mu, W, geometry) -> float:
         diff = self.fvals[rows] - W @ self.y
         return float(mu @ (diff * diff))
 
-    def add(self, term: float) -> None:
-        self.total += term
+    def finish(self, blocks: list) -> None:
+        self.total = sum(blocks)
 
 
 def support_pass(jobs, ise_jobs=(), shared: dict | None = None) -> list[float]:
@@ -319,8 +310,6 @@ def support_pass(jobs, ise_jobs=(), shared: dict | None = None) -> list[float]:
                 integrals[id(bundle)].add_residuals(eps_sq)
         sums = [_SquaredError(*job) for job in ise_jobs]
         _walk([acc for acc in integrals.values() if acc.fill or acc.clamped] + sums, shared)
-        for acc in integrals.values():
-            acc.finish()
     return [err.total for err in sums]
 
 
@@ -344,6 +333,7 @@ def predictor_walk(pred, measure: IntegrationMeasure, kernels, residuals=lambda 
 
 
 def _walk(accumulators, shared: dict | None) -> None:
+    """One pass over the support; each accumulator's `finish` gets its terms of every block."""
     groups = {}  # id(predictor) -> its accumulators, those whose source holds a table first
     for acc in sorted(accumulators, key=lambda acc: acc.weights._table is None):
         groups.setdefault(id(acc.weights.predictor), []).append(acc)
@@ -367,9 +357,9 @@ def _walk(accumulators, shared: dict | None) -> None:
 
     ordered = [acc for group in groups.values() for acc in group]
     size = block_rows(max(ws.predictor.n for ws in sources))
-    for terms in numerics.map_ordered(block_terms, support_blocks(measure, size)):
-        for acc, term in zip(ordered, terms):
-            acc.add(term)
+    blocks = numerics.map_ordered(block_terms, support_blocks(measure, size))
+    for i, acc in enumerate(ordered):
+        acc.finish([terms[i] for terms in blocks])
 
 
 class _Geometry:
@@ -475,7 +465,7 @@ def _vn_component(comp: Component, W: np.ndarray, design: Design,
     C = cross_matrix(kernel, design.points, pts)
     width = min(VN_BLOCK, BLOCK_ENTRIES // VN_BLOCK)
 
-    def block_row(block) -> tuple[float, float, float]:
+    def block_row(block) -> tuple[float, float]:
         rows, X, mu_rows = block
         lo, m = rows.start, rows.stop - rows.start
         # rho^2(x, x') = k(x, x') - w(x)^T k(x') - t(x)^T w(x')
@@ -493,15 +483,11 @@ def _vn_component(comp: Component, W: np.ndarray, design: Design,
             diag[i] = tile[own]
             tile *= tile
             row[start - lo:cols.stop - lo] = mu_rows @ tile
-        return float(row[:m] @ mu_rows), 2.0 * float(row[m:] @ mu[rows.stop:]), \
+        return float(row[:m] @ mu_rows) + 2.0 * float(row[m:] @ mu[rows.stop:]), \
             float(mu_rows @ diag)
 
-    total = diag = 0.0
-    for own, off, d in numerics.map_ordered(block_row,
-                                             support_blocks(measure, VN_BLOCK)):
-        total += own + off
-        diag += d
-    return total, diag
+    blocks = numerics.map_ordered(block_row, support_blocks(measure, VN_BLOCK))
+    return sum(total for total, _ in blocks), sum(diag for _, diag in blocks)
 
 
 def _assemble(parts, pred, measure: IntegrationMeasure, compute_Vn: bool) -> MomentBundle:

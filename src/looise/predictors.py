@@ -232,13 +232,16 @@ def poly_basis(d: int, m: int, c: float = 1000.0, t: float = 2.0):
     The d=2, m=50 case returns the shipped table; other sizes select the
     m largest prior weights with a deterministic tie-break (total degree,
     then lexicographic). Raises ValueError for m outside [1, C(12 + d, d)],
-    or for a decay t < 1, under which Lambda would grow with the degree.
+    for a scale c <= 0, under which no Lambda is a variance, or for a decay
+    t < 1, under which Lambda would grow with the degree.
     """
     max_deg = 12
     terms = math.comb(max_deg + d, d)
     if not 1 <= m <= terms:
         raise ValueError(f"poly_basis: m = {m} is outside [1, {terms}], the terms of "
                          f"total degree at most {max_deg} in dimension {d}")
+    if not c > 0.0:
+        raise ValueError(f"poly_basis: scale c = {c} is not positive")
     if not t >= 1.0:
         raise ValueError(f"poly_basis: decay t = {t} is below 1")
     if d == 2 and m == 50:
@@ -264,6 +267,8 @@ class BayesPolynomial(SimpleKriging):
     reads_distances = False
 
     def __init__(self, indices, prior_diag, noise_var: float, design: Design):
+        if not noise_var >= 0.0:
+            raise ValueError(f"BayesPolynomial: noise variance {noise_var} is negative")
         self.indices = np.asarray(indices, dtype=int)
         self.prior_diag = np.asarray(prior_diag, dtype=float)
         self.noise_var = float(noise_var)

@@ -6,7 +6,7 @@ import pytest
 from looise import numerics
 from looise.cli import main
 from looise.config import apply_overrides, parse_config
-from looise.designs import design_to_csv, regular_grid
+from looise.designs import Design, design_to_csv, regular_grid
 from looise.errors import ConfigError
 
 
@@ -594,6 +594,9 @@ def test_estimate_rejects_the_vn_key(tmp_path, capsys):
 @pytest.mark.parametrize("flag, message", [
     ("--predictor.poly.m=-3", "m = -3 is outside [1, 13]"),
     ("--predictor.poly.decay=0.5", "decay t = 0.5 is below 1"),
+    ("--predictor.poly.scale=0", "scale c = 0.0 is not positive"),
+    ("--predictor.poly.scale=-1", "scale c = -1.0 is not positive"),
+    ("--predictor.poly.noise=-0.5", "noise variance -0.5 is negative"),
 ])
 def test_poly_keys_out_of_bounds_are_config_errors(tmp_path, capsys, flag, message):
     # a 1-d basis holds the 13 terms of degree 0 to 12, so the default m = 50 is too many
@@ -606,6 +609,48 @@ def test_poly_keys_out_of_bounds_are_config_errors(tmp_path, capsys, flag, messa
     assert message in capsys.readouterr().err
     assert main(argv) == 2
     assert "m = 50 is outside [1, 13]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--predictor.poly.scale=0", "scale c = 0.0 is not positive"),
+    ("--predictor.poly.scale=-1", "scale c = -1.0 is not positive"),  # would act as +1 at d = 2
+    ("--predictor.poly.noise=-0.5", "noise variance -0.5 is negative"),
+])
+def test_a_bayes_poly_prior_off_its_domain_is_a_config_error_at_d_2(capsys, flag, message):
+    # d = 2 with the default m = 50 takes poly_basis's shipped table, and noise -0.5
+    # still factorizes, so only the checks on the inputs stop these
+    argv = ["estimate", "--design.generator=sobol", "--design.d=2", "--design.n=30",
+            "--function.name=environmental", "--measure.sobol_n=256",
+            "--estimator.kernel.family=matern32", "--estimator.kernel.theta=8",
+            "--predictor.variant=bayes-poly"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + [flag]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["estimate", "design"])
+@pytest.mark.parametrize("flags, message", [
+    (["--design.d=0"], "dimension must be in [1, 21], got 0"),
+    (["--design.d=22"], "dimension must be in [1, 21], got 22"),
+    (["--design.generator=packing", "--design.candidates_log2=4", "--design.n=20"],
+     "requested 20 points from 16 candidates"),
+])
+def test_a_design_size_out_of_range_is_a_config_error(capsys, command, flags, message):
+    argv = [command, "--design.generator=sobol", "--design.d=2", "--design.n=12"]
+    assert main(argv + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_a_sobol_measure_beyond_21_dimensions_is_a_config_error(tmp_path, capsys):
+    points = np.linspace(0.1, 0.9, 3 * 22).reshape(3, 22)
+    dcsv = write(tmp_path, "design.csv", design_to_csv(Design(points=points)))
+    ycsv = write(tmp_path, "y.csv", "y\n0.1\n0.2\n0.3\n")
+    assert main(["estimate", f"--design.file={dcsv}", f"--data.file={ycsv}",
+                 "--predictor.kernel.family=matern52", "--predictor.kernel.theta=5",
+                 "--estimator.kernel.family=matern32", "--estimator.kernel.theta=8"]) == 2
+    assert "dimension must be in [1, 21], got 22" in capsys.readouterr().err
 
 
 def test_an_empty_measure_seed_is_a_config_error(tmp_path, capsys):

@@ -208,6 +208,22 @@ def test_poly_basis_rejects_a_decay_below_one(m):
         poly_basis(2, m, t=0.5)
 
 
+@pytest.mark.parametrize("m", [10, 50])
+@pytest.mark.parametrize("c", [0.0, -1.0])  # c = -1 would give Lambda > 0 at even d
+def test_poly_basis_rejects_a_scale_that_is_not_positive(m, c):
+    with pytest.raises(ValueError, match=f"scale c = {c} is not positive"):
+        poly_basis(2, m, c=c)
+
+
+def test_bayes_polynomial_rejects_a_negative_noise_variance():
+    design = regular_grid(2, 5)
+    idx, lam = poly_basis(2, 10)
+    with pytest.raises(ValueError, match="noise variance -0.5 is negative"):
+        BayesPolynomial(idx, lam, -0.5, design)
+    # noise 0 is the noise-free prior; 10 terms on 9 points leave K_n positive definite
+    assert BayesPolynomial(idx, lam, 0.0, regular_grid(2, 3)).noise_var == 0.0
+
+
 def test_tensor_basis_values():
     idx = np.array([[0, 0], [1, 0], [0, 2]])
     X = np.array([[0.3, 0.7]])

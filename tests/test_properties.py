@@ -432,6 +432,68 @@ def test_vn_does_not_depend_on_the_tiling(spec):
     np.testing.assert_allclose(tiled, [dense] * len(tiled), rtol=1e-12, atol=0.0)
 
 
+@st.composite
+def prefix_walks(draw):
+    """A kriging predictor of one of several sizes n (so several block sizes),
+    a single or mixture bundle, one to three residual vectors and an unshifted
+    or shifted net of N = 2^k points, with 2^k at least two of the walk's blocks."""
+    n = draw(st.sampled_from([40, 100, 129, 200, 300]))
+    rows = moments.block_rows(n)
+    k = draw(st.integers(rows.bit_length(), rows.bit_length() + 3))  # 2^k >= 2 rows
+    return dict(d=draw(st.integers(2, 4)), n=n, k=k, seed=draw(st.integers(0, 10_000)),
+                shifted=draw(st.booleans()), predictor=draw(st.sampled_from(
+                    [SimpleKriging, OrdinaryKriging])), theta_p=draw(st.floats(5.0, 20.0)),
+                thetas=[draw(WALK_THETAS), draw(WALK_THETAS)], nu=draw(st.floats(0.05, 0.95)),
+                mixture=draw(st.booleans()), residuals=draw(st.integers(1, 3)))
+
+
+def _prefix_sums(blocks):
+    """(b, J, defect, [(blp+, blup+) per residual vector]) of `blocks`, added up as finish does."""
+    defect, b, J = (sum(col) for col in zip(*(known for known, _ in blocks)))
+    pairs = zip(*(clamped for _, clamped in blocks))
+    return b, J, defect, [tuple(sum(col) for col in zip(*pair)) for pair in pairs]
+
+
+@PROPERTY_SETTINGS
+@given(spec=prefix_walks())
+def test_twice_the_first_half_of_a_walk_is_the_walk_over_half_the_net(spec):
+    # mu = 2^-k is a power of two and the first N/2 points of the net are the
+    # N/2 net, in the same blocks, so every term of the prefix is half a term
+    # of the N/2 walk and no sum rounds differently
+    design = random_design(spec["d"], spec["n"], seed=spec["seed"])
+    pred = spec["predictor"](KernelSpec("matern52", spec["theta_p"]), design)
+    rng = np.random.default_rng(spec["seed"])
+    eps_sqs = [pred.loo_residuals(rng.standard_normal(spec["n"])) ** 2
+               for _ in range(spec["residuals"])]
+    shift = spec["seed"] + 1 if spec["shifted"] else None
+    walked = []
+    for N in (2 ** spec["k"], 2 ** (spec["k"] - 1)):
+        measure = small_measure(spec["d"], N, seed=shift)
+        if spec["mixture"]:
+            kernels = [KernelSpec("matern32", spec["thetas"][0]),
+                       KernelSpec("gaussian", spec["thetas"][1])]
+            bundle = mixture_bundle(pred, kernels, [spec["nu"], 1.0 - spec["nu"]], measure)
+        else:
+            bundle = build_bundle(pred, KernelSpec("matern32", spec["thetas"][0]), measure)
+        captured = []
+        finish = moments._BundleIntegrals.finish
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(moments._BundleIntegrals, "finish",
+                       lambda acc, blocks: captured.append(blocks) or finish(acc, blocks))
+            support_pass([(bundle, eps_sq) for eps_sq in eps_sqs])
+        walked.append((bundle, captured[0]))
+    (_, blocks), (half, half_blocks) = walked
+    assert len(blocks) == 2 * len(half_blocks) >= 2
+    b, J, defect, clamped = _prefix_sums(blocks[:len(half_blocks)])
+    assert (2.0 * b).tobytes() == half.b.tobytes()
+    assert (2.0 * J, 2.0 * defect) == (half.J, half.sum_to_one_defect)
+    assert len(clamped) == len(eps_sqs)
+    for (blp, blup), eps_sq in zip(clamped, eps_sqs):
+        blp_half, blup_half = half.clamped_integrals(eps_sq)
+        assert 2.0 * blp == blp_half
+        assert blup_half is None or 2.0 * blup == blup_half
+
+
 def _svd_verdict(R):
     """(full_rank, raises) as the SVD decides them in LinearPredictor.loo."""
     sv = np.linalg.svd(R, compute_uv=False)
