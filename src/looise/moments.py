@@ -14,13 +14,13 @@ with G = (R^T t(x))^T and t(x) = k(x) - K w(x), and the walk reads c only
 as sums over the block, mu^T c = (mu . rho^2) u + 2 mu^T (G o G) for b, and
 as projections c(x)^T v = rho^2(x) u^T v + 2 (G o G) v onto g = S^{-1} eps^2
 and h = S^{-1} u for the clamped estimates. :func:`support_pass` is the one
-walk over the support blocks. It serves a batch of bundles (b, J and the
-clamped blp/blup integrals of given residuals) and of squared-error sums
-int (f - W y)^2 dmu at once: per block, each distinct predictor draws
-its weight rows once, the block's distances to a design are computed once for
-every kernel's cross-correlations, and a dict that the caller keeps lets
-bundles and walks that share a design build the distances, each kernel's
-record and its cross-correlation blocks once. The record is a :class:`numerics.DesignKernel`,
+walk over the support blocks. It serves the bundles of one predictor (b, J
+and the clamped blp/blup integrals of given residuals) and its squared-error
+sums int (f - W y)^2 dmu at once: per block, the predictor draws its weight
+rows once, the block's distances to its design are computed once for every
+kernel's cross-correlations, and a dict that the caller keeps lets bundles
+and walks that share a design build the distances, each kernel's record and
+its cross-correlation blocks once. The record is a :class:`numerics.DesignKernel`,
 the one record type the kriging predictors hold too. Every bundle keeps
 the arithmetic of a walk of its own. A bundle asked for b or J first makes
 a one-job walk, under its lock.
@@ -32,16 +32,17 @@ besides C (N n doubles) and W (kept as the bundle's table) it holds a few tiles 
 Both integrals are ordered folds: each row block runs on a thread of
 :func:`numerics.map_ordered` and returns its own terms, and each
 accumulator's `finish` (V's: :func:`_vn_component`) adds up its blocks'
-terms left to right, in block order, as a serial loop would.
-The support size, the largest predictor size n among the jobs, BLOCK,
-BLOCK_ENTRIES and VN_BLOCK alone fix the blocks, so no bit depends on the
-workers.
+terms left to right, in block order, as a serial loop would, and as
+:func:`_total` does whichever CPython runs it. The support size, the
+predictor's size n, BLOCK, BLOCK_ENTRIES and VN_BLOCK alone fix the blocks,
+so no bit depends on the workers.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import operator
 import threading
 from dataclasses import dataclass, field
 
@@ -227,12 +228,12 @@ class _BundleIntegrals:
             g = bundle.solve_S(eps_sq)
         self.clamped[key] = (g, float(bundle.u @ g))
 
-    def terms(self, rows, X, mu, W, geometry) -> tuple:
+    def terms(self, rows, mu, W, geometry) -> tuple:
         """One block's terms, changing nothing: (defect, mu^T c, mu . rho^2) or
         None when b and J are known, and (blp+, blup+) per residual vector from
         one projection of c onto the columns [g_1 ... g_r, h]."""
         bundle = self.bundle
-        parts, rho = _rho_gg(bundle.components, X, W, bundle.design, bundle.R, geometry)
+        parts, rho = _rho_gg(bundle.components, W, bundle.R, geometry)
         known = None if not self.fill else (
             float(mu @ (1.0 - W.sum(axis=1)) ** 2),
             sum(nu * ((mu @ rho_k) * u + 2.0 * (mu @ GG)) for nu, u, rho_k, GG in parts),
@@ -252,10 +253,10 @@ class _BundleIntegrals:
         """Stores on the bundle the sums of `blocks`, each block's terms, left to right."""
         bundle = self.bundle
         if self.fill:
-            defect, b, J = (sum(col) for col in zip(*(known for known, _ in blocks)))
+            defect, b, J = (_total(col) for col in zip(*(known for known, _ in blocks)))
             bundle._moments = (b, J, defect)
         for key, *pairs in zip(self.clamped, *(clamped for _, clamped in blocks)):
-            blp, blup = (sum(col) for col in zip(*pairs))
+            blp, blup = (_total(col) for col in zip(*pairs))
             bundle._clamped[key] = (blp, None if bundle._hq[1] <= CONSTRAINT_TOL else blup)
 
 
@@ -267,16 +268,21 @@ class _SquaredError:
         self.weights = weights
         self.y = np.asarray(y, dtype=float)
 
-    def terms(self, rows, X, mu, W, geometry) -> float:
+    def terms(self, rows, mu, W, geometry) -> float:
         diff = self.fvals[rows] - W @ self.y
         return float(mu @ (diff * diff))
 
     def finish(self, blocks: list) -> None:
-        self.total = sum(blocks)
+        self.total = _total(blocks)
+
+
+def _total(terms):
+    """The terms added left to right from integer 0, as `sum` did before CPython 3.12."""
+    return functools.reduce(operator.add, terms, 0)
 
 
 def support_pass(jobs, ise_jobs=(), shared: dict | None = None) -> list[float]:
-    """One walk over the support serving a batch of bundles and error sums.
+    """One walk over the support serving the bundles and error sums of one predictor.
 
     `jobs` are (bundle, eps_sq or None) pairs. Each fills its bundle's b, J
     and sum-to-one defect unless known and, given eps_sq, stores the clamped
@@ -284,23 +290,27 @@ def support_pass(jobs, ise_jobs=(), shared: dict | None = None) -> list[float]:
     `ise_jobs` are (f, WeightSource(pred, measure), y) triples: support
     values of a known function, the predictor's weight source and the
     observations; the walk integrates (f - W y)^2 against the measure and
-    returns these sums in order.
+    returns these sums in order. Every job's weight source must hold one predictor
+    object over one measure; DimensionMismatch is raised before any block otherwise.
 
-    Per block, each distinct predictor (by identity) draws its rows once, or slices
-    them from a table one of its sources holds (V_n's draw), and holds them only while
-    its own jobs compute their terms. A block's distances to a design are computed
-    once, and every kernel's cross-correlations (the predictors' and the assumed
-    kernels') are formed from them. `shared`, a dict the caller keeps (as for build_bundle), keeps
-    both the distances and each (kernel, design) block of cross-correlations
-    for the other jobs of this walk and for later walks over the same
-    measure; it holds N x n values per design and per kernel and design.
-    Without it the distances live for their block and each job forms its
-    own cross-correlations. Every job does the arithmetic of a walk of its
-    own, in the same order, so batching changes no bit of any result. All
-    jobs must share one measure.
+    The blocks hold block_rows(n) rows of the predictor's n. Per block, the predictor
+    draws its rows once, or slices them from a table one of its sources holds (V_n's
+    draw). The block's distances to the design are computed once, and every kernel's
+    cross-correlations (the predictor's and the assumed kernels') are formed from
+    them. `shared`, a dict the caller keeps (as for build_bundle), keeps both the
+    distances and each (kernel, design) block of cross-correlations for the other
+    jobs of this walk and for later walks over the same measure; it holds N x n
+    values per design and per kernel and design. Without it the distances live for
+    their block and each job forms its own cross-correlations. Every job does the
+    arithmetic of a walk of its own, on the same blocks and in the same order, so
+    batching changes no bit of any result.
     """
     jobs = list(jobs)
     bundles = {id(bundle): bundle for bundle, _ in jobs}
+    sums = [_SquaredError(*job) for job in ise_jobs]
+    sources = [bundle.weights for bundle in bundles.values()] + [err.weights for err in sums]
+    if len({(id(ws.predictor), id(ws._measure)) for ws in sources}) > 1:
+        raise DimensionMismatch("one support pass serves one predictor over one measure")
     with contextlib.ExitStack() as held:
         for key in sorted(bundles):  # one lock order for every walk
             held.enter_context(bundles[key]._lock)
@@ -308,7 +318,6 @@ def support_pass(jobs, ise_jobs=(), shared: dict | None = None) -> list[float]:
         for bundle, eps_sq in jobs:
             if eps_sq is not None:
                 integrals[id(bundle)].add_residuals(eps_sq)
-        sums = [_SquaredError(*job) for job in ise_jobs]
         _walk([acc for acc in integrals.values() if acc.fill or acc.clamped] + sums, shared)
     return [err.total for err in sums]
 
@@ -316,7 +325,7 @@ def support_pass(jobs, ise_jobs=(), shared: dict | None = None) -> list[float]:
 def predictor_walk(pred, measure: IntegrationMeasure, kernels, residuals=lambda bundle: (),
                    truth=None, oracle=None, shared: dict | None = None):
     """The bundles of `pred` under each assumed kernel (None: the independent
-    limit), and the `oracle` bundle when one rides along.
+    limit), and the `oracle` bundle, also one of `pred`, when one rides along.
 
     One support pass fills them and integrates the clamped blp/blup estimates
     of each residual vector in residuals(bundle) and, given truth = (f, y)
@@ -333,62 +342,51 @@ def predictor_walk(pred, measure: IntegrationMeasure, kernels, residuals=lambda 
 
 
 def _walk(accumulators, shared: dict | None) -> None:
-    """One pass over the support; each accumulator's `finish` gets its terms of every block."""
-    groups = {}  # id(predictor) -> its accumulators, those whose source holds a table first
-    for acc in sorted(accumulators, key=lambda acc: acc.weights._table is None):
-        groups.setdefault(id(acc.weights.predictor), []).append(acc)
-    if not groups:
+    """One pass over the support for the jobs of one predictor over one measure;
+    each accumulator's `finish` gets its terms of every block."""
+    if not accumulators:
         return
-    sources = [group[0].weights for group in groups.values()]
-    measure = sources[0]._measure
-    if any(acc.weights._measure is not measure for acc in accumulators):
-        raise DimensionMismatch("the jobs of one support pass must share one measure")
+    ws = min((acc.weights for acc in accumulators), key=lambda s: s._table is None)  # tables first
+    pred, measure = ws.predictor, ws._measure
 
     def block_terms(block) -> list:
         rows, X, mu = block
-        geometry = _Geometry(X, shared, measure, rows.start)
-        terms = []
-        for ws, group in zip(sources, groups.values()):
-            reads = ws.predictor.reads_distances
-            W = ws.block(rows.start, rows.stop,
-                         geometry.distances(ws.predictor.design) if reads else None)
-            terms += [acc.terms(rows, X, mu, W, geometry) for acc in group]
-        return terms
+        geometry = _Geometry(X, pred.design, shared, measure, rows.start)
+        W = ws.block(rows.start, rows.stop, geometry.distances() if pred.reads_distances else None)
+        return [acc.terms(rows, mu, W, geometry) for acc in accumulators]
 
-    ordered = [acc for group in groups.values() for acc in group]
-    size = block_rows(max(ws.predictor.n for ws in sources))
-    blocks = numerics.map_ordered(block_terms, support_blocks(measure, size))
-    for i, acc in enumerate(ordered):
+    blocks = numerics.map_ordered(block_terms, support_blocks(measure, block_rows(pred.n)))
+    for i, acc in enumerate(accumulators):
         acc.finish([terms[i] for terms in blocks])
 
 
 class _Geometry:
-    """A block of points' distances to each design, computed once, and each
-    (kernel, design) block of cross-correlations, formed from them. Given the walk's
-    `shared` dict, both are kept there under the design, kernel, measure and block's
-    first row (walks that share a dict at once find it filled by a first walk, so no
-    two workers build one entry); otherwise the distances live with this block and
-    every request forms its cross-correlations anew, an array the caller may overwrite."""
+    """A block of points' distances to the walk's design, computed once, and each
+    kernel's block of cross-correlations, formed from them. Given the walk's `shared`
+    dict, both are kept there under the design, kernel, measure and block's first row
+    (walks that share a dict at once find it filled by a first walk, so no two workers
+    build one entry); otherwise the distances live with this block and every request
+    forms its cross-correlations anew, an array the caller may overwrite."""
 
-    def __init__(self, X: np.ndarray, shared: dict | None = None, measure=None, lo: int = 0):
-        self.X = X
+    def __init__(self, X, design: Design, shared: dict | None = None, measure=None, lo=0):
+        self.X, self.design = X, design
         self.fresh_cross = shared is None
         self._cache = {} if shared is None else shared
         self._measure, self._lo = measure, lo
 
-    def distances(self, design: Design) -> np.ndarray:
-        key = ("distances", design, self._measure, self._lo)
+    def distances(self) -> np.ndarray:
+        key = ("distances", self.design, self._measure, self._lo)
         if key not in self._cache:
-            self._cache[key] = distances(self.X, design.points)
+            self._cache[key] = distances(self.X, self.design.points)
         return self._cache[key]
 
-    def cross(self, kernel: KernelSpec, design: Design) -> np.ndarray:
+    def cross(self, kernel: KernelSpec) -> np.ndarray:
         """The block's cross-correlations with the design; only read unless fresh_cross."""
         if self.fresh_cross:
-            return cross_matrix(kernel, design.points, self.X, self.distances(design))
-        key = (kernel, design, self._measure, self._lo)
+            return cross_matrix(kernel, self.design.points, self.X, self.distances())
+        key = (kernel, self.design, self._measure, self._lo)
         if key not in self._cache:
-            self._cache[key] = cross_matrix(kernel, design.points, self.X, self.distances(design))
+            self._cache[key] = cross_matrix(kernel, self.design.points, self.X, self.distances())
         return self._cache[key]
 
 
@@ -399,25 +397,24 @@ def _record(kernel: KernelSpec, design: Design, shared: dict) -> DesignKernel:
     return shared[kernel, design]
 
 
-def _rho_gg(components, X: np.ndarray, W: np.ndarray, design: Design, R: np.ndarray,
-            geometry: _Geometry | None = None) -> tuple[list, np.ndarray]:
+def _rho_gg(components, W: np.ndarray, R: np.ndarray,
+            geometry: _Geometry) -> tuple[list, np.ndarray]:
     """Per component on one block of points, (nu, u, rho^2(x), G(x) o G(x));
     and the mixture rho^2(x).
 
     The component's c(x) = rho^2(x) u + 2 G(x)^{o2}, with G = (R^T t(x))^T
     and t(x) = k(x) - K w(x), so c(x)^T v = rho^2(x) u^T v + 2 G^{o2} v for
-    any v. The cross-correlations of X with the design come from the walk's
-    `geometry` of the block when it has one; G is written into them when the
-    geometry hands them out fresh, and they are only read otherwise.
+    any v. The cross-correlations of the block's points with the design come
+    from its `geometry`; G is written into them when the geometry hands them out
+    fresh, and they are only read otherwise.
     """
-    geometry = geometry or _Geometry(X)
     parts, rho_mix = [], 0.0
     for comp in components:
         if comp.kernel is None:
             rho = 1.0 + _row_dots(W, W)
             G = W @ R
         else:
-            C = geometry.cross(comp.kernel, design)
+            C = geometry.cross(comp.kernel)
             T = W @ comp.record.K
             rho = (1.0 + comp.kernel.nugget) - 2.0 * _row_dots(W, C) + _row_dots(T, W)
             np.subtract(C, T, out=T)
@@ -442,7 +439,7 @@ def pointwise_c_rho(bundle: MomentBundle, X):
     """Rows of the mixture c(x) and the mixture rho^2(x) at the given points."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     W = bundle.weights.predictor.weights_matrix(X)
-    parts, rho = _rho_gg(bundle.components, X, W, bundle.design, bundle.R)
+    parts, rho = _rho_gg(bundle.components, W, bundle.R, _Geometry(X, bundle.design))
     return sum(nu * (rho_k[:, None] * u + 2.0 * GG) for nu, u, rho_k, GG in parts), rho
 
 
@@ -487,7 +484,7 @@ def _vn_component(comp: Component, W: np.ndarray, design: Design,
             float(mu_rows @ diag)
 
     blocks = numerics.map_ordered(block_row, support_blocks(measure, VN_BLOCK))
-    return sum(total for total, _ in blocks), sum(diag for _, diag in blocks)
+    return _total(total for total, _ in blocks), _total(diag for _, diag in blocks)
 
 
 def _assemble(parts, pred, measure: IntegrationMeasure, compute_Vn: bool) -> MomentBundle:
@@ -513,10 +510,10 @@ def _assemble(parts, pred, measure: IntegrationMeasure, compute_Vn: bool) -> Mom
                 table[rows] = weights.block(rows.start, rows.stop)
             weights._table = table
         VJ = [_vn_component(comp, weights._table, design, measure) for comp in components]
-        V = sum(comp.nu * v for comp, (v, _) in zip(components, VJ))
+        V = _total(comp.nu * v for comp, (v, _) in zip(components, VJ))
         if len(components) > 1:  # half the spread of the per-kernel J around J
-            J = sum(comp.nu * j for comp, (_, j) in zip(components, VJ))
-            V += 0.5 * sum(comp.nu * (j - J) ** 2 for comp, (_, j) in zip(components, VJ))
+            J = _total(comp.nu * j for comp, (_, j) in zip(components, VJ))
+            V += 0.5 * _total(comp.nu * (j - J) ** 2 for comp, (_, j) in zip(components, VJ))
     return MomentBundle(u=u, S=S, V=V, R=R, design=design, measure=measure,
                         components=components, weights=weights)
 

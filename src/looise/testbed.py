@@ -13,7 +13,7 @@ from . import numerics, rng
 from .designs import IntegrationMeasure, sobol_points
 from .errors import DomainViolation
 from .kernels import KernelSpec, PointIndex, cross_matrix, kernel_matrix
-from .moments import WeightSource, support_pass
+from .moments import predictor_walk
 
 
 def sample_gp(kernel: KernelSpec, X, seed: int, *stream_path: int) -> np.ndarray:
@@ -200,4 +200,4 @@ def true_ise(f, pred, y, measure: IntegrationMeasure) -> float:
     array of precomputed values aligned with it.
     """
     fvals = f(measure.points) if callable(f) else f
-    return support_pass([], [(fvals, WeightSource(pred, measure), y)])[0]
+    return predictor_walk(pred, measure, [], truth=(fvals, y))[1]

@@ -102,7 +102,8 @@ def _separate_pass(bundle, eps_sq, mode):
     total = 0.0
     for rows, X, mu in support_blocks(bundle.measure, moments.block_rows(bundle.n)):
         W = bundle.weights.block(rows.start, rows.stop)
-        parts, rho = moments._rho_gg(bundle.components, X, W, bundle.design, bundle.R)
+        parts, rho = moments._rho_gg(bundle.components, W, bundle.R,
+                                     moments._Geometry(X, bundle.design))
         cv = moments._project(parts, np.column_stack([g, h]))
         vals = cv[:, 0]
         if mode == "blup":

@@ -477,7 +477,8 @@ def test_a_shared_cross_dict_builds_each_kernel_block_once(monkeypatch):
         moments.support_pass([(bundle, None)], shared=shared)
     assert calls == [kern] * 3
     fresh = [build_bundle(table, kern, measure) for table in tables]
-    moments.support_pass([(bundle, None) for bundle in fresh])
+    for bundle in fresh:  # two walks, no dict
+        moments.support_pass([(bundle, None)])
     assert len(calls) == 3 + 2 * 3
     for a, b in zip(bundles, fresh):
         assert a.b.tobytes() == b.b.tobytes() and a.J == b.J
@@ -533,7 +534,7 @@ def test_a_weight_source_on_another_measure_is_rejected():
     p = SimpleKriging(KernelSpec("matern52", 6.0), design)
     bundles = [build_bundle(p, KernelSpec("matern32", 8.0), small_measure(1, 32, seed=seed))
                for seed in (56, 57)]
-    with pytest.raises(DimensionMismatch, match="share one measure"):
+    with pytest.raises(DimensionMismatch, match="one predictor over one measure"):
         moments.support_pass([(b, None) for b in bundles])
 
 
@@ -772,8 +773,9 @@ def test_support_blocks_hold_at_most_block_entries_doubles(monkeypatch):
     assert [moments.block_rows(n) for n in (12, 2048, 4096)] == [64, 64, 32]
 
 
-def test_every_job_of_a_walk_takes_the_blocks_of_its_largest_predictor(monkeypatch):
+def test_a_walk_serves_one_predictor_in_blocks_of_its_own_size(monkeypatch):
     import looise.moments as moments
+    from looise.errors import DimensionMismatch
 
     rows = []
     draw = moments.WeightSource.block
@@ -787,17 +789,21 @@ def test_every_job_of_a_walk_takes_the_blocks_of_its_largest_predictor(monkeypat
                     for n in (12, 200))
     kern = KernelSpec("matern32", 8.0)
     monkeypatch.setattr(moments.WeightSource, "block", counting)
-    moments.support_pass([(build_bundle(small, kern, measure), None)])
-    assert rows == [(12, 0, 600)]
-    rows.clear()
-    moments.support_pass([(build_bundle(p, kern, measure), None) for p in (small, large)])
-    assert sorted(rows) == [(12, 0, 512), (12, 512, 600), (200, 0, 512), (200, 512, 600)]
-    rows.clear()
-    vn = build_bundle(small, kern, measure, compute_Vn=True)  # V_n draws in its own blocks
-    assert rows == [(12, 0, 600)]
-    rows.clear()
-    moments.support_pass([(vn, None), (build_bundle(large, kern, measure), None)])
-    assert sorted(rows) == [(12, 0, 512), (12, 512, 600), (200, 0, 512), (200, 512, 600)]
+    walked = [build_bundle(p, kern, measure) for p in (small, large)]
+    for bundle, want in zip(walked, ([(12, 0, 600)], [(200, 0, 512), (200, 512, 600)])):
+        moments.support_pass([(bundle, None)])
+        assert sorted(rows) == want
+        rows.clear()
+    # jobs or squared-error sums of two predictors, even a filled bundle's job:
+    # refused before any block is drawn
+    bundles = [build_bundle(p, kern, measure) for p in (small, large)]
+    errors = [(np.zeros(measure.size), moments.WeightSource(p, measure), np.zeros(p.n))
+              for p in (small, large)]
+    for jobs, ise_jobs in (([(b, None) for b in bundles], []), ([(walked[1], None)], errors[:1]),
+                           ([(bundles[0], None)], errors[1:]), ([], errors)):
+        with pytest.raises(DimensionMismatch, match="one predictor over one measure"):
+            moments.support_pass(jobs, ise_jobs)
+    assert rows == [] and all(b._moments is None for b in bundles)
 
 
 def _mean_and_polynomial(design):
@@ -839,3 +845,23 @@ def test_a_walk_computes_distances_only_for_predictors_that_read_them(monkeypatc
     monkeypatch.setattr(type(poly), "reads_distances", True)
     assert [walk(pred) for pred in (mean, poly, mix, table)] == lean
     assert calls  # forced, the walk computes the distances that nothing reads
+
+
+def test_a_walk_adds_its_terms_left_to_right_whatever_sum_does(monkeypatch):
+    import builtins
+    import math
+
+    import looise.moments as moments
+
+    def compensated(items, start=0):  # CPython's sum from 3.12 on, for float items
+        items = list(items)
+        if all(isinstance(x, float) for x in items):
+            return math.fsum(items)
+        return builtins.sum(items, start)
+
+    monkeypatch.setattr(moments, "sum", compensated, raising=False)
+    err = moments._SquaredError([], None, [])
+    err.finish([1e16, 1.0, -1e16])
+    assert err.total == 0.0  # 1e16 + 1.0 rounds to 1e16
+    err.finish([-0.0])
+    assert math.copysign(1.0, err.total) == 1.0  # 0 + -0.0 is +0.0

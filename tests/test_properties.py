@@ -9,7 +9,7 @@ from conftest import random_design, small_measure
 from reference_oracle import loo_residuals_bruteforce
 from looise import numerics
 from looise.designs import Design, IntegrationMeasure, _loo_criterion
-from looise.errors import LooiseError, RankDeficient
+from looise.errors import DimensionMismatch, LooiseError, RankDeficient
 from looise.estimators import ise_blp, ise_blup, ise_loo, trend_corrected_ise
 from looise.kernels import FAMILIES, KernelSpec, cross_matrix, kernel_matrix
 from looise import moments
@@ -255,53 +255,54 @@ WALK_THETAS = st.sampled_from([4.0, 9.0, 25.0])
 
 @st.composite
 def walks(draw):
-    """A batch of walk jobs over one support that does not fill its last
-    block: bundles under one kernel, a two-kernel mixture or the
-    independent limit, of kriging predictors on designs of their own size
-    or their weight tables shared between jobs, with or without residuals,
-    the single and mixture bundles with or without V_n (whose draw of the
-    support the walk then reads), and squared-error sums; the walk shares
-    its cross-correlations between bundles or not."""
-    d = draw(st.integers(1, 2))
-    seed = draw(st.integers(0, 10_000))
-    block = draw(st.integers(3, 9))
-    N = draw(st.integers(10, 40).filter(lambda N: N % block))
-    n_sources = draw(st.integers(1, 3))
-    sources = [(draw(st.floats(2.0, 20.0)), draw(st.booleans()), draw(st.integers(4, 8)))
-               for _ in range(n_sources)]
-    source = st.integers(0, n_sources - 1)
-    jobs = draw(st.lists(st.tuples(source, st.sampled_from(["single", "mixture", "limit"]),
+    """A batch of walk jobs of one predictor over one support: bundles under one
+    kernel, a two-kernel mixture or the independent limit, of a kriging predictor
+    or its weight table, with or without residuals, the single and mixture bundles
+    with or without V_n (whose draw of the support the walk then reads), and
+    squared-error sums; the walk shares its cross-correlations between bundles or
+    not. BLOCK, BLOCK_ENTRIES and n are drawn so that block_rows(n) ranges from
+    1 to 9 rows, and the support does not fill its last block unless that block
+    holds one row."""
+    block, entries = draw(st.integers(3, 9)), draw(st.integers(16, 128))
+    n = draw(st.integers(4, 40))
+    rows = block
+    while rows > 1 and rows * n > entries:  # block_rows(n) under the drawn BLOCK and BLOCK_ENTRIES
+        rows //= 2
+    N = draw(st.integers(10, 40).filter(lambda N: rows == 1 or N % rows))
+    jobs = draw(st.lists(st.tuples(st.sampled_from(["single", "mixture", "limit"]),
                                    WALK_THETAS, WALK_THETAS, st.floats(0.05, 0.95),
                                    st.booleans(), st.booleans()), min_size=1, max_size=6))
-    errors = draw(st.lists(source, max_size=3))
-    return dict(d=d, seed=seed, block=block, N=N, sources=sources, jobs=jobs,
-                errors=errors, shared=draw(st.booleans()))
+    return dict(d=draw(st.integers(1, 2)), seed=draw(st.integers(0, 10_000)), block=block,
+                entries=entries, n=n, rows=rows, N=N, theta=draw(st.floats(2.0, 20.0)),
+                table=draw(st.booleans()), jobs=jobs, errors=draw(st.integers(0, 3)),
+                shared=draw(st.booleans()))
 
 
 def _walk_jobs(spec):
-    """Fresh bundles and weight sources for the spec, built the same way each call."""
+    """Fresh bundles and squared-error sums for the spec, built the same way each
+    call, and a fresh bundle of the predictor's twin (its weight table, or the
+    kriging predictor behind the table) over the same support."""
     measure = small_measure(spec["d"], spec["N"], seed=spec["seed"] + 1)
-    preds, sources, ys = [], [], []
-    for i, (theta_p, array_backed, n) in enumerate(spec["sources"]):
-        design = random_design(spec["d"], n, seed=spec["seed"] + 2 + i)
-        pred = SimpleKriging(KernelSpec("matern52", theta_p), design)
-        preds.append(pred)
-        sources.append(TableWeights(measure.points, pred.weights_matrix(measure.points), design,
-                                    loo_matrix=pred.loo.matrix) if array_backed else pred)
-        ys.append(np.sin(7.0 * design.points.sum(axis=1)))
+    design = random_design(spec["d"], spec["n"], seed=spec["seed"] + 2)
+    pred = SimpleKriging(KernelSpec("matern52", spec["theta"]), design)
+    table = TableWeights(measure.points, pred.weights_matrix(measure.points), design,
+                         loo_matrix=pred.loo.matrix)
+    source, twin = (table, pred) if spec["table"] else (pred, table)
+    y = np.sin(7.0 * design.points.sum(axis=1))
+    eps_sq = pred.loo_residuals(y) ** 2
     jobs = []
-    for i, kind, t1, t2, nu, with_eps, with_vn in spec["jobs"]:
-        ws = sources[i]
+    for kind, t1, t2, nu, with_eps, with_vn in spec["jobs"]:
         if kind == "single":
-            bundle = build_bundle(ws, KernelSpec("matern32", t1), measure, compute_Vn=with_vn)
+            bundle = build_bundle(source, KernelSpec("matern32", t1), measure, compute_Vn=with_vn)
         elif kind == "mixture":
             kernels = [KernelSpec("matern32", t1), KernelSpec("gaussian", t2)]
-            bundle = mixture_bundle(ws, kernels, [nu, 1.0 - nu], measure, compute_Vn=with_vn)
+            bundle = mixture_bundle(source, kernels, [nu, 1.0 - nu], measure, compute_Vn=with_vn)
         else:
-            bundle = independent_limit_bundle(ws, measure)
-        jobs.append((bundle, preds[i].loo_residuals(ys[i]) ** 2 if with_eps else None))
-    fvals = np.cos(5.0 * measure.points.sum(axis=1))
-    return jobs, [(fvals, WeightSource(sources[i], measure), ys[i]) for i in spec["errors"]]
+            bundle = independent_limit_bundle(source, measure)
+        jobs.append((bundle, eps_sq if with_eps else None))
+    errors = [(np.cos((5.0 + k) * measure.points.sum(axis=1)), WeightSource(source, measure), y)
+              for k in range(spec["errors"])]
+    return jobs, errors, (independent_limit_bundle(twin, measure), None)
 
 
 def _walk_results(jobs):
@@ -317,24 +318,30 @@ def test_a_batched_walk_equals_one_bundle_walks_bit_for_bit(spec):
     block = WeightSource.block
 
     def counting(self, lo, hi, *dist):
-        draws.append((id(self.predictor), lo, hi))
+        draws.append((lo, hi))
         return block(self, lo, hi, *dist)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(moments, "BLOCK", spec["block"])
-        jobs, errors = _walk_jobs(spec)  # V_n's draws are not the walk's
+        mp.setattr(moments, "BLOCK_ENTRIES", spec["entries"])
+        mp.setattr(moments, "VN_BLOCK", spec["block"])  # V_n's tiles keep a column
+        assert moments.block_rows(spec["n"]) == spec["rows"]
+        jobs, errors, _ = _walk_jobs(spec)  # V_n's draws are not the walk's
         mp.setattr(WeightSource, "block", counting)
         batched = support_pass(jobs, errors, shared={} if spec["shared"] else None)
-        walked = {id(b.weights.predictor) for b, _ in jobs}
-        walked |= {id(ws.predictor) for _, ws, _ in errors}
-        for source in walked:  # each predictor draws every support row once
-            rows = sorted((lo, hi) for sid, lo, hi in draws if sid == source)
-            assert [lo for lo, _ in rows] == list(range(0, spec["N"], spec["block"]))
-            assert sum(hi - lo for lo, hi in rows) == spec["N"]
-        alone_jobs, alone_errors = _walk_jobs(spec)
+        # the predictor draws every support row once, in blocks of block_rows(n) rows
+        assert sorted(draws) == [(lo, min(lo + spec["rows"], spec["N"]))
+                         for lo in range(0, spec["N"], spec["rows"])]
+        alone_jobs, alone_errors, _ = _walk_jobs(spec)
         for job in alone_jobs:
             support_pass([job])
         alone = [support_pass([], [job])[0] for job in alone_errors]
+        # a job of the twin predictor in the batch: refused before any block
+        fresh_jobs, fresh_errors, twin = _walk_jobs(spec)
+        draws.clear()
+        with pytest.raises(DimensionMismatch, match="one predictor"):
+            support_pass(fresh_jobs + [twin], fresh_errors)
+        assert draws == []
     assert batched == alone
     assert _walk_results(jobs) == _walk_results(alone_jobs)
 
