@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__, estimators, moments, numerics
-from .config import apply_overrides, get_bool, get_float, get_int, parse_config
+from .config import COMMAND_KEYS, apply_overrides, get_bool, get_float, get_int, parse_config
 from .designs import (
     Design,
     clamp_theta,
@@ -60,13 +60,13 @@ EXIT_NUMERICAL = 3
 
 def _load_config(args, extra: dict[str, str]) -> dict[str, str]:
     cfg: dict[str, str] = {}
-    if args.config:
+    if getattr(args, "config", None):
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
     cfg = apply_overrides(cfg, extra)
-    if "threads" in cfg and args.command != "reproduce":
-        raise ConfigError("threads sizes only the pool of reproduce; "
-                          f"{args.command} runs on every CPU the process may use")
+    unread = sorted(set(cfg) - COMMAND_KEYS[args.command])
+    if unread:
+        raise ConfigError(f"{unread[0]}: {args.command} does not read it")
     for key in ("seed", "threads"):
         if getattr(args, key, None) is not None:
             cfg[key] = str(getattr(args, key))
@@ -236,8 +236,6 @@ def _inputs(cfg: dict):
 
 
 def _estimate_payload(cfg: dict) -> dict:
-    if "estimator.vn" in cfg:
-        raise ConfigError("estimator.vn affects only the oracle columns of sweep")
     trend_mode = cfg.get("trend.mode", "zero")
     if trend_mode not in ("zero", "constant"):
         raise ConfigError("trend.mode must be 'zero' or 'constant'")
@@ -303,26 +301,13 @@ def _sweep_thetas(cfg: dict) -> list[float]:
     return list(np.geomspace(lo, hi, count))
 
 
-def _check_sweep_keys(cfg: dict) -> None:
-    """Reject the keys whose meaning sweep does not implement, rather than
-    write a CSV that silently ignores them."""
-    if cfg.get("trend.mode", "zero") != "zero":
-        raise ConfigError("trend.mode must be 'zero' for sweep; its estimates are not "
-                          "trend-corrected")
-    mixture = sorted(k for k in cfg if k.startswith("estimator.mixture."))
-    if mixture:
-        raise ConfigError(f"{mixture[0]}: sweep varies the range of one assumed kernel "
-                          "and takes no mixture")
+def cmd_sweep(args, extra) -> int:
+    cfg = _load_config(args, extra)
     if "sweep.oracle.family" not in cfg:
         for key in ("estimator.vn", "sweep.oracle.theta", "sweep.oracle.nugget"):
             if key in cfg:
                 raise ConfigError(f"{key} needs sweep.oracle.family; without an oracle "
                                   "sweep writes no oracle columns")
-
-
-def cmd_sweep(args, extra) -> int:
-    cfg = _load_config(args, extra)
-    _check_sweep_keys(cfg)
     _, measure, predictor, _, eps, clamp = _inputs(cfg)
     thetas = _sweep_thetas(cfg)
     if not thetas:
@@ -354,10 +339,6 @@ def cmd_sweep(args, extra) -> int:
 
 def cmd_reproduce(args, extra) -> int:
     cfg = _load_config(args, extra)
-    unread = sorted(key for key in cfg if key != "threads")
-    if unread:
-        raise ConfigError(f"{unread[0]}: reproduce reads only threads; each experiment "
-                          "fixes its own settings")
     threads = get_int(cfg, "threads", numerics.default_workers())
     if threads < 1:
         raise ConfigError(f"threads: expected at least 1, got {threads}")
@@ -382,6 +363,7 @@ def cmd_design(args, extra) -> int:
 
 
 def cmd_selftest(args, extra) -> int:
+    _load_config(args, extra)
     ok = run_selftest(verbose=True)
     return EXIT_OK if ok else 1
 

@@ -1,8 +1,10 @@
 """Flat key-value experiment configuration.
 
 Config files are plain text, one `key = value` per line, dotted keys,
-'#' comments. Unknown keys are rejected to catch typos. Values stay
-strings until a consumer coerces them; serialization round-trips.
+'#' comments. Unknown keys are rejected to catch typos, and COMMAND_KEYS
+names the keys each subcommand reads; a key it reads on some inputs only
+(predictor.poly.* under kriging) is named. Values stay strings until a
+consumer coerces them; serialization round-trips.
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ import shlex
 
 from .errors import ConfigError
 
-KNOWN_KEYS = frozenset({
+_DESIGN_KEYS = (
     "seed",
-    "threads",
     "design.file",
     "design.generator",
     "design.d",
@@ -23,6 +24,8 @@ KNOWN_KEYS = frozenset({
     "design.seed",
     "design.relaxation",
     "design.candidates_log2",
+)
+_INPUT_KEYS = _DESIGN_KEYS + (
     "data.file",
     "function.name",
     "measure.sobol_n",
@@ -39,22 +42,32 @@ KNOWN_KEYS = frozenset({
     "predictor.weights_file",
     "predictor.loo_file",
     "estimator.kernel.family",
-    "estimator.kernel.theta",
     "estimator.kernel.nugget",
     "estimator.clamp",
-    "estimator.vn",
-    "estimator.mixture.families",
-    "estimator.mixture.thetas",
-    "estimator.mixture.weights",
-    "trend.mode",
-    "sweep.thetas",
-    "sweep.log_min",
-    "sweep.log_max",
-    "sweep.count",
-    "sweep.oracle.family",
-    "sweep.oracle.theta",
-    "sweep.oracle.nugget",
-})
+)
+COMMAND_KEYS = {
+    "estimate": frozenset(_INPUT_KEYS + (
+        "estimator.kernel.theta",
+        "estimator.mixture.families",
+        "estimator.mixture.thetas",
+        "estimator.mixture.weights",
+        "trend.mode",
+    )),
+    "sweep": frozenset(_INPUT_KEYS + (
+        "estimator.vn",
+        "sweep.thetas",
+        "sweep.log_min",
+        "sweep.log_max",
+        "sweep.count",
+        "sweep.oracle.family",
+        "sweep.oracle.theta",
+        "sweep.oracle.nugget",
+    )),
+    "design": frozenset(_DESIGN_KEYS),
+    "reproduce": frozenset({"threads"}),
+    "selftest": frozenset(),
+}
+KNOWN_KEYS = frozenset().union(*COMMAND_KEYS.values())
 
 
 def parse_config(text: str) -> dict[str, str]:

@@ -89,7 +89,7 @@ _SOBOL_V = _direction_integers()
 
 @dataclass(frozen=True, eq=False)
 class Design:
-    """A set of distinct points in [0,1]^d with a provenance tag.
+    """A set of distinct points in [0,1]^d.
 
     Points are distinct when no two of them coincide in the sense of
     `kernels.coincide` (distance at most 1e-14). Designs compare and hash
@@ -97,7 +97,6 @@ class Design:
     """
 
     points: np.ndarray  # (n, d)
-    provenance: str = "user"
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -181,7 +180,7 @@ def sobol_points(d: int, N: int, scramble_seed: int | None = None) -> np.ndarray
 
 
 def sobol_design(d: int, n: int, scramble_seed: int | None = None) -> Design:
-    return Design(points=sobol_points(d, n, scramble_seed), provenance="sobol")
+    return Design(points=sobol_points(d, n, scramble_seed))
 
 
 def sobol_measure(d: int, N: int, scramble_seed: int | None = None) -> IntegrationMeasure:
@@ -195,7 +194,7 @@ def regular_grid(d: int, per_axis: int) -> Design:
     axis = np.arange(per_axis, dtype=float) / (per_axis - 1)
     grids = np.meshgrid(*([axis] * d), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
-    return Design(points=pts, provenance="grid")
+    return Design(points=pts)
 
 
 def greedy_packing(candidates, n: int, a: float = 0.0, seed: int = 0) -> Design:
@@ -228,7 +227,7 @@ def greedy_packing(candidates, n: int, a: float = 0.0, seed: int = 0) -> Design:
         new = alpha * pts[nearest] + (1.0 - alpha) * xstar
         pts[k] = new
         dmin = np.minimum(dmin, distances(new[None], cand)[0])
-    return Design(points=pts, provenance="packing")
+    return Design(points=pts)
 
 
 def nn_distance(eval_points, design: Design | np.ndarray, k: int = 1) -> float:
@@ -372,9 +371,9 @@ def theta_loo(y, design: Design, family: str, mean_mode: str = "zero",
     return min((values[i], float(THETA_LOO_GRID[i])), (objective(best), best))[1]
 
 
-def clamp_theta(theta: float, lo: float = 5.0, hi: float = 50.0) -> float:
-    """Clamp an estimated range parameter into [lo, hi]."""
-    return min(max(theta, lo), hi)
+def clamp_theta(theta: float) -> float:
+    """Clamp an estimated range parameter into [5, 50]."""
+    return min(max(theta, 5.0), 50.0)
 
 
 def design_to_csv(design: Design) -> str:
@@ -387,9 +386,9 @@ def design_to_csv(design: Design) -> str:
     return buf.getvalue()
 
 
-def design_from_csv(text: str, provenance: str = "user") -> Design:
+def design_from_csv(text: str) -> Design:
     lines = [ln for ln in text.replace("\r\n", "\n").split("\n") if ln.strip()]
     if not lines or not lines[0].lower().startswith("x1"):
         raise ValueError("design CSV must carry a header row x1,...,xd")
     rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
-    return Design(points=np.asarray(rows, dtype=float), provenance=provenance)
+    return Design(points=np.asarray(rows, dtype=float))

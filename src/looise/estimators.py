@@ -43,7 +43,6 @@ class IseEstimate:
     value: float
     estimator: str  # loo | blp | blp+ | blup | blup+
     gamma: np.ndarray | None = None  # None for clamped estimates
-    clamped: bool = False
     trend_correction_applied: bool = False
     trend_amount: float = 0.0
 
@@ -93,7 +92,7 @@ def ise_blp(bundle: MomentBundle, eps_loo, clamp: bool = True) -> IseEstimate:
     """
     eps_sq = _check_eps(bundle, eps_loo) ** 2
     if clamp:
-        return IseEstimate(bundle.clamped_integrals(eps_sq)[0], "blp+", clamped=True)
+        return IseEstimate(bundle.clamped_integrals(eps_sq)[0], "blp+")
     gamma = bundle.gamma_blp
     return IseEstimate(value=float(gamma @ eps_sq), estimator="blp", gamma=gamma)
 
@@ -112,7 +111,7 @@ def ise_blup(bundle: MomentBundle, eps_loo, clamp: bool = True) -> IseEstimate:
     if clamp:
         value = bundle.clamped_integrals(eps_sq)[1]
         bundle.constraint()  # raises DegenerateConstraint where value is None
-        return IseEstimate(value, "blup+", clamped=True)
+        return IseEstimate(value, "blup+")
     gamma = blup_weights(bundle)
     return IseEstimate(value=float(gamma @ eps_sq), estimator="blup", gamma=gamma)
 

@@ -68,12 +68,6 @@ class LinearPredictor:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return self.weights_matrix(x[None, :])[0]
 
-    def predict(self, y, x) -> float:
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.n,):
-            raise DimensionMismatch(f"y has shape {y.shape}, expected ({self.n},)")
-        return float(self.weights(x) @ y)
-
     def _loo_matrix(self) -> np.ndarray:
         raise NotImplementedError
 

@@ -24,6 +24,7 @@ from .designs import (
     greedy_packing,
     nn_distance,
     regular_grid,
+    sobol_design,
     sobol_measure,
     sobol_points,
     theta_from_coverage,
@@ -396,7 +397,7 @@ def run_suppC(outdir: str, threads: int = 1) -> dict:
     ktrue = KernelSpec("matern32", 2.0)
     rows = []
     for n in (40, 80, 200, 400):
-        design = Design(points=sobol_points(d, n, scramble_seed=11), provenance="sobol")
+        design = sobol_design(d, n, scramble_seed=11)
         Dn5 = nn_distance(measure.points, design, k=5)
         theta_p = theta_from_coverage("matern52", Dn5, 0.25)
         theta_e = theta_from_coverage("inverse-multiquadric", Dn5, 0.25)
@@ -436,7 +437,7 @@ def _coverage_theta(family: str, design: Design, measure) -> float:
 def run_suppF1(outdir: str, threads: int = 1, n_reps: int = 10) -> dict:
     d, n = 2, 20
     measure = sobol_measure(d, 2**14)
-    design = Design(points=sobol_points(d, n, scramble_seed=21), provenance="sobol")
+    design = sobol_design(d, n, scramble_seed=21)
     theta0 = _coverage_theta("matern32", design, measure)
 
     def one(rep: int):
@@ -467,7 +468,7 @@ def run_suppF1(outdir: str, threads: int = 1, n_reps: int = 10) -> dict:
 def run_suppF2(outdir: str, threads: int = 1, n_reps: int = 20) -> dict:
     d, n, gamma = 4, 40, 0.25
     measure = sobol_measure(d, 2**15)
-    design = Design(points=sobol_points(d, n, scramble_seed=31), provenance="sobol")
+    design = sobol_design(d, n, scramble_seed=31)
     theta0 = _coverage_theta("matern32", design, measure)
     r_factors = (1.0, 10.0)
 

@@ -21,6 +21,7 @@ from . import estimators, moments, numerics
 from .designs import (
     Design,
     regular_grid,
+    sobol_design,
     sobol_points,
     theta_from_coverage,
     uniform_measure,
@@ -77,7 +78,7 @@ def _raises(exc_type, fn, *args):
 
 
 def _design(d=1, n=10, seed=0):
-    return Design(points=sobol_points(d, n, scramble_seed=seed), provenance="sobol")
+    return sobol_design(d, n, scramble_seed=seed)
 
 
 def _setup(seed=0, n=12, d=1, theta_p=6.0, theta_e=8.0):

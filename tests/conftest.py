@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 import looise
-from looise.designs import Design, sobol_measure, sobol_points, uniform_measure
+from looise.designs import Design, sobol_design, sobol_measure, sobol_points, uniform_measure
 from looise.kernels import KernelSpec
 
 
 @pytest.fixture
 def grid1d_design():
-    return Design(points=np.linspace(0.0, 1.0, 10)[:, None], provenance="grid")
+    return Design(points=np.linspace(0.0, 1.0, 10)[:, None])
 
 
 @pytest.fixture
@@ -20,13 +20,18 @@ def measure1d():
 
 def random_design(d: int, n: int, seed: int) -> Design:
     """Scrambled-Sobol design; convenient seeded test input."""
-    return Design(points=sobol_points(d, n, scramble_seed=seed), provenance="sobol")
+    return sobol_design(d, n, scramble_seed=seed)
 
 
 def gp_draw(kernel: KernelSpec, design: Design, seed: int) -> np.ndarray:
     from looise.testbed import sample_gp
 
     return sample_gp(kernel, design.points, seed)
+
+
+def predict(predictor, y, x) -> float:
+    """The prediction w(x)^T y at one point x."""
+    return float(predictor.weights(x) @ np.asarray(y, dtype=float))
 
 
 def predict_many(predictor, y, X) -> np.ndarray:

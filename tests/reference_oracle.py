@@ -10,13 +10,14 @@ attributes on the design without one point.
 
 import numpy as np
 
+from conftest import predict
 from looise.designs import Design
 from looise.predictors import BayesPolynomial, EmpiricalMean, FixedMixture, SimpleKriging
 
 
 def _refit(pred, keep):
     """The same predictor fit on the design rows `keep` alone."""
-    design = Design(points=pred.design.points[keep], provenance=pred.design.provenance)
+    design = Design(points=pred.design.points[keep])
     if isinstance(pred, BayesPolynomial):  # before SimpleKriging, its base class
         return BayesPolynomial(pred.indices, pred.prior_diag, pred.noise_var, design)
     if isinstance(pred, SimpleKriging):  # OrdinaryKriging too
@@ -34,7 +35,7 @@ def loo_residuals_bruteforce(pred, y) -> np.ndarray:
     out = np.empty(pred.n)
     for i in range(pred.n):
         keep = np.arange(pred.n) != i
-        out[i] = y[i] - _refit(pred, keep).predict(y[keep], pred.design.points[i])
+        out[i] = y[i] - predict(_refit(pred, keep), y[keep], pred.design.points[i])
     return out
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from reference_oracle import ise_wloo_blp, loo_residuals_bruteforce
 
-from looise import estimators, moments
+from looise import estimators, moments, numerics
 from looise.designs import (
     Design,
     sobol_points,
@@ -236,7 +236,8 @@ def test_criterion_08_environmental_study(tmp_path):
 
 def test_criterion_09_model_selection(tmp_path):
     start = time.time()
-    out = run_table2(str(tmp_path), threads=1, n_designs=20)
+    # the pool size moves no bit (test_reproduce.py and CI's table2 cmp guard that)
+    out = run_table2(str(tmp_path), threads=numerics.default_workers(), n_designs=20)
     m = out["means"]
     ok = (m["blp"] <= 0.5 * m["empirical_mean"]
           and m["loo"] <= 0.5 * m["empirical_mean"]

@@ -5,7 +5,7 @@ import pytest
 
 from looise import numerics
 from looise.cli import main
-from looise.config import apply_overrides, parse_config
+from looise.config import COMMAND_KEYS, KNOWN_KEYS, apply_overrides, parse_config
 from looise.designs import Design, design_to_csv, regular_grid
 from looise.errors import ConfigError
 
@@ -28,6 +28,8 @@ predictor.kernel.theta = 6.0
 estimator.kernel.family = matern32
 estimator.kernel.theta = 8.0
 """
+# sweep replaces the assumed range row by row, so its config names none
+SWEEP_BASE_CONFIG = BASE_CONFIG.replace("estimator.kernel.theta = 8.0\n", "")
 
 
 def serialize_config(cfg: dict[str, str]) -> str:
@@ -189,8 +191,8 @@ def test_sweep_single_theta_matches_estimate(tmp_path, capsys):
     gen = np.random.default_rng(4)
     ycsv = write(tmp_path, "y.csv",
                  "y\n" + "\n".join(f"{v:.17g}" for v in gen.standard_normal(10)) + "\n")
-    cfg = write(tmp_path, "run.cfg", BASE_CONFIG + f"data.file = {ycsv}\n")
-    assert main(["estimate", "--config", cfg]) == 0
+    cfg = write(tmp_path, "run.cfg", SWEEP_BASE_CONFIG + f"data.file = {ycsv}\n")
+    assert main(["estimate", "--config", cfg, "--estimator.kernel.theta=8.0"]) == 0
     est = json.loads(capsys.readouterr().out)["ise_blp"]
     assert main(["sweep", "--config", cfg, "--sweep.thetas=8.0",
                  "--out", str(tmp_path)]) == 0
@@ -216,7 +218,6 @@ predictor.variant = simple-kriging
 predictor.kernel.family = matern52
 predictor.kernel.theta = 4.0
 estimator.kernel.family = matern32
-estimator.kernel.theta = 8.0
 """
 
 
@@ -359,10 +360,10 @@ def test_sweep_rejects_keys_it_would_ignore(tmp_path, capsys, extra, key):
     assert not (tmp_path / "sweep.csv").exists()
 
 
-def test_sweep_accepts_zero_trend_and_oracle_keys(tmp_path, capsys):
+def test_sweep_accepts_the_oracle_keys(tmp_path, capsys):
     ycsv = write(tmp_path, "y.csv", "y\n" + "\n".join(["0.5"] * 16) + "\n")
     cfg = write(tmp_path, "run.cfg", SWEEP_CONFIG + f"data.file = {ycsv}\n"
-                + "sweep.thetas = 2,8\ntrend.mode = zero\nestimator.vn = true\n"
+                + "sweep.thetas = 2,8\nestimator.vn = true\n"
                 + "sweep.oracle.family = matern32\nsweep.oracle.theta = 8.0\n"
                 + "sweep.oracle.nugget = 0.0\n")
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -588,7 +589,7 @@ def test_estimate_rejects_the_vn_key(tmp_path, capsys):
     ycsv = write(tmp_path, "y.csv", "y\n" + "\n".join(["0.5"] * 10) + "\n")
     cfg = write(tmp_path, "run.cfg", BASE_CONFIG + f"data.file = {ycsv}\nestimator.vn = true\n")
     assert main(["estimate", "--config", cfg]) == 2
-    assert "only the oracle columns of sweep" in capsys.readouterr().err
+    assert "estimator.vn: estimate does not read it" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, message", [
@@ -660,12 +661,41 @@ def test_an_empty_measure_seed_is_a_config_error(tmp_path, capsys):
     assert "measure.seed: expected an integer, got ''" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["estimate", "sweep", "design"])
-def test_threads_key_is_rejected_where_nothing_reads_it(tmp_path, capsys, command):
-    ycsv = write(tmp_path, "y.csv", "y\n" + "\n".join(["0.5"] * 10) + "\n")
-    cfg = write(tmp_path, "run.cfg", BASE_CONFIG + f"data.file = {ycsv}\nthreads = 7\n")
+# each config holds only keys its command reads, so threads is the key the check names
+@pytest.mark.parametrize("command, config", [
+    ("estimate", BASE_CONFIG),
+    ("sweep", SWEEP_BASE_CONFIG),
+    ("design", "design.generator = grid\ndesign.d = 1\ndesign.per_axis = 10\n"),
+], ids=["estimate", "sweep", "design"])
+def test_threads_key_is_rejected_where_nothing_reads_it(tmp_path, capsys, command, config):
+    cfg = write(tmp_path, "run.cfg", config + "threads = 7\n")
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert "pool of reproduce" in capsys.readouterr().err
+    assert f"threads: {command} does not read it" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
+def test_each_subcommand_rejects_every_key_it_does_not_read(tmp_path, capsys, monkeypatch,
+                                                           command):
+    import looise.cli as cli
+
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("ran"))
+    monkeypatch.setattr(cli, "run_selftest", lambda *a, **k: pytest.fail("ran"))
+    argv = {"reproduce": ["reproduce", "fig2"]}.get(command, [command])
+    if command != "selftest":
+        argv += ["--out", str(tmp_path / "out")]
+    unread = sorted(KNOWN_KEYS - COMMAND_KEYS[command])
+    assert unread
+    for key in unread:
+        if "." in key:  # a dotted key is also a flag
+            flags = [f"--{key}=1"]
+        elif command != "selftest":
+            flags = ["--config", write(tmp_path, "run.cfg", f"{key} = 1\n")]
+        else:  # selftest takes no --config, and no --seed or --threads flag
+            continue
+        assert main(argv + flags) == 2, key
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{key}: {command} does not read it" in captured.err
     assert not (tmp_path / "out").exists()
 
 
@@ -745,7 +775,7 @@ def test_reproduce_rejects_keys_it_does_not_read(tmp_path, capsys, monkeypatch, 
     else:
         argv += ["--config", write(tmp_path, "run.cfg", "design.n = 5\nestimator.clamp = maybe\n")]
     assert main(argv) == 2
-    assert "design.n: reproduce reads only threads" in capsys.readouterr().err
+    assert "design.n: reproduce does not read it" in capsys.readouterr().err
 
 
 def test_reproduce_suppf1_structure(tmp_path, capsys):

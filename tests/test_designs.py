@@ -200,7 +200,6 @@ def test_measure_weights_validation():
 def test_greedy_packing_center_start():
     d = greedy_packing(sobol_points(2, 64), n=1, a=0.0, seed=0)
     assert np.array_equal(d.points, [[0.5, 0.5]])
-    assert d.provenance == "packing"
 
 
 def test_greedy_packing_pure_is_deterministic():

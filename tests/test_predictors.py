@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import gp_draw, predict_many, random_design
+from conftest import gp_draw, predict, predict_many, random_design
 from reference_oracle import loo_residuals_bruteforce
 from looise import numerics
 from looise.designs import Design, regular_grid, sobol_points, uniform_measure
@@ -46,8 +46,8 @@ def test_predict_examples():
     design = random_design(1, 9, seed=4)
     y = gp_draw(KernelSpec("matern32", 5.0), design, seed=4)
     p = SimpleKriging(KernelSpec("matern32", 5.0), design)
-    assert np.isclose(p.predict(y, design.points[2]), y[2], atol=1e-8)
-    assert p.predict(np.zeros(9), [0.5]) == 0.0
+    assert np.isclose(predict(p, y, design.points[2]), y[2], atol=1e-8)
+    assert predict(p, np.zeros(9), [0.5]) == 0.0
 
 
 def test_bayes_polynomial_not_interpolating():

@@ -140,7 +140,7 @@ def test_estimates_scale_with_the_square_of_the_data(problem, c):
 def test_estimates_do_not_depend_on_the_order_of_the_design(problem, data):
     design, measure, kern_p, kern_e, y = problem
     perm = np.asarray(data.draw(st.permutations(range(design.n))))
-    moved = Design(points=design.points[perm], provenance=design.provenance)
+    moved = Design(points=design.points[perm])
     _assert_same(_three_estimates(moved, measure, kern_p, kern_e, y[perm]),
                  _three_estimates(design, measure, kern_p, kern_e, y), rtol=1e-9)
 
